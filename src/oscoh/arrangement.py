@@ -139,10 +139,6 @@ class Arrangement:
             )
         return self._cache[key]
 
-    def is_central_set(self, s) -> bool:
-        sm = set(s)
-        return not any(sm.issuperset(c) for c in self.minimal_noncentral())
-
     # -- lattice -------------------------------------------------------------
 
     def intersection_lattice(self) -> IntersectionLattice:

@@ -126,7 +126,7 @@ def _normalized_key(k: Sequence[int]) -> tuple:
     return tuple(v)
 
 
-def _rank_Q(arr, q: int, key: tuple) -> int:
+def _rank_Q(arr, q: int, key: tuple, upper: int) -> int:
     cache = arr._cache.setdefault("rankQ", {})
     hit = cache.get((q, key))
     if hit is None:
@@ -134,7 +134,7 @@ def _rank_Q(arr, q: int, key: tuple) -> int:
         if not mat.col_monomials or not mat.row_monomials or not any(key):
             hit = 0
         else:
-            hit = rank_over_Q(mat.evaluate(list(key)))
+            hit = rank_over_Q(mat.evaluate(list(key)), upper)
         cache[(q, key)] = hit
     return hit
 
@@ -157,13 +157,18 @@ def os_cohomology_dims(arr, lam) -> CohomologyReport:
     """Cohomology dimensions of the weighted complex over Q.
 
     dims[q] = b_q - rank mu^q(lam) - rank mu^(q-1)(lam), for q = 0..rank.
+    Degrees are ranked in order: mu^q mu^(q-1) = 0 bounds rank mu^q by
+    b_q - rank mu^(q-1), and one prime reaching that bound proves it.
     """
     wv = WeightVector(lam)
     if len(wv) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(wv)}")
     key = _normalized_key(wv.k)
     betti = arr.betti_numbers()
-    ranks = [_rank_Q(arr, q, key) for q in range(arr.rank + 1)]
+    ranks = []
+    for q in range(arr.rank + 1):
+        upper = betti[q] - (ranks[q - 1] if q else 0)
+        ranks.append(_rank_Q(arr, q, key, upper))
     dims = tuple(
         betti[q] - ranks[q] - (ranks[q - 1] if q else 0)
         for q in range(arr.rank + 1)

@@ -7,9 +7,13 @@ int64 modular arithmetic with verified overflow bounds.
 
 Matrices are plain nested sequences (list of rows).  Ranks of integer
 matrices come from fraction-free Bareiss elimination; large matrices take a
-certified multi-modular route (rank mod enough word-size primes, with a
-Hadamard bound on the minors turning the modular ranks into a proof of the
-rational rank).
+certified multi-modular route.  Every rank mod p is a lower bound on the
+rank over Q.  When the caller proves an upper bound (in a complex, d^2 = 0
+gives rank d^q <= dim C^q - rank d^(q-1)), the first prime whose rank
+reaches it proves the rational rank; this is the usual case when the
+complex is exact in that degree.  Otherwise the loop ranks modulo enough
+word-size primes for a Hadamard bound on the minors to turn the modular
+ranks into a proof.
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ def _primes_for_rank(count: int) -> list[int]:
     return _modular_primes[:count]
 
 
-def rank_over_Q(rows: Sequence[Sequence[int]]) -> int:
+def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     """Rank over Q of an integer matrix, certified exactly.
 
     Small matrices go through Bareiss.  Large ones are ranked modulo 31-bit
@@ -213,16 +217,22 @@ def rank_over_Q(rows: Sequence[Sequence[int]]) -> int:
     exceeded r, some nonzero (r+1)-minor D would be divisible by every prime
     used, hence |D| >= prod p_i; once prod p_i beats the Hadamard bound on
     (r+1)-minors this is impossible and rank == r is proved.
+
+    ``upper``, if given, must be a proven upper bound on the rank over Q,
+    such as dim C^q - rank d^(q-1) for the boundary d^q of a complex.  The
+    loop then stops at the first prime whose rank reaches
+    min(rows, columns, upper), since that rank is also a lower bound.  A
+    rank above ``upper`` shows the bound false and raises ValueError.
     """
     a = _as_int_rows(rows)
     nr = len(a)
     nc = len(a[0]) if nr else 0
     if nr == 0 or nc == 0:
-        return 0
+        return _check_upper(0, upper)
     if nr * nc <= 8000 or min(nr, nc) <= 24:
-        return bareiss_rank(a)
+        return _check_upper(bareiss_rank(a), upper)
 
-    maxdim = min(nr, nc)
+    maxdim = min(nr, nc) if upper is None else min(nr, nc, upper)
     norms2 = sorted((sum(x * x for x in row) for row in a), reverse=True)
     big = max(abs(x) for row in a for x in row) >= 2**31
     arr = None
@@ -240,7 +250,7 @@ def rank_over_Q(rows: Sequence[Sequence[int]]) -> int:
             else:
                 rp = _rank_mod_p_numpy([[x % p for x in row] for row in a], p)
             if rp > r:
-                r = rp
+                r = _check_upper(rp, upper)
             prod *= p
             if r == maxdim:
                 return r
@@ -254,7 +264,13 @@ def rank_over_Q(rows: Sequence[Sequence[int]]) -> int:
                 return r
         batch += 8
         if batch > 512:  # unreachable at sane sizes; stay exact regardless
-            return bareiss_rank(a)
+            return _check_upper(bareiss_rank(a), upper)
+
+
+def _check_upper(r: int, upper: int | None) -> int:
+    if upper is not None and r > upper:
+        raise ValueError(f"rank {r} exceeds the claimed upper bound {upper}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +566,12 @@ class NFElement:
                 [(s0[i] if i < len(s0) else Fraction(0)) - (qs[i] if i < len(qs) else Fraction(0))
                  for i in range(max(len(s0), len(qs), 1))]
             )
-        # a is now the gcd, a nonzero constant
+        # a is now the gcd; it is a nonzero constant unless min_poly is reducible
+        if len(a) != 1:
+            raise ValueError(
+                f"{self!r} is a zero divisor: the minimal polynomial "
+                f"{list(self.field.min_poly)} is reducible"
+            )
         c = a[0]
         return self.field([x / c for x in s0])
 

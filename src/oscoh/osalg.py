@@ -165,29 +165,6 @@ class AomotoMatrix:
             rows[i][j] = acc
         return rows
 
-    def compose_entries(self, other: "AomotoMatrix") -> dict:
-        """Symbolic product entries as quadratic forms {(v1<=v2): coeff}."""
-        if self.col_monomials != other.row_monomials:
-            raise ValueError("degree mismatch in composition")
-        by_row: dict[int, list] = {}
-        for (t, j), form in other.entries.items():
-            by_row.setdefault(t, []).append((j, form))
-        prod: dict[tuple, dict] = {}
-        for (i, t), f1 in self.entries.items():
-            for j, f2 in by_row.get(t, []):
-                acc = prod.setdefault((i, j), {})
-                for v1, c1 in f1.items():
-                    for v2, c2 in f2.items():
-                        key = (v1, v2) if v1 <= v2 else (v2, v1)
-                        acc[key] = acc.get(key, 0) + c1 * c2
-        return {
-            pos: {k: c for k, c in form.items() if c}
-            for pos, form in prod.items()
-        }
-
-    def composes_to_zero(self, other: "AomotoMatrix") -> bool:
-        return all(not form for form in self.compose_entries(other).values())
-
     def entry_str(self, i: int, j: int) -> str:
         """Entry as a sparse sum of c*y_j terms, variables 1-based."""
         form = self.entries.get((i, j))

@@ -225,6 +225,22 @@ def test_wrong_weight_count(capsys):
     assert "expected 9 weights, got 2" in err
 
 
+def test_bounds_rejects_non_integer_oscoh_jobs(capsys, monkeypatch):
+    monkeypatch.setenv("OSCOH_JOBS", "abc")
+    code, out, err = run(
+        capsys, ["bounds", "boolean(2)", "--weights", "1/2,1/2"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("oscoh: error:")
+    assert "OSCOH_JOBS" in err and "'abc'" in err
+    # an explicit --jobs wins over the environment
+    code, _, _ = run(
+        capsys, ["bounds", "boolean(2)", "--weights", "1/2,1/2", "--jobs", "1"]
+    )
+    assert code == 0
+
+
 def test_bad_weight_token(capsys):
     code, _, err = run(capsys, ["oscohom", "boolean(2)", "--weights", "1/3,x"])
     assert code == 1

@@ -14,7 +14,7 @@ from oscoh.cohom import (
     poincare_str,
     scaling_equivalence_check,
 )
-from oscoh.exactla import NotPrimeError, rank_mod_p, smith_normal_form
+from oscoh.exactla import NotPrimeError, rank_mod_p, rank_over_Q, smith_normal_form
 from oscoh.osalg import aomoto_matrix
 
 from conftest import random_weight_vector
@@ -172,6 +172,25 @@ def test_mod_prime_dominates_rational_dims():
                 continue
             mod = modN_cohomology_ranks(arr, wv.k, wv.N).dims
             assert all(a <= b for a, b in zip(over_q, mod)), (name, lam)
+
+
+def test_bounded_ranks_match_unbounded_ranks_on_product():
+    # os_cohomology_dims passes b_q - rank mu^(q-1) to rank_over_Q as an
+    # upper bound; at the README weights mu^3 is resonant and misses it
+    arr = catalog.get("product-example")
+    generic = tuple(
+        Fraction(x, 7) for x in (1, 2, 3, -1, -2, -3, 4, 5, 1, 2, -4, 3, 1, -1, 2, 5, 1)
+    )
+    for lam in (CEVA_WEIGHTS + MACLANE_SECTION_WEIGHTS, generic):
+        arr._cache.pop("rankQ", None)  # rank afresh, not from another test
+        rep = os_cohomology_dims(arr, lam)
+        k = list(WeightVector(lam).k)
+        unbounded = tuple(
+            rank_over_Q(aomoto_matrix(arr, q).evaluate(k))
+            for q in range(arr.rank + 1)
+        )
+        assert rep.ranks == unbounded, lam
+    assert rep.dims == (0, 0, 0, 0, 208)
 
 
 def test_composite_modulus_uses_unit_invariant_factors():

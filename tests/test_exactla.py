@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oscoh import exactla
 from oscoh.exactla import (
     NotPrimeError,
     NumberField,
@@ -128,6 +129,34 @@ def test_rank_mod_p_drops_on_divisible_pivots():
     assert rank_mod_p(m, 5) == 1
     assert rank_mod_p(m, 3) == 2
     assert rank_over_Q(m) == 2
+
+
+def test_rank_over_Q_stops_at_a_proven_upper_bound(monkeypatch):
+    # 60 x 200 is above the Bareiss threshold, so the multimodular loop runs
+    m = planted_rank_matrix(random.Random(40), 60, 200, 40)
+    calls = []
+    real = exactla._rank_mod_p_numpy
+
+    def counted(rows, p):
+        calls.append(p)
+        return real(rows, p)
+
+    monkeypatch.setattr(exactla, "_rank_mod_p_numpy", counted)
+    assert rank_over_Q(m, upper=40) == 40
+    assert len(calls) == 1
+    calls.clear()
+    assert rank_over_Q(m) == 40
+    assert len(calls) > 1  # without a bound the Hadamard certificate needs more
+    with pytest.raises(ValueError, match="upper bound 39"):
+        rank_over_Q(m, upper=39)
+
+
+def test_rank_over_Q_rejects_a_false_bound_on_small_matrices():
+    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert rank_over_Q(ident, upper=3) == 3
+    assert rank_over_Q(ident, upper=7) == 3
+    with pytest.raises(ValueError):
+        rank_over_Q(ident, upper=2)
 
 
 def test_rank_mod_p_rejects_composite_modulus():
@@ -290,6 +319,17 @@ def test_number_field_division():
     assert (x / x) == nf.one
     with pytest.raises(ZeroDivisionError):
         nf.one / nf.zero
+
+
+def test_number_field_inverse_rejects_zero_divisors():
+    # x^2 - 1 = (x - 1)(x + 1) is reducible, so x - 1 has no inverse
+    ring = NumberField([-1, 0, 1], "x")
+    x = ring.gen
+    with pytest.raises(ValueError, match="zero divisor"):
+        (x - 1).inverse()
+    with pytest.raises(ValueError):
+        ring.one / (x + 1)
+    assert (x + 2) * (x + 2).inverse() == ring.one
 
 
 def test_number_field_coercion_and_equality():
