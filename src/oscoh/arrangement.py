@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .exactla import NFElement, NumberField, field_rank
+from .exactla import NumberField, field_rank, pivot_columns, rank_over_Q
 from .matroid import Matroid, parallel_connection, vector_matroid
 
 __all__ = [
@@ -262,9 +263,12 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
     Each row is [a_1, .., a_l, c] for the hyperplane a.z + c = 0, constant
     last.  Entries are ints, Fractions, strings like "2/3", or (over a
     number field) NFElements / coefficient lists.  The arrangement must be
-    essential and free of zero or repeated forms; with ``essentialize``
-    set, a non-essential input is first quotiented by the common center
-    (the coefficients are rewritten in a basis of their row space).
+    essential and free of zero or repeated forms.  With ``essentialize``
+    set, a non-essential input is first quotiented by the common center:
+    every form keeps only the pivot columns of its normal, a coordinate
+    projection that is injective on the span of the normals.  The forms
+    get new coordinates, but the matroid, lattice and Betti numbers are
+    those of the input.
     """
     rows = [list(r) for r in rows]
     if not rows:
@@ -291,34 +295,37 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
             raise ZeroFormError(f"hyperplane {i+1} has zero coefficient part")
         forms.append((coeffs, const))
 
-    if field_rank([list(a) for a, _ in forms]) < ell:
+    pivots = pivot_columns([a for a, _ in forms])
+    if len(pivots) < ell:
         if not essentialize:
             raise NotEssentialError(
                 "normals span a proper subspace; pass --essentialize or reduce rank"
             )
-        basis = _row_space_basis([list(a) for a, _ in forms])
-        forms = [(tuple(_solve_in_basis(basis, list(a))), c) for a, c in forms]
-        ell = len(basis)
-    _check_distinct(forms, ell)
+        forms = [(tuple(a[j] for j in pivots), c) for a, c in forms]
+        ell = len(pivots)
 
     central = not any(c for _, c in forms)
     zero, one = _field_consts(nf)
     vectors = [list(a) + [c] for a, c in forms]
     vectors.append([zero] * ell + [one])
-    cone = vector_matroid(vectors, field_rank)
+    if nf:
+        cone = vector_matroid(vectors, field_rank)
+    else:
+        # scaling a vector keeps the matroid, so rank integer vectors
+        cone = vector_matroid([_integer_row(v) for v in vectors], rank_over_Q)
+    # two forms define the same hyperplane iff their cone vectors are parallel
+    pairs = sorted(sorted(c) for c in cone.circuits() if len(c) == 2)
+    if pairs:
+        i, j = pairs[0]
+        raise ValueError(f"hyperplanes {i+1} and {j+1} coincide")
     return Arrangement(
         len(forms), ell, central, cone, field=nf or "Q", forms=forms, labels=labels
     )
 
 
-def _check_distinct(forms, ell):
-    # proportional full rows define the same hyperplane
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            ri = list(forms[i][0]) + [forms[i][1]]
-            rj = list(forms[j][0]) + [forms[j][1]]
-            if field_rank([ri, rj]) < 2:
-                raise ValueError(f"hyperplanes {i+1} and {j+1} coincide")
+def _integer_row(row: list[Fraction]) -> list[int]:
+    m = lcm(*(x.denominator for x in row))
+    return [int(x * m) for x in row]
 
 
 def arrangement_from_circuits(
@@ -405,53 +412,6 @@ def essentialize(arr: Arrangement) -> Arrangement:
     rows = [list(a) + [c] for a, c in arr.forms]
     nf = arr.field if isinstance(arr.field, NumberField) else "Q"
     return build_arrangement(rows, field=nf, labels=arr.labels, essentialize=True)
-
-
-def _row_space_basis(rows):
-    basis = []
-    for row in rows:
-        cand = basis + [row]
-        if field_rank(cand) > len(basis):
-            basis.append(row)
-    return basis
-
-
-def _solve_in_basis(basis, v):
-    """Coordinates of v in the span of the basis rows (exact Gaussian solve)."""
-    r = len(basis)
-    width = len(v)
-    # solve x * basis = v via the transposed system
-    aug = [[basis[i][j] for i in range(r)] + [v[j]] for j in range(width)]
-    x = [None] * r
-    pivots = []
-    rr = 0
-    for c in range(r):
-        piv = None
-        for i in range(rr, width):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        inv = _inv(aug[rr][c])
-        aug[rr] = [e * inv for e in aug[rr]]
-        for i in range(width):
-            if i != rr and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [e - f * g for e, g in zip(aug[i], aug[rr])]
-        pivots.append(c)
-        rr += 1
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][r]
-    zero = Fraction(0) if not isinstance(v[0], NFElement) else v[0].field.zero
-    return [zero if xi is None else xi for xi in x]
-
-
-def _inv(x):
-    if isinstance(x, NFElement):
-        return x.inverse()
-    return 1 / Fraction(x)
 
 
 # functional aliases matching the operation names used throughout

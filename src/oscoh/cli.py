@@ -181,21 +181,11 @@ def _cmd_modn(arr: Arrangement, args) -> int:
     return 0
 
 
-def _jobs(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("OSCOH_JOBS", "")
-    try:
-        return int(env or "1")
-    except ValueError:
-        raise CliError(f"bad OSCOH_JOBS value {env!r}: expected an integer")
-
-
 def _cmd_bounds(arr: Arrangement, args) -> int:
     lam = _weights_for(arr, args.weights)
     if args.box < 0:
         raise CliError("--box must be nonnegative")
-    rep = betti_bounds(arr, lam, box=args.box, jobs=_jobs(args.jobs))
+    rep = betti_bounds(arr, lam, box=args.box)
     doc = rep.to_dict()
     lines = [
         f"weights: ({', '.join(str(w) for w in rep.weights)})",
@@ -346,12 +336,6 @@ def _build_parser() -> _Parser:
         if need.get("box"):
             sp.add_argument("--box", type=int, default=1,
                             help="translate search radius (default 1)")
-            sp.add_argument(
-                "--jobs",
-                type=int,
-                help="parallel translate evaluations "
-                "(default $OSCOH_JOBS or 1)",
-            )
         if need.get("qm"):
             sp.add_argument("--q", required=True, type=int,
                             help="cohomological degree")

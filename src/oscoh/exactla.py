@@ -2,24 +2,32 @@
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
 rationals, and algebraic numbers represented modulo a monic integer minimal
-polynomial.  No floating point is used anywhere; the only numpy arithmetic is
-int64 modular arithmetic with verified overflow bounds.
+polynomial.  No floating point is used anywhere.
 
-Matrices are plain nested sequences (list of rows).  Ranks of integer
-matrices come from fraction-free Bareiss elimination; large matrices take a
-certified multi-modular route.  Every rank mod p is a lower bound on the
-rank over Q.  When the caller proves an upper bound (in a complex, d^2 = 0
-gives rank d^q <= dim C^q - rank d^(q-1)), the first prime whose rank
-reaches it proves the rational rank; this is the usual case when the
-complex is exact in that degree.  Otherwise the loop ranks modulo enough
-word-size primes for a Hadamard bound on the minors to turn the modular
-ranks into a proof.
+Each arithmetic has one elimination:
+
+* Z and Q: fraction-free Bareiss elimination (``bareiss_rank``) for small
+  integer matrices, and the certified multi-modular ``rank_over_Q`` for
+  large ones.  Callers scale rational rows to integers, which keeps ranks.
+* Z_p: one numpy row reduction, in int64 for p < 2**31 and in Python
+  integers (object arrays) above that.
+* Fields given by their entries (Fraction or NFElement): Gaussian
+  elimination with exact pivot division (``pivot_columns``), whose pivot
+  count is ``field_rank``.
+
+Matrices are plain nested sequences (list of rows).  Every rank mod p is a
+lower bound on the rank over Q.  When the caller proves an upper bound (in
+a complex, d^2 = 0 gives rank d^q <= dim C^q - rank d^(q-1)), the first
+prime whose rank reaches it proves the rational rank; this is the usual
+case when the complex is exact in that degree.  Otherwise the loop ranks
+modulo enough word-size primes for a Hadamard bound on the minors to turn
+the modular ranks into a proof.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +39,7 @@ __all__ = [
     "NotPrimeError",
     "bareiss_rank",
     "field_rank",
+    "pivot_columns",
     "rank_mod_p",
     "rank_over_Q",
     "smith_normal_form",
@@ -123,41 +132,19 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def _rank_mod_p_python(rows: list[list[int]], p: int) -> int:
-    a = [[x % p for x in row] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        pr = a[r]
-        inv = pow(pr[c], -1, p)
-        for j in range(c, nc):
-            pr[j] = pr[j] * inv % p
-        for i in range(r + 1, nr):
-            ai = a[i]
-            f = ai[c]
-            if f:
-                for j in range(c, nc):
-                    ai[j] = (ai[j] - f * pr[j]) % p
-        r += 1
-        if r == nr:
-            break
-    return r
+def _int_array(a: list[list[int]]) -> np.ndarray:
+    """Integer matrix as int64, or as Python ints once an entry reaches 2**31."""
+    big = any(abs(x) >= 2**31 for row in a for x in row)
+    return np.array(a, dtype=object if big else np.int64)
 
 
-def _rank_mod_p_numpy(rows, p: int) -> int:
-    # int64 is safe: entries live in [0, p) with p < 2**31, so the update
-    # products stay below 2**62.
-    m = np.array(rows, dtype=np.int64) % p
+def _rank_mod_p_numpy(m: np.ndarray, p: int) -> int:
+    """Rank over Z_p of an integer array: the one modular elimination.
+
+    Below 2**31 the residues live in int64, where the update products stay
+    below 2**62; larger primes reduce into Python ints (dtype=object).
+    """
+    m = (m % p).astype(np.int64) if p < 2**31 else m.astype(object) % p
     nr, nc = m.shape
     r = 0
     for c in range(nc):
@@ -189,9 +176,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     a = _as_int_rows(rows)
     if not a or not a[0]:
         return 0
-    if p < 2**31 and len(a) * len(a[0]) > 2000:
-        return _rank_mod_p_numpy([[x % p for x in row] for row in a], p)
-    return _rank_mod_p_python(a, p)
+    return _rank_mod_p_numpy(_int_array(a), p)
 
 
 # 31-bit primes for the certified multi-modular rank.  Generated on first use.
@@ -234,10 +219,7 @@ def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
 
     maxdim = min(nr, nc) if upper is None else min(nr, nc, upper)
     norms2 = sorted((sum(x * x for x in row) for row in a), reverse=True)
-    big = max(abs(x) for row in a for x in row) >= 2**31
-    arr = None
-    if not big:
-        arr = np.array(a, dtype=np.int64)
+    arr = _int_array(a)
 
     r = 0
     prod = 1
@@ -245,10 +227,7 @@ def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     while True:
         primes = _primes_for_rank(batch)
         for p in primes[batch - 8 :]:
-            if arr is not None:
-                rp = _rank_mod_p_numpy(arr, p)
-            else:
-                rp = _rank_mod_p_numpy([[x % p for x in row] for row in a], p)
+            rp = _rank_mod_p_numpy(arr, p)
             if rp > r:
                 r = _check_upper(rp, upper)
             prod *= p
@@ -277,55 +256,42 @@ def _check_upper(r: int, upper: int | None) -> int:
 # field matrices
 
 
-def _clear_denominators(rows) -> list[list[int]]:
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
-        out.append([int(f * mult) for f in fr])
-    return out
+def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
+    """Pivot columns of a matrix with Fraction/int or NFElement entries.
 
-
-def field_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix with Fraction/int or NFElement entries.
-
-    Rational matrices are scaled row-wise to integers and passed to the
-    fraction-free path; number-field matrices use ordinary Gaussian
-    elimination with exact pivot division.
+    The one field elimination: Gaussian elimination with exact pivot
+    division, over Q or over the number field of the NFElement entries.
+    The pivot columns index a maximal set of independent columns.
     """
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    if any(isinstance(x, NFElement) for row in rows for x in row):
-        return _nf_rank(rows)
-    return rank_over_Q(_clear_denominators(rows))
-
-
-def _nf_rank(rows) -> int:
-    field = next(x.field for row in rows for x in row if isinstance(x, NFElement))
-    a = [[field.coerce(x) for x in row] for row in rows]
-    nr, nc = len(a), len(a[0])
-    r = 0
+    field = next(
+        (x.field for row in rows for x in row if isinstance(x, NFElement)), None
+    )
+    coerce = field.coerce if field else Fraction
+    a = [[coerce(x) for x in row] for row in rows]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivots: list[int] = []
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        pr = a[r] = [x * inv for x in a[r]]
         for i in range(r + 1, nr):
             f = a[i][c]
             if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nr:
+                a[i] = [x - f * y for x, y in zip(a[i], pr)]
+        pivots.append(c)
+        if len(pivots) == nr:
             break
-    return r
+    return pivots
+
+
+def field_rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix with Fraction/int or NFElement entries."""
+    return len(pivot_columns(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Finite matroids given by their circuits, with bitmask internals.
 
-This backs the combinatorics of arrangements: rank and closure queries,
-flat enumeration, connectivity of localizations, truncation (generic
-sections) and parallel connection (cones of products).  Ground sets are
+This backs the combinatorics of arrangements: rank and closure queries
+(the arrangement builds its lattice of flats from closures), connectivity
+of localizations, truncation (generic sections) and parallel connection (cones of products).  Ground sets are
 ``range(n)``; subsets travel as frozensets at the API boundary and as int
 bitmasks inside.
 """
@@ -121,25 +121,6 @@ class Matroid:
                 out |= 1 << e
         return out
 
-    # -- flats ---------------------------------------------------------------
-
-    def flats_by_rank(self, max_rank: int | None = None) -> list[list[frozenset]]:
-        """All flats, grouped by rank 0..max_rank, each level sorted."""
-        top = self.full_rank if max_rank is None else min(max_rank, self.full_rank)
-        levels = [[self._closure_mask(0)]]
-        for _ in range(top):
-            nxt = set()
-            for fm in levels[-1]:
-                covered = fm
-                for e in range(self.n):
-                    if covered >> e & 1:
-                        continue
-                    child = self._closure_mask(fm | (1 << e))
-                    covered |= child
-                    nxt.add(child)
-            levels.append(sorted(nxt))
-        return [[_unmask(f) for f in sorted(level)] for level in levels]
-
     # -- connectivity --------------------------------------------------------
 
     def restriction_connected(self, s: Iterable[int]) -> bool:
@@ -182,20 +163,18 @@ class Matroid:
                 circs.append(_mask(s))
         return Matroid(self.n, [_unmask(c) for c in circs])
 
-    def relabel(self, perm: Sequence[int]) -> "Matroid":
-        """New matroid with element e renamed perm[e]."""
-        return Matroid(self.n, [[perm[e] for e in c] for c in self.circuits()])
-
 
 def vector_matroid(vectors: Sequence[Sequence], rank_fn) -> Matroid:
     """Linear matroid of a list of vectors over an exact field.
 
     ``rank_fn`` maps a list of vectors to its rank.  Circuits are found by
     exhaustion over subsets of size <= rank+1, skipping supersets of known
-    circuits.
+    circuits.  Independent vectors have no circuits and need no search.
     """
     n = len(vectors)
     full = rank_fn(list(vectors)) if n else 0
+    if full == n:
+        return Matroid(n, [])
     circuits: list[frozenset] = []
     masks: list[int] = []
     for size in range(1, full + 2):

@@ -165,38 +165,6 @@ class AomotoMatrix:
             rows[i][j] = acc
         return rows
 
-    def entry_str(self, i: int, j: int) -> str:
-        """Entry as a sparse sum of c*y_j terms, variables 1-based."""
-        form = self.entries.get((i, j))
-        if not form:
-            return "0"
-        parts = []
-        for v in sorted(form):
-            c = form[v]
-            var = f"y_{v + 1}"
-            if c == 1:
-                term = var
-            elif c == -1:
-                term = f"-{var}"
-            else:
-                term = f"{c}*{var}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        return " ".join(parts)
-
-    def render_text(self) -> str:
-        """One line per row: bracketed comma-separated sparse linear forms."""
-        nr, nc = self.shape
-        lines = []
-        for i in range(nr):
-            cells = ", ".join(self.entry_str(i, j) for j in range(nc))
-            lines.append(f"[{cells}]")
-        return "\n".join(lines)
-
 
 def aomoto_matrix(arr, q: int) -> AomotoMatrix:
     """Boundary matrix in degree q with symbolic integer-linear entries."""

@@ -226,33 +226,30 @@ def _translates(lam: tuple, box: int, sum_target=None):
             yield tuple(l + x for l, x in zip(lam, m + (last,)))
 
 
-def _dims_worker(args):
-    arr, nu = args
-    return os_cohomology_dims(arr, nu).dims
+# Most translates betti_bounds enumerates before it refuses the box.
+TRANSLATE_BUDGET = 10**6
 
 
-def _map_dims(arr, translates, jobs):
-    work = [(arr, nu) for nu in translates]
-    if jobs and jobs > 1 and len(work) > 2 * jobs:
-        import multiprocessing as mp
-
-        from .osalg import aomoto_matrix
-
-        for q in range(arr.rank + 1):  # build matrices before forking
-            aomoto_matrix(arr, q)
-        with mp.get_context("fork").Pool(jobs) as pool:
-            return pool.map(_dims_worker, work, chunksize=8)
-    return [_dims_worker(w) for w in work]
+def _translate_count(arr, lam: tuple, box: int) -> int:
+    """Translates _lower_dims_options enumerates: per factor for products."""
+    if arr.product_factors is not None:
+        a1, a2 = arr.product_factors
+        return _translate_count(a1, lam[: a1.n], box) + _translate_count(
+            a2, lam[a1.n :], box
+        )
+    if arr.central:
+        return (2 * box + 1) ** (arr.n - 1) if sum(lam).denominator == 1 else 0
+    return (2 * box + 1) ** arr.n
 
 
-def _lower_dims_options(arr, lam: tuple, box: int, jobs=None) -> set:
+def _lower_dims_options(arr, lam: tuple, box: int) -> set:
     """Deduplicated weighted-cohomology dimension vectors achievable by
     integer translates of lam inside the box."""
     zero = tuple([0] * (arr.rank + 1))
     if arr.product_factors is not None:
         a1, a2 = arr.product_factors
-        o1 = _lower_dims_options(a1, lam[: a1.n], box, jobs)
-        o2 = _lower_dims_options(a2, lam[a1.n :], box, jobs)
+        o1 = _lower_dims_options(a1, lam[: a1.n], box)
+        o2 = _lower_dims_options(a2, lam[a1.n :], box)
         return {_convolve(d1, d2) for d1 in o1 for d2 in o2} or {zero}
     if arr.central:
         # Nonzero weights on a central arrangement give exact complexes
@@ -265,10 +262,10 @@ def _lower_dims_options(arr, lam: tuple, box: int, jobs=None) -> set:
         translates = list(_translates(lam, box))
     if not translates:
         return {zero}
-    return set(_map_dims(arr, translates, jobs)) | {zero}
+    return {os_cohomology_dims(arr, nu).dims for nu in translates} | {zero}
 
 
-def betti_bounds(arr, lam, box: int = 1, jobs=None) -> BettiBoundsReport:
+def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
     """Sandwich the Betti numbers of the rank-one local system at lam.
 
     Lower bounds: the componentwise best weighted Orlik-Solomon dimensions
@@ -276,7 +273,8 @@ def betti_bounds(arr, lam, box: int = 1, jobs=None) -> BettiBoundsReport:
     not change the local system).  They are the best values found in the
     box, not a certified supremum.  Upper bounds: cohomology ranks modulo
     N, the least common denominator of the weights.  Degrees where the two
-    meet are exact.
+    meet are exact.  A box with more than TRANSLATE_BUDGET translates to
+    enumerate raises ValueError before any is evaluated.
     """
     wv = WeightVector(lam)
     if len(wv) != arr.n:
@@ -294,7 +292,13 @@ def betti_bounds(arr, lam, box: int = 1, jobs=None) -> BettiBoundsReport:
             "numbers of the complement are exact"
         )
         return BettiBoundsReport(wv.lam, 1, box, b, b, notes)
-    options = _lower_dims_options(arr, wv.lam, box, jobs)
+    count = _translate_count(arr, wv.lam, box)
+    if count > TRANSLATE_BUDGET:
+        raise ValueError(
+            f"translate box {box} has {count} candidate translates, above "
+            f"the budget of {TRANSLATE_BUDGET}; use a smaller box"
+        )
+    options = _lower_dims_options(arr, wv.lam, box)
     lower = tuple(
         max(d[q] for d in options) for q in range(arr.rank + 1)
     )

@@ -155,16 +155,6 @@ def test_bounds_json_and_determinism(capsys):
     assert all(r["exact"] for r in doc["rows"])
 
 
-def test_bounds_jobs_flag(capsys):
-    code, out, _ = run(
-        capsys,
-        ["bounds", "example-lstrict", "--weights", "1/2,0,0,1/2,1/2,0,1/2",
-         "--jobs", "2"],
-    )
-    assert code == 0
-    assert "     2      4      4  yes" in out
-
-
 # ---------------------------------------------------------------------------
 # nonres
 
@@ -225,20 +215,15 @@ def test_wrong_weight_count(capsys):
     assert "expected 9 weights, got 2" in err
 
 
-def test_bounds_rejects_non_integer_oscoh_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("OSCOH_JOBS", "abc")
+def test_bounds_refuses_a_translate_box_over_budget(capsys):
+    # boolean(14) is central: 3**13 = 1594323 zero-sum candidates at box 1
     code, out, err = run(
-        capsys, ["bounds", "boolean(2)", "--weights", "1/2,1/2"]
+        capsys, ["bounds", "boolean(14)", "--weights", ",".join(["1/2"] * 14)]
     )
     assert code == 1
     assert out == ""
     assert err.startswith("oscoh: error:")
-    assert "OSCOH_JOBS" in err and "'abc'" in err
-    # an explicit --jobs wins over the environment
-    code, _, _ = run(
-        capsys, ["bounds", "boolean(2)", "--weights", "1/2,1/2", "--jobs", "1"]
-    )
-    assert code == 0
+    assert "1594323 candidate translates" in err and "box 1" in err
 
 
 def test_bad_weight_token(capsys):

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oscoh import exactla
+from oscoh import build_arrangement, exactla
 from oscoh.exactla import (
     NotPrimeError,
     NumberField,
@@ -16,6 +19,7 @@ from oscoh.exactla import (
     rank_over_Q,
     smith_normal_form,
 )
+from oscoh.matroid import vector_matroid
 
 
 def fraction_rank(rows):
@@ -35,6 +39,25 @@ def fraction_rank(rows):
             if i != rank and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def gf_rank(rows, p):
+    """Independent oracle: plain Gaussian elimination over Z_p."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [e * inv % p for e in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
 
@@ -151,6 +174,14 @@ def test_rank_over_Q_stops_at_a_proven_upper_bound(monkeypatch):
         rank_over_Q(m, upper=39)
 
 
+def test_rank_over_Q_multimodular_path_takes_huge_entries():
+    # 30 x 300 runs the multimodular loop; rows scaled past 2**31 keep rank 20
+    m = planted_rank_matrix(random.Random(41), 30, 300, 20)
+    m = [[x * (2**40 + i) for x in row] for i, row in enumerate(m)]
+    assert rank_over_Q(m) == 20
+    assert rank_over_Q(m, upper=20) == 20
+
+
 def test_rank_over_Q_rejects_a_false_bound_on_small_matrices():
     ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rank_over_Q(ident, upper=3) == 3
@@ -166,24 +197,6 @@ def test_rank_mod_p_rejects_composite_modulus():
 
 def test_rank_mod_p_matches_oracle_elimination():
     rng = random.Random(99)
-
-    def gf_rank(rows, p):
-        m = [[x % p for x in r] for r in rows]
-        rank = 0
-        for c in range(len(m[0])):
-            piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = pow(m[rank][c], -1, p)
-            m[rank] = [e * inv % p for e in m[rank]]
-            for i in range(len(m)):
-                if i != rank and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-            rank += 1
-        return rank
-
     for trial in range(25):
         p = rng.choice([2, 3, 5, 7, 13])
         n_rows = rng.randint(1, 6)
@@ -363,3 +376,122 @@ def test_number_field_rejects_bad_min_poly():
         NumberField([1])  # degree < 1 relation
     with pytest.raises(ValueError):
         NumberField([2, 0, 2])  # not monic
+
+
+# ---------------------------------------------------------------------------
+# differential properties: every kernel against the plain oracles above
+
+DIFF = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+PRIMES = [2, 3, 13, 2**31 - 1, 2**61 - 1]  # 2**61 - 1 takes the object path
+
+
+def matmul(u, v):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u]
+
+
+@st.composite
+def int_matrices(draw, entries):
+    """Dense integer matrices, half of them a product through a thin middle."""
+    nr = draw(st.integers(1, 7))
+    nc = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nr, nc) - 1))
+        u = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=nr, max_size=nr))
+        v = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=k, max_size=k))
+        return matmul(u, v) if k else [[0] * nc for _ in range(nr)]
+    return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+
+
+WIDE = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@DIFF
+@given(int_matrices(WIDE))
+def test_rank_mod_p_matches_the_oracle(p, m):
+    assert rank_mod_p(m, p) == gf_rank(m, p)
+
+
+@DIFF
+@given(int_matrices(WIDE))
+def test_integer_ranks_match_the_fraction_oracle(m):
+    assert bareiss_rank(m) == rank_over_Q(m) == fraction_rank(m)
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@DIFF
+@given(int_matrices(rationals))
+def test_field_rank_matches_bareiss_after_clearing_denominators(m):
+    cleared = []
+    for row in m:
+        den = lcm(*(x.denominator for x in row))
+        cleared.append([int(x * den) for x in row])
+    assert field_rank(m) == bareiss_rank(cleared) == fraction_rank(m)
+
+
+OMEGA = NumberField([1, 1, 1], "w")  # w^2 = -1 - w
+omega_elements = st.builds(
+    lambda a, b: OMEGA([a, b]), st.integers(-4, 4), st.integers(-4, 4)
+)
+
+
+def realify(rows):
+    """Replace a = a0 + a1 w by its multiplication matrix on the basis 1, w."""
+    out = []
+    for row in rows:
+        top, bottom = [], []
+        for a in row:
+            a0, a1 = OMEGA.coerce(a).coeffs
+            top += [a0, -a1]
+            bottom += [a1, a0 - a1]
+        out += [top, bottom]
+    return out
+
+
+@DIFF
+@given(int_matrices(omega_elements))
+def test_field_rank_over_omega_is_half_the_realified_rank(m):
+    assert 2 * field_rank(m) == fraction_rank(realify(m))
+
+
+@st.composite
+def non_essential_forms(draw, entry):
+    """Forms whose normals span a proper subspace: (W B | c) with thin B."""
+    ell = draw(st.integers(2, 4))
+    r = draw(st.integers(1, ell - 1))
+    n = draw(st.integers(2, 6))
+    w = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=ell, max_size=ell), min_size=r, max_size=r))
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    return [row + [ci] for row, ci in zip(matmul(w, b), c)]
+
+
+def cone_circuits_match(rows, field):
+    try:
+        arr = build_arrangement(rows, field=field, essentialize=True)
+    except ValueError:  # zero or repeated forms: nothing to compare
+        return
+    coerce = field if field != "Q" else Fraction
+    zero, one = coerce(0), coerce(1)
+    vectors = [[coerce(x) for x in row] for row in rows]
+    vectors.append([zero] * (len(rows[0]) - 1) + [one])
+    assert arr.rank < len(rows[0]) - 1
+    assert sorted(map(sorted, arr.cone_matroid.circuits())) == sorted(
+        map(sorted, vector_matroid(vectors, field_rank).circuits())
+    )
+
+
+@DIFF
+@given(non_essential_forms(st.integers(-3, 3)))
+def test_essentialize_keeps_the_cone_matroid_over_Q(rows):
+    cone_circuits_match(rows, "Q")
+
+
+@settings(DIFF, max_examples=25)  # number-field matroids are slow to build
+@given(non_essential_forms(omega_elements))
+def test_essentialize_keeps_the_cone_matroid_over_omega(rows):
+    cone_circuits_match(rows, OMEGA)

@@ -29,10 +29,6 @@ def test_uniform_line_closure_and_flats():
     assert m.closure([]) == frozenset()
     assert m.closure([1]) == frozenset({1})
     assert m.closure([0, 2]) == frozenset({0, 1, 2})
-    levels = m.flats_by_rank()
-    assert levels[0] == [frozenset()]
-    assert sorted(levels[1]) == [frozenset({0}), frozenset({1}), frozenset({2})]
-    assert levels[2] == [frozenset({0, 1, 2})]
 
 
 def test_free_matroid_has_no_circuits():
@@ -90,16 +86,6 @@ def test_truncation_preserves_low_rank_structure():
     assert not m.is_independent([0, 1, 3, 4])  # every 4-set is dependent
     # the result satisfies the circuit axioms
     Matroid(5, m.circuits(), validate=True)
-
-
-def test_relabel_round_trip():
-    m = Matroid(4, [(0, 1, 2)])
-    perm = [2, 0, 3, 1]  # element e becomes perm[e]
-    r = m.relabel(perm)
-    assert sorted(r.circuits()) == [frozenset({0, 2, 3})]
-    inverse = [perm.index(i) for i in range(4)]
-    back = r.relabel(inverse)
-    assert sorted(back.circuits()) == sorted(m.circuits())
 
 
 def test_restriction_connected():

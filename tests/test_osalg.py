@@ -115,8 +115,6 @@ def test_boolean_matrices_explicit():
     a1 = aomoto_matrix(b2, 1)
     assert a1.shape == (2, 1)
     assert a1.entries == {(0, 0): {1: -1}, (1, 0): {0: 1}}
-    assert a1.entry_str(0, 0) == "-y_2"
-    assert a1.entry_str(1, 0) == "y_1"
 
 
 def test_pencil_matrix_explicit():
@@ -132,10 +130,6 @@ def test_pencil_matrix_explicit():
         (2, 0): {1: -1},
         (2, 1): {0: 1, 1: 1},
     }
-    text = a1.render_text()
-    assert "[-y_2, -y_3]" in text
-    assert "[y_1 + y_3, -y_3]" in text
-    assert "[-y_2, y_1 + y_2]" in text
 
 
 def test_entry_vector_matches_entries():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oscoh import build_arrangement, catalog
+from oscoh import build_arrangement, catalog, product_arrangement
 from oscoh.cohom import os_cohomology_dims
 from oscoh.exactla import NotPrimeError
 from oscoh.resonance import (
@@ -205,12 +205,16 @@ def test_bounds_lower_grows_with_box():
     assert r0.upper == r1.upper  # the upper bound does not depend on the box
 
 
-def test_bounds_parallel_jobs_agree():
-    arr = catalog.get("example-lstrict")
-    serial = betti_bounds(arr, LSTRICT_WEIGHTS, box=1, jobs=1)
-    parallel = betti_bounds(arr, LSTRICT_WEIGHTS, box=1, jobs=2)
-    assert serial.lower == parallel.lower
-    assert serial.upper == parallel.upper
+def test_bounds_translate_budget_counts_factors_of_products():
+    b4 = catalog.get("boolean(4)")
+    # 9**3 zero-sum translates per factor, where the product would have 9**7
+    rep = betti_bounds(product_arrangement(b4, b4), [Fraction(1, 2)] * 8, box=4)
+    assert rep.lower == rep.upper == (0,) * 9
+    # 3**12 + 3**12 zero-sum translates: each factor is under the budget
+    b13 = catalog.get("boolean(13)")
+    lam = ([Fraction(1, 2)] * 12 + [0]) * 2
+    with pytest.raises(ValueError, match="1062882 candidate translates"):
+        betti_bounds(product_arrangement(b13, b13), lam)
 
 
 def test_bounds_product_factorization_consistent():
