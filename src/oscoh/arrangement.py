@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+import numpy as np
+
 from .exactla import NumberField, field_rank, pivot_columns, rank_over_Q
 from .matroid import Matroid, parallel_connection, vector_matroid
 
@@ -165,29 +167,59 @@ class Arrangement:
                         nxt.add(child)
             levels_masks.append(sorted(nxt))
 
-        # Moebius recursion from the bottom within the poset of central flats
-        mu: dict[int, int] = {}
-        flat_levels: list[list[Flat]] = []
-        seen: list[int] = []
-        for q, level in enumerate(levels_masks):
-            flats = []
-            for fm in level:
-                m = -sum(mu[g] for g in seen if g & ~fm == 0) if q else 1
-                mu[fm] = m
-                flats.append(Flat(_mask_to_frozenset(fm), q, m))
-            seen.extend(level)
+        # Moebius recursion from the bottom within the poset of central
+        # flats: mu(F) = -sum of mu(G) over the flats G below F, for a whole
+        # level at once, testing G <= F on the masks packed in 64-bit words.
+        words = self.n // 64 + 1
+
+        def packed(masks):
+            return np.array(
+                [[fm >> (64 * w) & (2**64 - 1) for w in range(words)] for fm in masks],
+                dtype=np.uint64,
+            ).reshape(len(masks), words)
+
+        below, below_mu = packed([bottom]), np.ones(1, dtype=np.int64)
+        flat_levels = [[Flat(_mask_to_frozenset(bottom), 0, 1)]]
+        for q, level in enumerate(levels_masks[1:], start=1):
+            cur = packed(level)
+            mu = np.empty(len(level), dtype=np.int64)
+            step = max(1, 2**20 // len(below))
+            for s in range(0, len(level), step):
+                inside = np.ones((len(cur[s : s + step]), len(below)), dtype=bool)
+                for w in range(words):
+                    inside &= (below[None, :, w] & ~cur[s : s + step, None, w]) == 0
+                mu[s : s + step] = -(inside @ below_mu)
+            flats = [
+                Flat(_mask_to_frozenset(fm), q, m) for fm, m in zip(level, mu.tolist())
+            ]
             flats.sort(key=lambda f: f.sorted_hyperplanes)
             flat_levels.append(flats)
+            below = np.concatenate([below, cur])
+            below_mu = np.concatenate([below_mu, mu])
         return IntersectionLattice(flat_levels)
 
     # -- numeric invariants --------------------------------------------------
 
     def betti_numbers(self) -> list[int]:
+        """b_q = sum of |mu| over the codimension-q flats.
+
+        A product's Poincare polynomial is the product of its factors', so
+        its Betti numbers are their convolution and its own lattice is
+        never built.
+        """
         if "betti" not in self._cache:
-            lat = self.intersection_lattice()
-            self._cache["betti"] = [
-                sum(abs(f.moebius) for f in level) for level in lat.levels
-            ]
+            if self.product_factors is not None:
+                b1, b2 = (a.betti_numbers() for a in self.product_factors)
+                betti = [0] * (len(b1) + len(b2) - 1)
+                for i, x in enumerate(b1):
+                    for j, y in enumerate(b2):
+                        betti[i + j] += x * y
+            else:
+                betti = [
+                    sum(abs(f.moebius) for f in level)
+                    for level in self.intersection_lattice().levels
+                ]
+            self._cache["betti"] = betti
         return list(self._cache["betti"])
 
     def euler_characteristic(self) -> int:

@@ -197,6 +197,9 @@ def _cmd_bounds(arr: Arrangement, args) -> int:
             f"{row['degree']:>6}  {row['lower']:>5}  {row['upper']:>5}  "
             f"{'yes' if row['exact'] else 'no'}"
         )
+    for row in doc["rows"]:
+        if row["witness"] is not None:
+            lines.append(f"witness {row['degree']}: {','.join(row['witness'])}")
     for note in doc["convention_notes"]:
         lines.append(f"note: {note}")
     _emit(doc, lines, args.format)

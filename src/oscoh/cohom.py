@@ -7,7 +7,9 @@ N the rank convention counts invariant factors of the integer matrix that
 are coprime to N, which equals the minimum of the ranks modulo the prime
 divisors of N.  Evaluated ranks are cached on the arrangement, keyed by
 the projectively normalized weight vector, so scalings and repeats are
-free.
+free.  ``os_cohomology_dims_stack`` computes the same dimensions for many
+weight vectors at once (a translate box), ranking each degree's matrices
+as stacks and sharing the same cache.
 """
 
 from __future__ import annotations
@@ -17,13 +19,23 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactla import is_prime, rank_mod_p, rank_over_Q, smith_normal_form
+import numpy as np
+
+from .exactla import (
+    STACK_CELLS,
+    is_prime,
+    rank_mod_p,
+    rank_over_Q,
+    rank_over_Q_stack,
+    smith_normal_form,
+)
 from .osalg import aomoto_matrix
 
 __all__ = [
     "WeightVector",
     "CohomologyReport",
     "os_cohomology_dims",
+    "os_cohomology_dims_stack",
     "modN_cohomology_ranks",
     "kunneth_product",
     "scaling_equivalence_check",
@@ -114,16 +126,19 @@ class CohomologyReport:
         return out
 
 
+def _normalized_rows(K: np.ndarray) -> np.ndarray:
+    """Projective normal form of every row of an integer array: divide by
+    the gcd and make the first nonzero entry positive.  The rankQ cache is
+    keyed by these rows."""
+    g = np.gcd.reduce(K, axis=1)
+    g[g == 0] = 1
+    v = K // g[:, None]
+    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+    return v * np.where(lead < 0, -1, 1)[:, None]
+
+
 def _normalized_key(k: Sequence[int]) -> tuple:
-    """Projective normal form of an integer vector: divide by gcd, fix sign."""
-    g = gcd(*k) if any(k) else 1
-    if g == 0:
-        g = 1
-    v = [x // g for x in k]
-    lead = next((x for x in v if x), 0)
-    if lead < 0:
-        v = [-x for x in v]
-    return tuple(v)
+    return tuple(_normalized_rows(np.array([k], dtype=object))[0].tolist())
 
 
 def _rank_Q(arr, q: int, key: tuple, upper: int) -> int:
@@ -174,6 +189,52 @@ def os_cohomology_dims(arr, lam) -> CohomologyReport:
         for q in range(arr.rank + 1)
     )
     return CohomologyReport(("Q",), dims, tuple(ranks), wv.lam)
+
+
+def os_cohomology_dims_stack(arr, K) -> np.ndarray:
+    """Weighted cohomology dimensions over Q at every row of an integer array.
+
+    Row t of K (T x n, int64 or Python ints) holds k = N*lam for weights
+    lam; any nonzero multiple gives the same dims.  Returns a (T, rank+1)
+    array whose row t is ``os_cohomology_dims(arr, lam).dims``.  Rows are
+    normalized and deduplicated like the rankQ cache keys, cached ranks are
+    reused, and the rest are evaluated and ranked degree by degree in stacks
+    of at most STACK_CELLS entries, with the certificates of
+    ``os_cohomology_dims``.  New ranks are written back to the cache.
+    """
+    K = np.asarray(K)
+    if K.ndim != 2 or K.shape[1] != arr.n:
+        raise ValueError(f"expected rows of {arr.n} weights, got shape {K.shape}")
+    betti = arr.betti_numbers()
+    v = _normalized_rows(K)
+    index: dict[tuple, int] = {}
+    inverse = [index.setdefault(key, len(index)) for key in map(tuple, v.tolist())]
+    keys = list(index)
+    first = np.unique(inverse, return_index=True)[1]
+    v = v[first]
+    cache = arr._cache.setdefault("rankQ", {})
+    # ranks[:, q + 1] = rank mu^q; column 0 is rank mu^(-1) = 0
+    ranks = np.zeros((len(keys), arr.rank + 2), dtype=np.int64)
+    for q in range(arr.rank + 1):
+        found = [cache.get((q, key)) for key in keys]
+        miss = np.array([u for u, hit in enumerate(found) if hit is None], dtype=np.int64)
+        mat = aomoto_matrix(arr, q)
+        nr, nc = mat.shape
+        if miss.size and nr and nc:
+            upper = betti[q] - ranks[miss, q]
+            step = max(1, STACK_CELLS // (nr * nc))
+            for s in range(0, miss.size, step):
+                sel = miss[s : s + step]
+                got = rank_over_Q_stack(mat.evaluate_stack(v[sel]), upper[s : s + step])
+                for u, r in zip(sel.tolist(), got.tolist()):
+                    found[u] = r
+        for u in miss.tolist():
+            if found[u] is None:  # no matrix in this degree
+                found[u] = 0
+            cache[(q, keys[u])] = found[u]
+        ranks[:, q + 1] = found
+    dims = np.array(betti) - ranks[:, 1:] - ranks[:, :-1]
+    return dims[inverse]
 
 
 def _snf_factors(arr, q: int, k: tuple) -> tuple:

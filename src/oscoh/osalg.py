@@ -23,7 +23,22 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-__all__ = ["circuits", "nbc_basis", "reduce_to_nbc", "aomoto_matrix", "AomotoMatrix"]
+import numpy as np
+
+__all__ = [
+    "circuits",
+    "nbc_basis",
+    "reduce_to_nbc",
+    "aomoto_matrix",
+    "AomotoMatrix",
+    "CELL_BUDGET",
+    "check_complex_size",
+]
+
+# Most entries b_q * b_(q+1) allowed in one Aomoto boundary matrix.  The
+# braid arrangement A_6 needs 1624 * 1764 = 2,864,736 and every catalog
+# entry far less; boolean(14) (3432 * 3003) is over.
+CELL_BUDGET = 4 * 10**6
 
 
 def circuits(arr) -> list[tuple]:
@@ -144,6 +159,7 @@ class AomotoMatrix:
         self.row_monomials = row_monomials
         self.col_monomials = col_monomials
         self.entries = entries  # dict[(i, j)] -> dict[var] -> int
+        self._dense = None  # (coefficient matrix, its largest column 1-norm)
 
     @property
     def shape(self):
@@ -165,12 +181,57 @@ class AomotoMatrix:
             rows[i][j] = acc
         return rows
 
+    def _coefficients(self, n: int) -> tuple[np.ndarray, int]:
+        """The forms as a dense n x (rows*cols) integer matrix C, with
+        C[v, i*cols + j] the coefficient of weight v in entry (i, j), and
+        the largest absolute column sum of C.  Built once per degree."""
+        if self._dense is None or self._dense[0].shape[0] != n:
+            nr, nc = self.shape
+            coef = np.zeros((n, nr * nc), dtype=np.int64)
+            for (i, j), form in self.entries.items():
+                for v, c in form.items():
+                    coef[v, i * nc + j] = c
+            norm = int(np.abs(coef).sum(axis=0).max(initial=0))
+            self._dense = (coef, norm)
+        return self._dense
+
+    def evaluate_stack(self, K: np.ndarray) -> np.ndarray:
+        """Matrices at each row of the integer array K (T, n), as a
+        (T, rows, cols) stack: one integer matmul with ``_coefficients``.
+
+        Entries are exact: int64 while max|K| times the largest column sum
+        stays below 2**63, Python integers (dtype=object) beyond that.
+        """
+        t, n = K.shape
+        coef, norm = self._coefficients(n)
+        if K.dtype != object and int(np.abs(K).max(initial=0)) * norm < 2**63:
+            out = K.astype(np.int64, copy=False) @ coef
+        else:
+            out = K.astype(object) @ coef.astype(object)
+        return out.reshape(t, *self.shape)
+
+
+def check_complex_size(arr) -> None:
+    """Refuse an Aomoto complex with a boundary matrix above CELL_BUDGET.
+
+    Needs only the Betti numbers (the matrices are b_q x b_(q+1)), so it
+    runs before any NBC enumeration; raises ValueError naming the size.
+    """
+    b = arr.betti_numbers()
+    for q in range(len(b) - 1):
+        if b[q] * b[q + 1] > CELL_BUDGET:
+            raise ValueError(
+                f"the degree-{q} Aomoto matrix is {b[q]} x {b[q + 1]} = "
+                f"{b[q] * b[q + 1]} cells, above the cell budget of {CELL_BUDGET}"
+            )
+
 
 def aomoto_matrix(arr, q: int) -> AomotoMatrix:
     """Boundary matrix in degree q with symbolic integer-linear entries."""
     key = ("aomoto", q)
     if key in arr._cache:
         return arr._cache[key]
+    check_complex_size(arr)
     rows = nbc_basis(arr, q)
     cols = nbc_basis(arr, q + 1) if q < arr.rank else []
     if not cols:

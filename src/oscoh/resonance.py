@@ -12,24 +12,28 @@ between a lower bound (the best weighted Orlik-Solomon dimensions over a
 box of integer translates of the weights, which leave the local system
 unchanged) and an upper bound (cohomology ranks modulo N, the common
 denominator of the weights).  When the two meet, the Betti number is
-certified exactly.
+certified exactly.  Each lower bound names its witness, the first translate
+reaching it.  A box is enumerated and ranked in numpy chunks: every chunk of
+translates goes through ``os_cohomology_dims_stack`` at once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
+
+import numpy as np
 
 from .cohom import (
     CohomologyReport,
     WeightVector,
     modN_cohomology_ranks,
     os_cohomology_dims,
+    os_cohomology_dims_stack,
 )
-from .exactla import NotPrimeError, is_prime
+from .exactla import STACK_CELLS, NotPrimeError, is_prime
+from .osalg import check_complex_size
 
 __all__ = [
     "EdgeWeight",
@@ -175,13 +179,19 @@ def resonance_membership(arr, lam, q: int, m: int = 1):
 
 @dataclass
 class BettiBoundsReport:
-    """Lower/upper bounds per degree for rank-one local-system Betti."""
+    """Lower/upper bounds per degree for rank-one local-system Betti.
+
+    ``witness[q]`` is the first translate, in enumeration order, whose
+    weighted cohomology reaches ``lower[q]`` in degree q (for a product, the
+    two factor translates concatenated), or None when ``lower[q]`` is 0.
+    """
 
     weights: tuple
     N: int
     box: int
     lower: tuple
     upper: tuple
+    witness: tuple
     convention_notes: list = field(default_factory=list)
 
     @property
@@ -194,8 +204,16 @@ class BettiBoundsReport:
             "N": self.N,
             "box": self.box,
             "rows": [
-                {"degree": q, "lower": l, "upper": u, "exact": l == u}
-                for q, (l, u) in enumerate(zip(self.lower, self.upper))
+                {
+                    "degree": q,
+                    "lower": l,
+                    "upper": u,
+                    "exact": l == u,
+                    "witness": None if w is None else [str(x) for x in w],
+                }
+                for q, (l, u, w) in enumerate(
+                    zip(self.lower, self.upper, self.witness)
+                )
             ],
             "convention_notes": list(self.convention_notes),
         }
@@ -209,21 +227,34 @@ def _convolve(d1: tuple, d2: tuple) -> tuple:
     return tuple(out)
 
 
-def _translates(lam: tuple, box: int, sum_target=None):
-    """Integer translates of lam within the box, optionally on a sum slice."""
+def _translate_chunks(lam: tuple, box: int, sum_target=None):
+    """Integer offsets m with |m_i| <= box, as (T, n) int64 arrays.
+
+    Offsets come in itertools.product order over the coordinates, in
+    chunks of about STACK_CELLS entries.  With ``sum_target``, only offsets
+    with sum(lam + m) == sum_target are kept: the last coordinate is then
+    fixed by the others, and none exist when the target is off the lattice.
+    """
     n = len(lam)
-    if sum_target is None:
-        for m in itertools.product(range(-box, box + 1), repeat=n):
-            yield tuple(l + x for l, x in zip(lam, m))
-        return
-    shift = sum_target - sum(lam)
-    if shift.denominator != 1:
-        return
-    shift = int(shift)
-    for m in itertools.product(range(-box, box + 1), repeat=n - 1):
-        last = shift - sum(m)
-        if -box <= last <= box:
-            yield tuple(l + x for l, x in zip(lam, m + (last,)))
+    free = n
+    if sum_target is not None:
+        shift = sum_target - sum(lam)
+        if shift.denominator != 1:
+            return
+        free = n - 1
+    base = 2 * box + 1
+    total = base**free
+    powers = base ** np.arange(free - 1, -1, -1, dtype=np.int64)
+    step = max(1, STACK_CELLS // n)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+        m = idx[:, None] // powers % base - box
+        if sum_target is not None:
+            last = int(shift) - m.sum(axis=1)
+            keep = np.abs(last) <= box
+            m = np.concatenate([m[keep], last[keep, None]], axis=1)
+        if len(m):
+            yield m
 
 
 # Most translates betti_bounds enumerates before it refuses the box.
@@ -242,27 +273,38 @@ def _translate_count(arr, lam: tuple, box: int) -> int:
     return (2 * box + 1) ** arr.n
 
 
-def _lower_dims_options(arr, lam: tuple, box: int) -> set:
-    """Deduplicated weighted-cohomology dimension vectors achievable by
-    integer translates of lam inside the box."""
+def _lower_dims_options(arr, lam: tuple, box: int) -> dict:
+    """Distinct weighted-cohomology dimension vectors of the integer
+    translates of lam inside the box, each mapped to the first translate
+    giving it, in enumeration order.  The zero vector is always an option
+    (its witness None unless some translate gives it)."""
     zero = tuple([0] * (arr.rank + 1))
     if arr.product_factors is not None:
         a1, a2 = arr.product_factors
         o1 = _lower_dims_options(a1, lam[: a1.n], box)
         o2 = _lower_dims_options(a2, lam[a1.n :], box)
-        return {_convolve(d1, d2) for d1 in o1 for d2 in o2} or {zero}
-    if arr.central:
-        # Nonzero weights on a central arrangement give exact complexes
-        # unless they sum to zero; only the zero-sum slice can contribute.
-        total = sum(lam)
-        if total.denominator != 1:
-            return {zero}
-        translates = [nu for nu in _translates(lam, box, sum_target=Fraction(0))]
-    else:
-        translates = list(_translates(lam, box))
-    if not translates:
-        return {zero}
-    return {os_cohomology_dims(arr, nu).dims for nu in translates} | {zero}
+        out = {}
+        for d1, w1 in o1.items():
+            for d2, w2 in o2.items():
+                w = None if w1 is None or w2 is None else w1 + w2
+                out.setdefault(_convolve(d1, d2), w)
+        out.setdefault(zero, None)
+        return out
+    # Nonzero weights on a central arrangement give exact complexes unless
+    # they sum to zero; only the zero-sum slice can contribute.
+    sum_target = Fraction(0) if arr.central else None
+    wv = WeightVector(lam)
+    # k = N*lam + N*m in int64, or in Python ints once it could overflow
+    wide = max(map(abs, wv.k)) + wv.N * box >= 2**62
+    k0 = np.array(wv.k, dtype=object if wide else np.int64)
+    out: dict = {}
+    for m in _translate_chunks(lam, box, sum_target):
+        dims = os_cohomology_dims_stack(arr, k0 + wv.N * (m.astype(object) if wide else m))
+        for i, d in enumerate(map(tuple, dims.tolist())):
+            if d not in out:
+                out[d] = tuple(l + x for l, x in zip(lam, m[i].tolist()))
+    out.setdefault(zero, None)
+    return out
 
 
 def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
@@ -270,11 +312,13 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
 
     Lower bounds: the componentwise best weighted Orlik-Solomon dimensions
     over all integer translates of lam in {-box..box}^n (translation does
-    not change the local system).  They are the best values found in the
-    box, not a certified supremum.  Upper bounds: cohomology ranks modulo
-    N, the least common denominator of the weights.  Degrees where the two
-    meet are exact.  A box with more than TRANSLATE_BUDGET translates to
-    enumerate raises ValueError before any is evaluated.
+    not change the local system), each with the first translate reaching
+    it as its witness.  They are the best values found in the box, not a
+    certified supremum.  Upper bounds: cohomology ranks modulo N, the least
+    common denominator of the weights.  Degrees where the two meet are
+    exact.  A box with more than TRANSLATE_BUDGET translates to enumerate,
+    or a complex with a boundary matrix above the cell budget of
+    ``osalg.check_complex_size``, raises ValueError before any work.
     """
     wv = WeightVector(lam)
     if len(wv) != arr.n:
@@ -291,19 +335,24 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
             "integral weights: the local system is trivial and the Betti "
             "numbers of the complement are exact"
         )
-        return BettiBoundsReport(wv.lam, 1, box, b, b, notes)
+        origin = tuple(Fraction(0) for _ in range(arr.n))
+        witness = tuple(origin if x else None for x in b)
+        return BettiBoundsReport(wv.lam, 1, box, b, b, witness, notes)
     count = _translate_count(arr, wv.lam, box)
     if count > TRANSLATE_BUDGET:
         raise ValueError(
             f"translate box {box} has {count} candidate translates, above "
             f"the budget of {TRANSLATE_BUDGET}; use a smaller box"
         )
+    check_complex_size(arr)
     options = _lower_dims_options(arr, wv.lam, box)
-    lower = tuple(
-        max(d[q] for d in options) for q in range(arr.rank + 1)
+    lower = tuple(max(d[q] for d in options) for q in range(arr.rank + 1))
+    witness = tuple(
+        next(w for d, w in options.items() if d[q] == lower[q]) if lower[q] else None
+        for q in range(arr.rank + 1)
     )
     upper_rep = modN_cohomology_ranks(arr, wv.k, wv.N)
     notes.extend(upper_rep.notes)
     return BettiBoundsReport(
-        wv.lam, wv.N, box, lower, tuple(upper_rep.dims), notes
+        wv.lam, wv.N, box, lower, tuple(upper_rep.dims), witness, notes
     )

@@ -256,6 +256,10 @@ def test_product_betti_is_convolution_of_factors():
     prod = product_arrangement(a, a)
     # [1,3,2] * [1,3,2] convolved
     assert betti_numbers(prod) == [1, 6, 13, 12, 4]
+    assert "lattice" not in prod._cache  # read off the factors
+    # the product's own lattice agrees
+    levels = prod.intersection_lattice().levels
+    assert [sum(abs(f.moebius) for f in level) for level in levels] == [1, 6, 13, 12, 4]
     assert prod.central
     assert prod.rank == 4
     assert prod.n == 6

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import oscoh
 from oscoh import catalog
 from oscoh.cli import main
+from oscoh.cohom import os_cohomology_dims
 from oscoh.fileio import write_arrangement
 
 CEVA_W = "1/3,1/3,1/3,1/3,1/3,1/3,-2/3,-2/3,-2/3"
@@ -137,6 +139,8 @@ def test_bounds_table(capsys):
         3: (4, 4, "yes"),
     }
     assert "not a certified supremum" in out
+    witness = [ln for ln in out.splitlines() if ln.startswith("witness")]
+    assert [ln.split(":")[0] for ln in witness] == ["witness 2", "witness 3"]
 
 
 def test_bounds_json_and_determinism(capsys):
@@ -153,6 +157,13 @@ def test_bounds_json_and_determinism(capsys):
     assert [r["lower"] for r in doc["rows"]] == [0, 0, 4, 4]
     assert [r["upper"] for r in doc["rows"]] == [0, 0, 4, 4]
     assert all(r["exact"] for r in doc["rows"])
+    # degrees with a nonzero lower bound name the translate that reached it
+    witness = [r["witness"] for r in doc["rows"]]
+    assert witness[:2] == [None, None]
+    arr = catalog.get("example-lstrict")
+    for q in (2, 3):
+        assert len(witness[q]) == 7
+        assert os_cohomology_dims(arr, [Fraction(x) for x in witness[q]]).dims[q] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from oscoh.exactla import (
     is_prime,
     rank_mod_p,
     rank_over_Q,
+    rank_over_Q_stack,
     smith_normal_form,
 )
 from oscoh.matroid import vector_matroid
@@ -407,11 +408,58 @@ def int_matrices(draw, entries):
 WIDE = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
 
 
+@st.composite
+def int_stacks(draw, entries):
+    """Stacks of 1-4 integer matrices of one shape, as from int_matrices."""
+    first = draw(int_matrices(entries))
+    nr, nc = len(first), len(first[0])
+    shaped = int_matrices(entries).filter(lambda m: len(m) == nr and len(m[0]) == nc)
+    rest = draw(st.lists(st.one_of(shaped, st.just([[0] * nc] * nr)), max_size=3))
+    return [first] + rest
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @DIFF
-@given(int_matrices(WIDE))
-def test_rank_mod_p_matches_the_oracle(p, m):
-    assert rank_mod_p(m, p) == gf_rank(m, p)
+@given(int_stacks(WIDE))
+def test_rank_mod_p_matches_the_oracle(p, stack):
+    want = [gf_rank(m, p) for m in stack]
+    assert [rank_mod_p(m, p) for m in stack] == want
+    assert exactla._rank_mod_p_numpy(exactla._int_array(stack), p).tolist() == want
+
+
+@DIFF
+@given(int_stacks(WIDE), st.integers(0, 7))
+def test_rank_over_Q_stack_matches_the_fraction_oracle(stack, slack):
+    want = [fraction_rank(m) for m in stack]
+    nr, nc = len(stack[0]), len(stack[0][0])
+    # no usable bound, the true rank, and a loose bound
+    for upper in ([min(nr, nc)] * len(stack), want, [r + slack for r in want]):
+        assert rank_over_Q_stack(stack, upper).tolist() == want
+    # a false bound is caught when a modular rank exceeds it
+    low = [max(r - 1, 0) for r in want]
+    if any(gf_rank(m, exactla._nth_prime(0)) > b for m, b in zip(stack, low)):
+        with pytest.raises(ValueError, match="exceeds the claimed upper bound"):
+            rank_over_Q_stack(stack, low)
+
+
+def test_rank_over_Q_stack_settles_bounded_matrices_with_one_prime(monkeypatch):
+    rng = random.Random(42)
+    stack = [planted_rank_matrix(rng, 12, 30, r) for r in (3, 7, 12, 12)]
+    calls = []
+    real = exactla._rank_mod_p_numpy
+
+    def counted(m, p):
+        calls.append(m.shape[0])
+        return real(m, p)
+
+    monkeypatch.setattr(exactla, "_rank_mod_p_numpy", counted)
+    # the first two are proved by their bounds, the full-rank ones by shape
+    assert rank_over_Q_stack(stack, [3, 7, 12, 12]).tolist() == [3, 7, 12, 12]
+    assert calls == [4]
+    calls.clear()
+    # without bounds only the deficient matrices go on to further primes
+    assert rank_over_Q_stack(stack, [12] * 4).tolist() == [3, 7, 12, 12]
+    assert calls[0] == 4 and len(calls) > 1 and max(calls[1:]) <= 2
 
 
 @DIFF

@@ -1,15 +1,22 @@
 """Resonance varieties, vanishing certificates, sandwich bounds."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from oscoh import build_arrangement, catalog, product_arrangement
+from oscoh import build_arrangement, catalog, exactla, product_arrangement, resonance
 from oscoh.cohom import os_cohomology_dims
-from oscoh.exactla import NotPrimeError
+from oscoh.exactla import STACK_CELLS, NotPrimeError
+from oscoh.osalg import CELL_BUDGET
 from oscoh.resonance import (
-    _translates,
+    _lower_dims_options,
+    _translate_chunks,
     betti_bounds,
     edge_weights,
     in_V,
@@ -143,19 +150,42 @@ def test_resonance_membership_trivial_for_boolean():
 # translate enumeration
 
 
+def translates(lam, box, sum_target=None):
+    """The enumerated translates lam + m, in order, as tuples."""
+    return [
+        tuple(l + x for l, x in zip(lam, m))
+        for chunk in _translate_chunks(lam, box, sum_target)
+        for m in chunk.tolist()
+    ]
+
+
 def test_translates_cover_the_box():
     lam = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
-    full = list(_translates(lam, 1))
+    full = translates(lam, 1)
     assert len(full) == 27
     assert all(all(abs(mu - l) <= 1 for mu, l in zip(t, lam)) for t in full)
+    # itertools.product order, so witnesses are the first in this order
+    assert full == [
+        tuple(l + x for l, x in zip(lam, m))
+        for m in itertools.product((-1, 0, 1), repeat=3)
+    ]
 
 
 def test_translates_with_sum_constraint():
     lam = (Fraction(1, 3),) * 3
-    sliced = list(_translates(lam, 1, Fraction(0)))
+    sliced = translates(lam, 1, Fraction(0))
     assert len(sliced) == 6
     assert all(sum(t) == 0 for t in sliced)
     assert all(all(abs(mu - l) <= 1 for mu, l in zip(t, lam)) for t in sliced)
+    assert translates(lam, 1, Fraction(1, 2)) == []  # off the lattice
+
+
+def test_translate_chunks_are_capped():
+    lam = (Fraction(1, 2),) * 9
+    chunks = list(_translate_chunks(lam, 1))
+    assert len(chunks) > 1
+    assert all(c.size <= STACK_CELLS for c in chunks)
+    assert sum(len(c) for c in chunks) == 3**9
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +269,140 @@ def test_bounds_report_to_dict():
     assert doc["N"] == 1
     assert doc["box"] == 1
     assert len(doc["rows"]) == 3
+
+
+def test_bounds_witnesses_reach_the_lower_bounds():
+    cases = [
+        (catalog.get("example-lstrict"), LSTRICT_WEIGHTS, 1),
+        (catalog.get("ceva3"), CEVA_WEIGHTS, 1),
+        (catalog.get("ceva3-section"), CEVA_WEIGHTS, 1),
+        # a product: the witness is the pair of factor translates
+        (
+            product_arrangement(
+                build_arrangement([[1, 0, 0], [0, 1, 0], [1, 1, -1]]),
+                catalog.get("ceva3-section"),
+            ),
+            (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3)) + CEVA_WEIGHTS,
+            1,
+        ),
+        (three_concurrent_lines(), (1, 2, 3), 1),  # integral: the zero weight
+    ]
+    for arr, lam, box in cases:
+        rep = betti_bounds(arr, lam, box=box)
+        assert len(rep.witness) == arr.rank + 1
+        for q, (low, w) in enumerate(zip(rep.lower, rep.witness)):
+            if low == 0:
+                assert w is None
+                continue
+            assert len(w) == arr.n
+            if rep.N > 1:  # an integer translate of the weights, in the box
+                assert all((x - l).denominator == 1 for x, l in zip(w, lam))
+                assert all(abs(x - l) <= box for x, l in zip(w, lam))
+            assert os_cohomology_dims(arr, w).dims[q] == low
+        doc = rep.to_dict()
+        assert [r["witness"] for r in doc["rows"]] == [
+            None if w is None else [str(x) for x in w] for w in rep.witness
+        ]
+
+
+def test_bounds_refuse_a_complex_over_the_cell_budget():
+    b13 = catalog.get("boolean(13)")
+    prod = product_arrangement(b13, catalog.get("boolean(13)"))
+    # each factor's weights sum to 13/2: no translate, so the cell budget
+    # is what stops the 2**26-flat lattice and the NBC enumeration
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"= 38870000 cells, above the cell budget"):
+        betti_bounds(prod, [Fraction(1, 2)] * 26)
+    assert time.process_time() - start < 10
+    assert "lattice" not in prod._cache and ("nbc", 1) not in prod._cache
+    assert CELL_BUDGET > 1624 * 1764  # the largest Aomoto matrix of A_6
+
+
+# ---------------------------------------------------------------------------
+# translate boxes ranked as stacks, against one os_cohomology_dims per translate
+
+BOX = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def per_translate_options(rows, lam, box):
+    """First translate per dimension vector, from a separately built copy of
+    the arrangement, one os_cohomology_dims call per translate."""
+    arr = build_arrangement(rows)
+    out = {}
+    for m in itertools.product(range(-box, box + 1), repeat=len(lam)):
+        nu = tuple(l + x for l, x in zip(lam, m))
+        if arr.central and sum(nu) != 0:
+            continue
+        out.setdefault(os_cohomology_dims(arr, nu).dims, nu)
+    return out
+
+
+def stacked_options(rows, lam, box):
+    opts = _lower_dims_options(build_arrangement(rows), tuple(lam), box)
+    return {d: w for d, w in opts.items() if w is not None}
+
+
+@st.composite
+def arrangement_rows(draw, dim, central, sizes):
+    """Rows of a small essential arrangement with distinct hyperplanes."""
+    coef = st.integers(-2, 2)
+    const = st.just(0) if central else coef
+    n = draw(sizes)
+    rows = draw(
+        st.lists(
+            st.tuples(*[coef] * dim, const).filter(lambda r: any(r[:-1])),
+            min_size=n, max_size=n,
+        )
+    )
+    try:
+        build_arrangement([list(r) for r in rows])
+    except ValueError:
+        assume(False)
+    return [list(r) for r in rows]
+
+
+def weights(draw, n, dens):
+    d = draw(dens)
+    return [Fraction(draw(st.integers(-2 * d, 2 * d)), d) for _ in range(n)]
+
+
+@BOX
+@given(arrangement_rows(2, False, st.integers(3, 5)), st.data())
+def test_box_dims_match_per_translate_dims_on_affine_arrangements(rows, data):
+    lam = weights(data.draw, len(rows), st.sampled_from([2, 3, 4, 5]))
+    assert stacked_options(rows, lam, 1) == per_translate_options(rows, lam, 1)
+
+
+@BOX
+@given(arrangement_rows(3, True, st.integers(4, 6)), st.data())
+def test_box_dims_match_per_translate_dims_on_the_zero_sum_slice(rows, data):
+    lam = weights(data.draw, len(rows), st.sampled_from([2, 3, 5]))
+    lam[-1] += data.draw(st.integers(-1, 1)) - sum(lam)  # an integral sum
+    with mock.patch.object(exactla, "_hadamard_proves", wraps=exactla._hadamard_proves) as h:
+        got = stacked_options(rows, lam, 1)
+    assert got == per_translate_options(rows, lam, 1)
+    # cohomology in the top degree leaves the top boundary short of its
+    # d**2 = 0 bound, so its rank is proved by the Hadamard loop
+    if any(d[-1] for d in got):
+        assert h.call_count > 0
+
+
+@BOX
+@given(arrangement_rows(2, False, st.integers(3, 4)), st.data())
+def test_box_dims_with_entries_past_int64_take_the_exact_wide_path(rows, data):
+    big = data.draw(st.integers(2**62, 2**66))
+    lam = [Fraction(data.draw(st.integers(-big, big)), big) for _ in rows]
+    lam[0] = Fraction(1, big)  # so the common denominator is big
+    seen = []
+    real = resonance.os_cohomology_dims_stack
+
+    def recorded(arr, K):
+        seen.append(K.dtype)
+        return real(arr, K)
+
+    with mock.patch.object(resonance, "os_cohomology_dims_stack", recorded):
+        got = stacked_options(rows, lam, 1)
+    assert seen and all(dt == object for dt in seen)
+    assert got == per_translate_options(rows, lam, 1)
