@@ -41,6 +41,16 @@ __all__ = [
 ]
 
 
+def poincare_product(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Coefficients of the product of two polynomials, lowest degree first:
+    the Poincare polynomial (or Kunneth dimensions) of a product."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 class ZeroFormError(ValueError):
     """A defining form has zero coefficient part."""
 
@@ -209,11 +219,9 @@ class Arrangement:
         """
         if "betti" not in self._cache:
             if self.product_factors is not None:
-                b1, b2 = (a.betti_numbers() for a in self.product_factors)
-                betti = [0] * (len(b1) + len(b2) - 1)
-                for i, x in enumerate(b1):
-                    for j, y in enumerate(b2):
-                        betti[i + j] += x * y
+                betti = list(
+                    poincare_product(*(a.betti_numbers() for a in self.product_factors))
+                )
             else:
                 betti = [
                     sum(abs(f.moebius) for f in level)

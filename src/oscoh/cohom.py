@@ -29,6 +29,7 @@ from .exactla import (
     rank_over_Q_stack,
     smith_normal_form,
 )
+from .arrangement import poincare_product
 from .osalg import aomoto_matrix
 
 __all__ = [
@@ -222,12 +223,18 @@ def os_cohomology_dims_stack(arr, K) -> np.ndarray:
         nr, nc = mat.shape
         if miss.size and nr and nc:
             upper = betti[q] - ranks[miss, q]
-            step = max(1, STACK_CELLS // (nr * nc))
-            for s in range(0, miss.size, step):
-                sel = miss[s : s + step]
-                got = rank_over_Q_stack(mat.evaluate_stack(v[sel]), upper[s : s + step])
-                for u, r in zip(sel.tolist(), got.tolist()):
-                    found[u] = r
+            if nr * nc > STACK_CELLS:
+                # One matrix per stack: the 2-D path ranks it faster and
+                # needs no dense coefficient matrix.
+                for u, b in zip(miss.tolist(), upper.tolist()):
+                    found[u] = _rank_Q(arr, q, keys[u], b)
+            else:
+                step = STACK_CELLS // (nr * nc)
+                for s in range(0, miss.size, step):
+                    sel = miss[s : s + step]
+                    got = rank_over_Q_stack(mat.evaluate_stack(v[sel]), upper[s : s + step])
+                    for u, r in zip(sel.tolist(), got.tolist()):
+                        found[u] = r
         for u in miss.tolist():
             if found[u] is None:  # no matrix in this degree
                 found[u] = 0
@@ -296,13 +303,10 @@ def kunneth_product(r1: CohomologyReport, r2: CohomologyReport) -> CohomologyRep
     """Convolution of two reports over the same coefficient ring."""
     if r1.ring != r2.ring:
         raise ValueError(f"ring mismatch: {r1.ring_name} vs {r2.ring_name}")
-    dims = [0] * (len(r1.dims) + len(r2.dims) - 1)
-    for i, a in enumerate(r1.dims):
-        for j, b in enumerate(r2.dims):
-            dims[i + j] += a * b
+    dims = poincare_product(r1.dims, r2.dims)
     notes = sorted(set(r1.notes) | set(r2.notes))
     return CohomologyReport(
-        r1.ring, tuple(dims), None, tuple(r1.weights) + tuple(r2.weights), notes
+        r1.ring, dims, None, tuple(r1.weights) + tuple(r2.weights), notes
     )
 
 

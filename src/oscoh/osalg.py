@@ -200,7 +200,9 @@ class AomotoMatrix:
         (T, rows, cols) stack: one integer matmul with ``_coefficients``.
 
         Entries are exact: int64 while max|K| times the largest column sum
-        stays below 2**63, Python integers (dtype=object) beyond that.
+        stays below 2**63, Python integers (dtype=object) beyond that.  The
+        coefficient matrix has n*rows*cols entries: this is for many small
+        matrices, and ``evaluate`` for one large one.
         """
         t, n = K.shape
         coef, norm = self._coefficients(n)

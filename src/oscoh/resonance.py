@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .arrangement import poincare_product
 from .cohom import (
     CohomologyReport,
     WeightVector,
@@ -219,14 +220,6 @@ class BettiBoundsReport:
         }
 
 
-def _convolve(d1: tuple, d2: tuple) -> tuple:
-    out = [0] * (len(d1) + len(d2) - 1)
-    for i, a in enumerate(d1):
-        for j, b in enumerate(d2):
-            out[i + j] += a * b
-    return tuple(out)
-
-
 def _translate_chunks(lam: tuple, box: int, sum_target=None):
     """Integer offsets m with |m_i| <= box, as (T, n) int64 arrays.
 
@@ -287,7 +280,7 @@ def _lower_dims_options(arr, lam: tuple, box: int) -> dict:
         for d1, w1 in o1.items():
             for d2, w2 in o2.items():
                 w = None if w1 is None or w2 is None else w1 + w2
-                out.setdefault(_convolve(d1, d2), w)
+                out.setdefault(poincare_product(d1, d2), w)
         out.setdefault(zero, None)
         return out
     # Nonzero weights on a central arrangement give exact complexes unless

@@ -11,10 +11,17 @@ from oscoh.cohom import (
     kunneth_product,
     modN_cohomology_ranks,
     os_cohomology_dims,
+    os_cohomology_dims_stack,
     poincare_str,
     scaling_equivalence_check,
 )
-from oscoh.exactla import NotPrimeError, rank_mod_p, rank_over_Q, smith_normal_form
+from oscoh.exactla import (
+    STACK_CELLS,
+    NotPrimeError,
+    rank_mod_p,
+    rank_over_Q,
+    smith_normal_form,
+)
 from oscoh.osalg import aomoto_matrix
 
 from conftest import random_weight_vector
@@ -181,7 +188,9 @@ def test_bounded_ranks_match_unbounded_ranks_on_product():
     generic = tuple(
         Fraction(x, 7) for x in (1, 2, 3, -1, -2, -3, 4, 5, 1, 2, -4, 3, 1, -1, 2, 5, 1)
     )
-    for lam in (CEVA_WEIGHTS + MACLANE_SECTION_WEIGHTS, generic):
+    lams = (CEVA_WEIGHTS + MACLANE_SECTION_WEIGHTS, generic)
+    dims = []
+    for lam in lams:
         arr._cache.pop("rankQ", None)  # rank afresh, not from another test
         rep = os_cohomology_dims(arr, lam)
         k = list(WeightVector(lam).k)
@@ -190,7 +199,14 @@ def test_bounded_ranks_match_unbounded_ranks_on_product():
             for q in range(arr.rank + 1)
         )
         assert rep.ranks == unbounded, lam
+        dims.append(rep.dims)
     assert rep.dims == (0, 0, 0, 0, 208)
+    # The stacked path agrees.  mu^3 (372 x 480) is above STACK_CELLS, so it
+    # is ranked one matrix at a time, while the smaller degrees are stacked.
+    assert aomoto_matrix(arr, 3).shape == (372, 480) and 372 * 480 > STACK_CELLS
+    arr._cache.pop("rankQ", None)
+    stacked = os_cohomology_dims_stack(arr, [WeightVector(lam).k for lam in lams])
+    assert [tuple(row) for row in stacked.tolist()] == dims
 
 
 def test_composite_modulus_uses_unit_invariant_factors():
