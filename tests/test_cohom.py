@@ -15,13 +15,7 @@ from oscoh.cohom import (
     poincare_str,
     scaling_equivalence_check,
 )
-from oscoh.exactla import (
-    STACK_CELLS,
-    NotPrimeError,
-    rank_mod_p,
-    rank_over_Q,
-    smith_normal_form,
-)
+from oscoh.exactla import STACK_CELLS, rank_mod_p, rank_over_Q, smith_normal_form
 from oscoh.osalg import aomoto_matrix
 
 from conftest import random_weight_vector
