@@ -85,9 +85,6 @@ class IntersectionLattice:
     def flats_of_codim(self, q: int) -> list[Flat]:
         return self.levels[q] if 0 <= q < len(self.levels) else []
 
-    def all_flats(self) -> list[Flat]:
-        return [f for level in self.levels for f in level]
-
     def __len__(self):
         return sum(len(level) for level in self.levels)
 

@@ -2,14 +2,14 @@
 
 Given a rational weight vector, the boundary maps are evaluated on integer
 vectors (denominators cleared; ranks are scaling-invariant) and ranked
-exactly.  Over Z_N with N prime this is plain modular rank; for composite
-N the rank convention counts invariant factors of the integer matrix that
-are coprime to N, which equals the minimum of the ranks modulo the prime
-divisors of N.  Evaluated ranks are cached on the arrangement, keyed by
-the projectively normalized weight vector, so scalings and repeats are
-free.  ``os_cohomology_dims_stack`` computes the same dimensions for many
-weight vectors at once (a translate box), ranking each degree's matrices
-as stacks and sharing the same cache.
+exactly.  Over Q there is one path: ``os_cohomology_dims_stack`` ranks
+each degree's matrices at many weight vectors (a translate box) as stacks,
+and ``os_cohomology_dims`` is its case of one vector, with the same proofs.
+Ranks over Q are cached on the arrangement, keyed by the projectively
+normalized weight vector, so scalings and repeats are free.  Over Z_N with
+N prime this is plain modular rank; for composite N the rank convention
+counts invariant factors of the integer matrix that are coprime to N, which
+equals the minimum of the ranks modulo the prime divisors of N.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 
 from .exactla import (
     STACK_CELLS,
+    _int_array,
     is_prime,
     rank_mod_p,
-    rank_over_Q,
     rank_over_Q_stack,
     smith_normal_form,
 )
@@ -138,23 +138,6 @@ def _normalized_rows(K: np.ndarray) -> np.ndarray:
     return v * np.where(lead < 0, -1, 1)[:, None]
 
 
-def _normalized_key(k: Sequence[int]) -> tuple:
-    return tuple(_normalized_rows(np.array([k], dtype=object))[0].tolist())
-
-
-def _rank_Q(arr, q: int, key: tuple, upper: int) -> int:
-    cache = arr._cache.setdefault("rankQ", {})
-    hit = cache.get((q, key))
-    if hit is None:
-        mat = aomoto_matrix(arr, q)
-        if not mat.col_monomials or not mat.row_monomials or not any(key):
-            hit = 0
-        else:
-            hit = rank_over_Q(mat.evaluate(list(key)), upper)
-        cache[(q, key)] = hit
-    return hit
-
-
 def _rank_mod(arr, q: int, k: Sequence[int], p: int) -> int:
     kk = tuple(x % p for x in k)
     cache = arr._cache.setdefault("rankP", {})
@@ -172,24 +155,15 @@ def _rank_mod(arr, q: int, k: Sequence[int], p: int) -> int:
 def os_cohomology_dims(arr, lam) -> CohomologyReport:
     """Cohomology dimensions of the weighted complex over Q.
 
-    dims[q] = b_q - rank mu^q(lam) - rank mu^(q-1)(lam), for q = 0..rank.
-    Degrees are ranked in order: mu^q mu^(q-1) = 0 bounds rank mu^q by
-    b_q - rank mu^(q-1), and one prime reaching that bound proves it.
+    dims[q] = b_q - rank mu^q(lam) - rank mu^(q-1)(lam), for q = 0..rank,
+    with the ranks of ``os_cohomology_dims_stack`` on the one row k = N*lam.
     """
     wv = WeightVector(lam)
     if len(wv) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(wv)}")
-    key = _normalized_key(wv.k)
-    betti = arr.betti_numbers()
-    ranks = []
-    for q in range(arr.rank + 1):
-        upper = betti[q] - (ranks[q - 1] if q else 0)
-        ranks.append(_rank_Q(arr, q, key, upper))
-    dims = tuple(
-        betti[q] - ranks[q] - (ranks[q - 1] if q else 0)
-        for q in range(arr.rank + 1)
-    )
-    return CohomologyReport(("Q",), dims, tuple(ranks), wv.lam)
+    ranks = _ranks_over_Q(arr, _int_array([wv.k]))[0]
+    dims = np.array(arr.betti_numbers()) - ranks[1:] - ranks[:-1]
+    return CohomologyReport(("Q",), tuple(dims.tolist()), tuple(ranks[1:].tolist()), wv.lam)
 
 
 def os_cohomology_dims_stack(arr, K) -> np.ndarray:
@@ -197,51 +171,51 @@ def os_cohomology_dims_stack(arr, K) -> np.ndarray:
 
     Row t of K (T x n, int64 or Python ints) holds k = N*lam for weights
     lam; any nonzero multiple gives the same dims.  Returns a (T, rank+1)
-    array whose row t is ``os_cohomology_dims(arr, lam).dims``.  Rows are
-    normalized and deduplicated like the rankQ cache keys, cached ranks are
-    reused, and the rest are evaluated and ranked degree by degree in stacks
-    of at most STACK_CELLS entries, with the certificates of
-    ``os_cohomology_dims``.  New ranks are written back to the cache.
+    array whose row t is ``os_cohomology_dims(arr, lam).dims``.
     """
-    K = np.asarray(K)
+    K = K if isinstance(K, np.ndarray) else _int_array(K)
     if K.ndim != 2 or K.shape[1] != arr.n:
         raise ValueError(f"expected rows of {arr.n} weights, got shape {K.shape}")
+    ranks = _ranks_over_Q(arr, K)
+    return np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]
+
+
+def _ranks_over_Q(arr, K: np.ndarray) -> np.ndarray:
+    """Ranks of the boundaries at every row of K, as a (T, rank+2) array
+    whose column q+1 is rank mu^q (column 0 is rank mu^(-1) = 0).
+
+    Rows are normalized and deduplicated like the rankQ cache keys, cached
+    ranks are reused, and the rest are evaluated and ranked degree by
+    degree in stacks of at most STACK_CELLS entries (one matrix when it is
+    larger).  Degrees go upward: mu^q mu^(q-1) = 0 bounds rank mu^q by
+    b_q - rank mu^(q-1), and a rank modulo one prime reaching that bound
+    proves it; the others are proved by the Hadamard loop of
+    ``rank_over_Q_stack``.  New ranks are written back to the cache.
+    """
     betti = arr.betti_numbers()
     v = _normalized_rows(K)
     index: dict[tuple, int] = {}
     inverse = [index.setdefault(key, len(index)) for key in map(tuple, v.tolist())]
     keys = list(index)
-    first = np.unique(inverse, return_index=True)[1]
-    v = v[first]
+    v = v[np.unique(inverse, return_index=True)[1]]
     cache = arr._cache.setdefault("rankQ", {})
-    # ranks[:, q + 1] = rank mu^q; column 0 is rank mu^(-1) = 0
     ranks = np.zeros((len(keys), arr.rank + 2), dtype=np.int64)
     for q in range(arr.rank + 1):
         found = [cache.get((q, key)) for key in keys]
         miss = np.array([u for u, hit in enumerate(found) if hit is None], dtype=np.int64)
+        got = np.zeros(miss.size, dtype=np.int64)  # rank 0 without a matrix
         mat = aomoto_matrix(arr, q)
         nr, nc = mat.shape
-        if miss.size and nr and nc:
+        if nr and nc:
             upper = betti[q] - ranks[miss, q]
-            if nr * nc > STACK_CELLS:
-                # One matrix per stack: the 2-D path ranks it faster and
-                # needs no dense coefficient matrix.
-                for u, b in zip(miss.tolist(), upper.tolist()):
-                    found[u] = _rank_Q(arr, q, keys[u], b)
-            else:
-                step = STACK_CELLS // (nr * nc)
-                for s in range(0, miss.size, step):
-                    sel = miss[s : s + step]
-                    got = rank_over_Q_stack(mat.evaluate_stack(v[sel]), upper[s : s + step])
-                    for u, r in zip(sel.tolist(), got.tolist()):
-                        found[u] = r
-        for u in miss.tolist():
-            if found[u] is None:  # no matrix in this degree
-                found[u] = 0
-            cache[(q, keys[u])] = found[u]
+            step = max(1, STACK_CELLS // (nr * nc))
+            for s in range(0, miss.size, step):
+                sel = slice(s, s + step)
+                got[sel] = rank_over_Q_stack(mat.evaluate_stack(v[miss[sel]]), upper[sel])
+        for u, r in zip(miss.tolist(), got.tolist()):
+            found[u] = cache[(q, keys[u])] = r
         ranks[:, q + 1] = found
-    dims = np.array(betti) - ranks[:, 1:] - ranks[:, :-1]
-    return dims[inverse]
+    return ranks[inverse]
 
 
 def _snf_factors(arr, q: int, k: tuple) -> tuple:

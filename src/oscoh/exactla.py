@@ -7,8 +7,10 @@ polynomial.  No floating point is used anywhere.
 Each arithmetic has one elimination:
 
 * Z and Q: fraction-free Bareiss elimination (``bareiss_rank``) for small
-  integer matrices, and the certified multi-modular ``rank_over_Q`` for
-  large ones.  Callers scale rational rows to integers, which keeps ranks.
+  integer matrices, and the certified multi-modular loop of
+  ``rank_over_Q_stack`` for the rest; ``rank_over_Q`` ranks one matrix
+  by Bareiss when small and as a stack of one otherwise.  Callers scale
+  rational rows to integers, which keeps ranks.
 * Z_p: one numpy row reduction, in int64 for p < 2**31 and in Python
   integers (object arrays) above that, run on one matrix or on a stack of
   many (see Stacks below).
@@ -25,30 +27,29 @@ modulo enough word-size primes for a Hadamard bound on the minors to turn
 the modular ranks into a proof (``_hadamard_proves``, the one place that
 bound is tested).
 
-Stacks.  Many small matrices of one shape (the Aomoto matrices of a whole
-translate box) are ranked as one (T, rows, cols) array by
-``rank_over_Q_stack``.  The stack kernel runs one elimination step for
-every matrix at once: per matrix it picks the first row with a nonzero
-entry in the current column and clears that column from the other rows
-with fraction-free updates mod p, so the Python loop runs min(rows, cols)
-times per stack instead of per matrix.  Each matrix keeps its own proof:
-it is settled when its rank modulo the first prime reaches min(rows, cols,
-its upper bound), and the rest go on over further primes, as a shrinking
-stack, until each one's own Hadamard bound is beaten.  Callers evaluate
-and rank stacks in chunks of at most ``STACK_CELLS`` entries: memory stays
-flat however large the box, and a chunk's residues (512 KB of int64) stay
-in cache.  A single 2-D matrix keeps the row-swapping loop, which touches
-only the rows below the pivot and the columns right of it, while the
-stack step updates every row of every matrix: a stack of one large matrix
-ranks 2 to 6 times slower (on a 2-core x86 VM, A_5 mu^3, 225 x 274: about
-15 against 28 ms; product-example mu^3, 372 x 480: about 20 against
-110 ms).  So ``_rank_mod_p_numpy`` chooses the kernel by the input's shape.
+Stacks.  ``rank_over_Q_stack`` ranks T matrices of one shape (such as the
+Aomoto matrices at many weights) as one (T, rows, cols) array.  Each
+matrix keeps its own proof: it is settled when its rank modulo the first
+prime reaches min(rows, cols, its upper bound), and the rest go on over
+further primes, as a shrinking stack, until each one's own Hadamard bound
+is beaten.  Modulo p, a stack of one runs the row-swapping 2-D loop, which
+touches only the rows below the pivot and the columns right of it.  A
+larger stack runs ``_rank_mod_p_stack``: one elimination step per column
+for every matrix at once, so the Python loop runs min(rows, cols) times
+per stack instead of per matrix.  That step updates every row of every
+matrix, so it would rank one large matrix 2 to 6 times slower (on a 2-core
+x86 VM, A_5 mu^3, 225 x 274: about 28 against 15 ms; product-example mu^3,
+372 x 480: about 110 against 20 ms).  Callers evaluate and rank chunks of
+at most ``STACK_CELLS`` entries, or one matrix when it is larger: memory
+stays flat however large the box, a chunk's residues (512 KB of int64)
+stay in cache, and no caller picks a kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, isqrt, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,11 +183,13 @@ def _rank_mod_p_numpy(m: np.ndarray, p: int):
     """Rank over Z_p of an integer array: the one modular elimination.
 
     A 2-D array gives its rank.  A 3-D stack (T, rows, cols) gives the
-    array of its T ranks, from ``_rank_mod_p_stack``.
+    array of its T ranks: a stack of one runs the 2-D loop below, a larger
+    one ``_rank_mod_p_stack``.
     """
-    if m.ndim == 3:
+    if m.ndim == 3 and len(m) != 1:
         return _rank_mod_p_stack(m, p)
-    m = _residues(m, p)
+    one = m.ndim == 3
+    m = _residues(m[0] if one else m, p)
     nr, nc = m.shape
     r = 0
     for c in range(nc):
@@ -207,7 +210,7 @@ def _rank_mod_p_numpy(m: np.ndarray, p: int):
         r += 1
         if r == nr:
             break
-    return r
+    return np.array([r]) if one else r
 
 
 def _rank_mod_p_stack(m: np.ndarray, p: int) -> np.ndarray:
@@ -295,11 +298,12 @@ def _nth_prime(i: int) -> int:
 def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     """Rank over Q of an integer matrix, certified exactly.
 
-    Small matrices go through Bareiss.  Large ones are ranked modulo 31-bit
-    primes p_1, p_2, ...; let r be the maximum modular rank seen.  Some r x r
-    minor is nonzero mod one of the primes, so rank >= r.  If the rank
-    exceeded r, some nonzero (r+1)-minor D would be divisible by every prime
-    used, hence |D| >= prod p_i; once prod p_i beats the Hadamard bound on
+    Small matrices go through Bareiss, large ones through
+    ``rank_over_Q_stack`` as a stack of one: ranks modulo 31-bit primes
+    p_1, p_2, ..., with r the maximum modular rank seen.  Some r x r minor
+    is nonzero mod one of the primes, so rank >= r.  If the rank exceeded
+    r, some nonzero (r+1)-minor D would be divisible by every prime used,
+    hence |D| >= prod p_i; once prod p_i beats the Hadamard bound on
     (r+1)-minors this is impossible and rank == r is proved.
 
     ``upper``, if given, must be a proven upper bound on the rank over Q,
@@ -311,26 +315,10 @@ def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     a = _as_int_rows(rows)
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    if nr == 0 or nc == 0:
-        return _check_upper(0, upper)
     if nr * nc <= 8000 or min(nr, nc) <= 24:
         return _check_upper(bareiss_rank(a), upper)
-
-    maxdim = min(nr, nc) if upper is None else min(nr, nc, upper)
-    norms2 = sorted((sum(x * x for x in row) for row in a), reverse=True)
-    arr = _int_array(a)
-
-    r = 0
-    prod = 1
-    for i in range(_MAX_PRIMES):
-        p = _nth_prime(i)
-        rp = _rank_mod_p_numpy(arr, p)
-        if rp > r:
-            r = _check_upper(rp, upper)
-        prod *= p
-        if r == maxdim or _hadamard_proves(norms2, r, prod):
-            return r
-    return _check_upper(bareiss_rank(a), upper)
+    bound = min(nr, nc) if upper is None else upper
+    return int(rank_over_Q_stack(_int_array([a]), [bound])[0])
 
 
 # More primes than any sane matrix needs; past them, ranks fall back to
@@ -562,11 +550,67 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     return _poly_trim(q), _poly_trim(num)
 
 
+def _monic_factor(f: list[int]) -> list[int] | None:
+    """A monic integer factor of degree 1..deg(f)//2 of the monic integer
+    polynomial f (ascending coefficients), or None: then f is irreducible
+    over Z, hence over Q (Gauss).
+
+    Kronecker's method: a monic factor of degree m is g = x^m + r with
+    deg r < m, and g(a) divides f(a) at every integer a.  So r interpolates
+    the values d - a^m at m points a, over the divisors d of f(a); every
+    such r with integer coefficients is tried by division.  The points are
+    small integers where |f| is smallest, which keeps the divisors few.
+    A value above 10**12 at a point, or more than 10**5 candidates in all,
+    raises ValueError before the search rather than run for hours.
+    """
+    deg = len(f) - 1
+
+    def value(a):
+        return sum(c * a**i for i, c in enumerate(f))
+
+    points = sorted(range(-deg - 2, deg + 3), key=lambda a: abs(value(a)))
+    if value(points[0]) == 0:
+        return [-points[0], 1]
+    half = deg // 2
+    values = [value(a) for a in points[:half]]
+    divisors = [_divisors(v) for v in values] if max(map(abs, values)) <= 10**12 else []
+    if not divisors or sum(prod(map(len, divisors[:m])) for m in range(half + 1)) > 10**5:
+        raise ValueError(f"cannot prove {f} irreducible: too many candidate factors")
+    for m in range(1, half + 1):
+        xs = points[:m]
+        # Lagrange basis: lagrange[i] is 1 at xs[i] and 0 at the others
+        lagrange = []
+        for i, xi in enumerate(xs):
+            poly = [Fraction(1)]
+            for xj in xs[:i] + xs[i + 1 :]:  # times (x - xj) / (xi - xj)
+                poly = [(a - xj * b) / (xi - xj) for a, b in zip([0] + poly, poly + [0])]
+            lagrange.append(poly)
+        for ds in product(*divisors[:m]):
+            r = [
+                sum((d - a**m) * basis[k] for a, d, basis in zip(xs, ds, lagrange))
+                for k in range(m)
+            ]
+            if all(c.denominator == 1 for c in r):
+                g = [int(c) for c in r] + [1]
+                if not _poly_divmod([Fraction(c) for c in f], g)[1]:
+                    return g
+    return None
+
+
+def _divisors(v: int) -> list[int]:
+    """Positive and negative divisors of the nonzero integer v."""
+    v = abs(v)
+    small = [d for d in range(1, isqrt(v) + 1) if v % d == 0]
+    pos = small + [v // d for d in reversed(small) if d * d != v]
+    return pos + [-d for d in pos]
+
+
 class NumberField:
-    """Q[x]/(p(x)) for a monic integer polynomial p, assumed irreducible.
+    """Q[x]/(p(x)) for a monic irreducible integer polynomial p.
 
     Coefficient lists are ascending: [1, 1, 1] is x^2 + x + 1.  Elements are
-    immutable coefficient vectors of length deg(p).
+    immutable coefficient vectors of length deg(p).  A reducible p, which
+    would make the quotient a ring with zero divisors, raises ValueError.
     """
 
     def __init__(self, min_poly: Iterable[int], gen_name: str = "w"):
@@ -575,6 +619,11 @@ class NumberField:
             raise ValueError("minimal polynomial must have degree >= 2")
         if mp[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
+        factor = _monic_factor(mp)
+        if factor is not None:
+            raise ValueError(
+                f"minimal polynomial {mp} is reducible: it has the factor {factor}"
+            )
         self.min_poly = tuple(mp)
         self.degree = len(mp) - 1
         self.gen_name = gen_name
@@ -699,12 +748,7 @@ class NFElement:
                 [(s0[i] if i < len(s0) else Fraction(0)) - (qs[i] if i < len(qs) else Fraction(0))
                  for i in range(max(len(s0), len(qs), 1))]
             )
-        # a is now the gcd; it is a nonzero constant unless min_poly is reducible
-        if len(a) != 1:
-            raise ValueError(
-                f"{self!r} is a zero divisor: the minimal polynomial "
-                f"{list(self.field.min_poly)} is reducible"
-            )
+        # a is now the gcd, a nonzero constant since min_poly is irreducible
         c = a[0]
         return self.field([x / c for x in s0])
 

@@ -4,7 +4,7 @@ A file is a single JSON object with these keys:
 
 - ``field``: ``"Q"`` (default) or ``{"min_poly": [c0, c1, ..., 1]}`` for
   the number field Q[x]/(p(x)), coefficients ascending, p monic and
-  assumed irreducible (irreducibility is trusted, not verified).
+  irreducible (a reducible p is refused).
 - ``labels``: optional list of hyperplane names.
 - exactly one of:
 
@@ -63,9 +63,10 @@ def _parse_field(value):
                 "field.min_poly must be a list of at least 3 integers "
                 "(ascending coefficients of a monic polynomial)"
             )
-        if coeffs[-1] != 1:
-            raise ArrangementFileError("field.min_poly must be monic")
-        return NumberField(coeffs)
+        try:
+            return NumberField(coeffs)
+        except ValueError as e:
+            raise ArrangementFileError(f"field.min_poly: {e}")
     raise ArrangementFileError(
         'field must be "Q" or {"min_poly": [c0, ..., 1]}'
     )

@@ -14,8 +14,9 @@ exactly like dependent sets.
 
 Multiplication by the degree-one element with coefficient vector y gives
 the Aomoto boundary maps; their entries are integer linear forms in
-y_1..y_n and are assembled here once per degree, then evaluated at
-rational or modular weight vectors by the cohomology layer.
+y_1..y_n and are assembled here once per degree, as sparse triples
+(position, variable, coefficient).  The cohomology layer evaluates them at
+integer weight vectors, one or a whole stack at a time, by one scatter-add.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+
+from .exactla import _int_array
 
 __all__ = [
     "circuits",
@@ -151,7 +154,8 @@ class AomotoMatrix:
 
     Rows are indexed by the NBC basis in degree q, columns by degree q+1.
     Entries are integer linear forms in the weight variables, stored
-    sparsely as {variable index: coefficient}.
+    sparsely as {variable index: coefficient}, and once more as COO arrays
+    of terms (flat position i*cols + j, variable, coefficient).
     """
 
     def __init__(self, degree: int, row_monomials, col_monomials, entries):
@@ -159,58 +163,36 @@ class AomotoMatrix:
         self.row_monomials = row_monomials
         self.col_monomials = col_monomials
         self.entries = entries  # dict[(i, j)] -> dict[var] -> int
-        self._dense = None  # (coefficient matrix, its largest column 1-norm)
+        nc = len(col_monomials)
+        coo = [(i * nc + j, v, c) for (i, j), form in entries.items() for v, c in form.items()]
+        self._pos, self._var, self._coef = np.array(coo, dtype=np.int64).reshape(-1, 3).T
+        # max|k| times the largest sum of |coefficient| in one form bounds
+        # every entry at the weights k
+        self._norm = max((sum(map(abs, f.values())) for f in entries.values()), default=0)
 
     @property
     def shape(self):
         return (len(self.row_monomials), len(self.col_monomials))
 
-    def entry_vector(self, i: int, j: int, n: int) -> tuple:
-        form = self.entries.get((i, j), {})
-        return tuple(form.get(v, 0) for v in range(n))
-
-    def evaluate(self, k: Sequence) -> list[list]:
-        """Dense matrix of the form evaluated at the weight vector k."""
-        nr, nc = self.shape
-        zero = k[0] * 0 if len(k) else 0
-        rows = [[zero] * nc for _ in range(nr)]
-        for (i, j), form in self.entries.items():
-            acc = zero
-            for v, c in form.items():
-                acc += c * k[v]
-            rows[i][j] = acc
-        return rows
-
-    def _coefficients(self, n: int) -> tuple[np.ndarray, int]:
-        """The forms as a dense n x (rows*cols) integer matrix C, with
-        C[v, i*cols + j] the coefficient of weight v in entry (i, j), and
-        the largest absolute column sum of C.  Built once per degree."""
-        if self._dense is None or self._dense[0].shape[0] != n:
-            nr, nc = self.shape
-            coef = np.zeros((n, nr * nc), dtype=np.int64)
-            for (i, j), form in self.entries.items():
-                for v, c in form.items():
-                    coef[v, i * nc + j] = c
-            norm = int(np.abs(coef).sum(axis=0).max(initial=0))
-            self._dense = (coef, norm)
-        return self._dense
+    def evaluate(self, k: Sequence[int]) -> list[list[int]]:
+        """Integer matrix at the weight vector k, as a list of rows: the
+        one-row case of ``evaluate_stack``."""
+        return self.evaluate_stack(_int_array([k]))[0].tolist()
 
     def evaluate_stack(self, K: np.ndarray) -> np.ndarray:
         """Matrices at each row of the integer array K (T, n), as a
-        (T, rows, cols) stack: one integer matmul with ``_coefficients``.
+        (T, rows, cols) stack: one scatter-add of the terms
+        coefficient * K[:, variable] into their positions.
 
-        Entries are exact: int64 while max|K| times the largest column sum
-        stays below 2**63, Python integers (dtype=object) beyond that.  The
-        coefficient matrix has n*rows*cols entries: this is for many small
-        matrices, and ``evaluate`` for one large one.
+        Entries are exact: int64 while max|K| times the largest sum of
+        |coefficient| in one form stays below 2**63, Python integers
+        (dtype=object) beyond that.
         """
-        t, n = K.shape
-        coef, norm = self._coefficients(n)
-        if K.dtype != object and int(np.abs(K).max(initial=0)) * norm < 2**63:
-            out = K.astype(np.int64, copy=False) @ coef
-        else:
-            out = K.astype(object) @ coef.astype(object)
-        return out.reshape(t, *self.shape)
+        if K.dtype != object and int(np.abs(K).max(initial=0)) * self._norm >= 2**63:
+            K = K.astype(object)
+        out = np.zeros((len(K), self.shape[0] * self.shape[1]), dtype=K.dtype)
+        np.add.at(out, (slice(None), self._pos), K[:, self._var] * self._coef)
+        return out.reshape(len(K), *self.shape)
 
 
 def check_complex_size(arr) -> None:

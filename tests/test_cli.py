@@ -65,6 +65,16 @@ def test_lattice_from_file(capsys, tmp_path):
     assert "betti: [1, 9, 24, 16]" in out
 
 
+def test_reducible_min_poly_file_is_refused(capsys, tmp_path):
+    path = tmp_path / "reducible.json"
+    path.write_text(
+        '{"field": {"min_poly": [-1, 0, 1]}, "hyperplanes": [[1, 0, 0], [0, 1, 0]]}\n'
+    )
+    code, _, err = run(capsys, ["lattice", str(path)])
+    assert code == 1
+    assert "reducible" in err
+
+
 def test_lattice_essentialize_flag(capsys, tmp_path):
     path = tmp_path / "nonessential.json"
     path.write_text(

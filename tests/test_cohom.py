@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oscoh import build_arrangement, catalog
+from oscoh import build_arrangement, catalog, exactla
 from oscoh.cohom import (
     WeightVector,
     kunneth_product,
@@ -201,6 +201,25 @@ def test_bounded_ranks_match_unbounded_ranks_on_product():
     arr._cache.pop("rankQ", None)
     stacked = os_cohomology_dims_stack(arr, [WeightVector(lam).k for lam in lams])
     assert [tuple(row) for row in stacked.tolist()] == dims
+
+
+def test_exact_degrees_are_proved_by_one_prime_each(monkeypatch):
+    # Away from resonance every degree reaches its d**2 = 0 bound
+    # b_q - rank mu^(q-1) modulo the first prime, so each of the eight
+    # boundaries of boolean(8) takes one modular elimination; without the
+    # bound, mu^3 (56 x 70, rank 35) would need the Hadamard loop.
+    arr = build_arrangement([[int(i == j) for j in range(9)] for i in range(8)])
+    calls = []
+    real = exactla._rank_mod_p_numpy
+
+    def counted(m, p):
+        calls.append(p)
+        return real(m, p)
+
+    monkeypatch.setattr(exactla, "_rank_mod_p_numpy", counted)
+    rep = os_cohomology_dims(arr, [Fraction(x, 11) for x in (1, 2, 3, -1, 5, 4, -3, 7)])
+    assert rep.dims == (0,) * 9
+    assert len(calls) == 8
 
 
 def test_composite_modulus_uses_unit_invariant_factors():

@@ -335,15 +335,45 @@ def test_number_field_division():
         nf.one / nf.zero
 
 
-def test_number_field_inverse_rejects_zero_divisors():
-    # x^2 - 1 = (x - 1)(x + 1) is reducible, so x - 1 has no inverse
-    ring = NumberField([-1, 0, 1], "x")
-    x = ring.gen
-    with pytest.raises(ValueError, match="zero divisor"):
-        (x - 1).inverse()
-    with pytest.raises(ValueError):
-        ring.one / (x + 1)
-    assert (x + 2) * (x + 2).inverse() == ring.one
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_number_field_rejects_reducible_min_poly():
+    # x^2 - 1 = (x - 1)(x + 1) would make x - 1 a zero divisor
+    with pytest.raises(ValueError, match="reducible"):
+        NumberField([-1, 0, 1], "x")
+    with pytest.raises(ValueError, match="reducible"):
+        NumberField(poly_mul([1, 0, 1], [1, 1, 1]))  # (x^2 + 1)(x^2 + x + 1)
+    with pytest.raises(ValueError, match="reducible"):
+        NumberField([-100, 0, 1])  # roots +-10, far from the points tried
+    rng = random.Random(12)
+    for _ in range(40):
+        factors = [
+            [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [1]
+            for _ in range(rng.randint(2, 3))
+        ]
+        f = factors[0]
+        for g in factors[1:]:
+            f = poly_mul(f, g)
+        with pytest.raises(ValueError, match="reducible"):
+            NumberField(f)
+    # a polynomial whose values are too large to search is refused loudly
+    with pytest.raises(ValueError, match="cannot prove"):
+        NumberField([10**30 + 1, 0, 1])
+
+
+def test_number_field_accepts_irreducible_min_poly():
+    # x^4 - 10x^2 + 1, the minimal polynomial of sqrt(2) + sqrt(3), is
+    # irreducible over Q though it factors modulo every prime
+    for f in ([1, 1, 1], [1, 0, -1, 0, 1], [1, 0, -10, 0, 1]):
+        nf = NumberField(f, "x")
+        x = nf.gen
+        assert (x + 2) * (x + 2).inverse() == nf.one
 
 
 def test_number_field_coercion_and_equality():

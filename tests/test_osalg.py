@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from oscoh import build_arrangement, catalog
 from oscoh.osalg import aomoto_matrix, nbc_basis, reduce_to_nbc
 
@@ -132,15 +134,6 @@ def test_pencil_matrix_explicit():
     }
 
 
-def test_entry_vector_matches_entries():
-    arr = catalog.get("maclane-section")
-    a1 = aomoto_matrix(arr, 1)
-    for (i, j), form in a1.entries.items():
-        vec = a1.entry_vector(i, j, arr.n)
-        assert len(vec) == arr.n
-        assert {v: c for v, c in enumerate(vec) if c} == form
-
-
 def test_top_degree_matrix_is_empty():
     arr = catalog.get("example-lstrict")
     top = aomoto_matrix(arr, arr.rank)
@@ -165,6 +158,16 @@ def test_squared_differential_vanishes_symbolically():
             assert symbolic_compose(first, second) == {}, (name, q)
 
 
+def by_forms(mat, k):
+    """The matrix at the weights k, entry by entry from the stored forms;
+    entries without a form are zero."""
+    nr, nc = mat.shape
+    out = [[0] * nc for _ in range(nr)]
+    for (i, j), form in mat.entries.items():
+        out[i][j] = sum(c * k[v] for v, c in form.items())
+    return out
+
+
 def test_evaluate_matches_entry_forms():
     arr = catalog.get("ceva3-section")
     a1 = aomoto_matrix(arr, 1)
@@ -172,11 +175,20 @@ def test_evaluate_matches_entry_forms():
     dense = a1.evaluate(k)
     assert len(dense) == a1.shape[0]
     assert all(len(row) == a1.shape[1] for row in dense)
-    for (i, j), form in a1.entries.items():
-        assert dense[i][j] == sum(c * k[v] for v, c in form.items())
-    # unspecified entries are zero
-    specified = set(a1.entries)
-    for i in range(a1.shape[0]):
-        for j in range(a1.shape[1]):
-            if (i, j) not in specified:
-                assert dense[i][j] == 0
+    assert dense == by_forms(a1, k)
+    # stacks of several rows: int64 while the entries fit, exact Python
+    # integers once they could pass int64 (inputs near 2**62 and beyond)
+    rng = random.Random(11)
+    small = [[rng.randint(-9, 9) for _ in range(arr.n)] for _ in range(4)]
+    past = [[rng.choice((-1, 1)) * rng.randint(2**62, 2**63 - 1) for _ in range(arr.n)]]
+    huge = [[rng.randint(-(2**70), 2**70) for _ in range(arr.n)] for _ in range(2)]
+    cases = [
+        (np.array(small, dtype=np.int64), np.int64),
+        (np.array(small + past, dtype=np.int64), object),
+        (np.array(huge + small, dtype=object), object),
+    ]
+    for K, dtype in cases:
+        stack = a1.evaluate_stack(K)
+        assert stack.dtype == dtype and stack.shape == (len(K), *a1.shape)
+        assert stack.tolist() == [by_forms(a1, row) for row in K.tolist()]
+    assert max(abs(x) for x in stack.ravel()) > 2**70

@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oscoh import build_arrangement, catalog, exactla, product_arrangement, resonance
-from oscoh.cohom import os_cohomology_dims
-from oscoh.exactla import STACK_CELLS, NotPrimeError
-from oscoh.osalg import CELL_BUDGET
+from oscoh.cohom import WeightVector, os_cohomology_dims
+from oscoh.exactla import STACK_CELLS, NotPrimeError, bareiss_rank
+from oscoh.osalg import CELL_BUDGET, aomoto_matrix
 from oscoh.resonance import (
     _lower_dims_options,
     _translate_chunks,
@@ -319,23 +319,32 @@ def test_bounds_refuse_a_complex_over_the_cell_budget():
 
 
 # ---------------------------------------------------------------------------
-# translate boxes ranked as stacks, against one os_cohomology_dims per translate
+# translate boxes ranked as stacks, against Bareiss ranks per translate
 
 BOX = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
+def bareiss_dims(arr, nu):
+    """Weighted cohomology dimensions b_q - r_q - r_(q-1) at the weights
+    nu, each rank r_q by Bareiss on the evaluated Aomoto matrix."""
+    k = WeightVector(nu).k
+    ranks = [bareiss_rank(aomoto_matrix(arr, q).evaluate(k)) for q in range(arr.rank + 1)]
+    betti = arr.betti_numbers()
+    return tuple(betti[q] - ranks[q] - (ranks[q - 1] if q else 0) for q in range(arr.rank + 1))
+
+
 def per_translate_options(rows, lam, box):
     """First translate per dimension vector, from a separately built copy of
-    the arrangement, one os_cohomology_dims call per translate."""
+    the arrangement, ranking every translate's matrices by Bareiss."""
     arr = build_arrangement(rows)
     out = {}
     for m in itertools.product(range(-box, box + 1), repeat=len(lam)):
         nu = tuple(l + x for l, x in zip(lam, m))
         if arr.central and sum(nu) != 0:
             continue
-        out.setdefault(os_cohomology_dims(arr, nu).dims, nu)
+        out.setdefault(bareiss_dims(arr, nu), nu)
     return out
 
 
