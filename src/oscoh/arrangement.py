@@ -254,6 +254,28 @@ class Arrangement:
             )
         return self._cache["closure"], self.n
 
+    def decone(self) -> "Arrangement":
+        """The decone of a central arrangement at its last hyperplane H_n.
+
+        Its cone matroid is this arrangement's matroid with H_n as the
+        hyperplane at infinity, so it is built from ``central_circuits``
+        with no relabelling, and its Poincare polynomial is this one's
+        divided by 1 + t: no second lattice is built.  A rank-1 central
+        arrangement has no decone.
+        """
+        if not self.central or self.rank < 2:
+            raise ValueError("the decone needs a central arrangement of rank >= 2")
+        if "decone" not in self._cache:
+            d = arrangement_from_cone_circuits(
+                self.n - 1, self.central_circuits(), labels=self.labels[:-1], validate=False
+            )
+            betti = [1]
+            for b in self.betti_numbers()[1:-1]:
+                betti.append(b - betti[-1])
+            d._cache["betti"] = betti
+            self._cache["decone"] = d
+        return self._cache["decone"]
+
     def dense_edges(self) -> list[Flat]:
         """Flats of positive codimension whose localization is connected."""
         if not self.central:

@@ -2,14 +2,22 @@
 
 Given a rational weight vector, the boundary maps are evaluated on integer
 vectors (denominators cleared; ranks are scaling-invariant) and ranked
-exactly.  Over Q there is one path: ``os_cohomology_dims_stack`` ranks
-each degree's matrices at many weight vectors (a translate box) as stacks,
-and ``os_cohomology_dims`` is its case of one vector, with the same proofs.
-Ranks over Q are cached on the arrangement, keyed by the projectively
-normalized weight vector, so scalings and repeats are free.  Over Z_N with
-N prime this is plain modular rank; for composite N the rank convention
-counts invariant factors of the integer matrix that are coprime to N, which
-equals the minimum of the ranks modulo the prime divisors of N.
+exactly.  Over Q there is one path: ``os_cohomology_dims_stack`` works on
+many weight vectors (a translate box) at once, and ``os_cohomology_dims``
+is its case of one vector, with the same proofs.  Over Z_N with N prime
+the same path ranks modulo N.
+
+Before anything is ranked, each weight vector is reduced to the smallest
+complex with the same cohomology (``_reduced_dims``): a product goes to its
+factors (Kunneth), and on a central arrangement the weight sum decides.  If
+it is a unit the complex is exact; if it is zero the dims are the decone's
+plus the same dims one degree up.  Only what is left is evaluated and
+ranked, degree by degree in stacks.  Ranks over Q are cached on the
+arrangement, keyed by the projectively normalized weight vector, so
+scalings and repeats are free.  For composite N the rank convention counts
+invariant factors of the integer matrix that are coprime to N, which
+equals the minimum of the ranks modulo the prime divisors of N; that path
+ranks the full complex by Smith normal form.
 """
 
 from __future__ import annotations
@@ -156,14 +164,18 @@ def os_cohomology_dims(arr, lam) -> CohomologyReport:
     """Cohomology dimensions of the weighted complex over Q.
 
     dims[q] = b_q - rank mu^q(lam) - rank mu^(q-1)(lam), for q = 0..rank,
-    with the ranks of ``os_cohomology_dims_stack`` on the one row k = N*lam.
+    from ``os_cohomology_dims_stack`` on the one row k = N*lam.  The
+    boundary ranks follow from the dims, and the notes name the reduction
+    that proved them, if any.
     """
     wv = WeightVector(lam)
     if len(wv) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(wv)}")
-    ranks = _ranks_over_Q(arr, _int_array([wv.k]))[0]
-    dims = np.array(arr.betti_numbers()) - ranks[1:] - ranks[:-1]
-    return CohomologyReport(("Q",), tuple(dims.tolist()), tuple(ranks[1:].tolist()), wv.lam)
+    notes: list = []
+    dims = _reduced_dims(arr, _int_array([wv.k]), None, notes)[0].tolist()
+    return CohomologyReport(
+        ("Q",), tuple(dims), _ranks_from_dims(arr, dims), wv.lam, notes
+    )
 
 
 def os_cohomology_dims_stack(arr, K) -> np.ndarray:
@@ -176,7 +188,80 @@ def os_cohomology_dims_stack(arr, K) -> np.ndarray:
     K = K if isinstance(K, np.ndarray) else _int_array(K)
     if K.ndim != 2 or K.shape[1] != arr.n:
         raise ValueError(f"expected rows of {arr.n} weights, got shape {K.shape}")
-    ranks = _ranks_over_Q(arr, K)
+    return _reduced_dims(arr, K)
+
+
+def _ranks_from_dims(arr, dims) -> tuple:
+    """Boundary ranks r_q = b_q - h_q - r_(q-1), with r_(-1) = 0."""
+    ranks = [0]
+    for b, h in zip(arr.betti_numbers(), dims):
+        ranks.append(b - h - ranks[-1])
+    return tuple(ranks[1:])
+
+
+def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None = None) -> np.ndarray:
+    """Dims at every row of K over Q (p None) or Z_p (p prime), as a
+    (T, rank+1) array, from the smallest complex with the same cohomology.
+
+    * A product's complex is the tensor product of its factors' complexes,
+      so its dims are the per-row convolution of theirs (Kunneth).
+    * On a central arrangement the derivation d (d e_i = 1) satisfies
+      d(a ^ x) + a ^ d(x) = (sum k) x.  A row whose weight sum is a unit
+      has an exact complex: all dims are 0.  A zero-sum row splits the
+      complex as ker d + e_n ^ ker d, and ker d is the complex of the
+      decone at H_n at the weights without k_n (a = sum over i < n of
+      k_i (e_i - e_n)), so h_q = h_q(dA) + h_(q-1)(dA).  At rank 1 the
+      zero-sum differential is 0 and the dims are the Betti numbers.
+    * Any other row is ranked.
+
+    With ``notes`` (one row), the reductions taken are appended to it.
+    """
+    if arr.product_factors is not None:
+        a1, a2 = arr.product_factors
+        sub = ([], []) if notes is not None else (None, None)
+        d1 = _reduced_dims(a1, K[:, : a1.n], p, sub[0])
+        d2 = _reduced_dims(a2, K[:, a1.n :], p, sub[1])
+        dims = np.zeros((len(K), arr.rank + 1), dtype=np.int64)
+        for i in range(d1.shape[1]):
+            dims[:, i : i + d2.shape[1]] += d1[:, i, None] * d2
+        if notes is not None:
+            notes.append(f"Kunneth over the factors ({a1.n} + {a2.n} hyperplanes)")
+            notes.extend(f"factor {i}: {x}" for i, s in enumerate(sub, 1) for x in s)
+        return dims
+    if not arr.central:
+        return _ranked_dims(arr, K, p)
+    wide = K.dtype != object and np.abs(K, dtype=np.float64).max(initial=0) * arr.n >= 2**62
+    sums = (K.astype(object) if wide else K).sum(axis=1)
+    zero = sums == 0 if p is None else sums % p == 0
+    dims = np.zeros((len(K), arr.rank + 1), dtype=np.int64)
+    if not zero.any():
+        if notes is not None:
+            notes.append("central, weight sum non-zero: the complex is exact")
+        return dims
+    if arr.rank == 1:
+        dims[zero] = arr.betti_numbers()
+        if notes is not None:
+            notes.append("central of rank 1, weight sum zero: the differential is 0")
+        return dims
+    sub = [] if notes is not None else None
+    d = _reduced_dims(arr.decone(), K[zero, :-1], p, sub)
+    if notes is not None:
+        notes.append(f"central, weight sum zero: decone at H_{arr.n} ({arr.labels[-1]})")
+        notes.extend(f"decone: {x}" for x in sub)
+    dims[zero, :-1] += d
+    dims[zero, 1:] += d
+    return dims
+
+
+def _ranked_dims(arr, K: np.ndarray, p: int | None) -> np.ndarray:
+    """Dims from the ranks of the full complex at every row of K."""
+    if p is None:
+        ranks = _ranks_over_Q(arr, K)
+    else:
+        ranks = np.array(
+            [[0] + [_rank_mod(arr, q, k, p) for q in range(arr.rank + 1)] for k in K.tolist()],
+            dtype=np.int64,
+        ).reshape(len(K), arr.rank + 2)
     return np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]
 
 
@@ -248,22 +333,19 @@ def modN_cohomology_ranks(arr, k: Sequence[int], N: int) -> CohomologyReport:
     k = [int(x) for x in k]
     if len(k) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(k)}")
-    betti = arr.betti_numbers()
     notes = []
-    factors = None
     if is_prime(N):
-        ranks = [_rank_mod(arr, q, k, N) for q in range(arr.rank + 1)]
-    else:
-        factors = tuple(
-            _snf_factors(arr, q, tuple(k)) for q in range(arr.rank + 1)
+        dims = _reduced_dims(arr, _int_array([k]), N, notes)[0].tolist()
+        return CohomologyReport(
+            ("Z", N), tuple(dims), _ranks_from_dims(arr, dims), tuple(k), notes
         )
-        ranks = [
-            sum(1 for d in fq if gcd(d, N) == 1) for fq in factors
-        ]
-        notes.append(
-            "composite modulus: boundary ranks count Smith invariant "
-            "factors coprime to N (units convention)"
-        )
+    betti = arr.betti_numbers()
+    factors = tuple(_snf_factors(arr, q, tuple(k)) for q in range(arr.rank + 1))
+    ranks = [sum(1 for d in fq if gcd(d, N) == 1) for fq in factors]
+    notes.append(
+        "composite modulus: boundary ranks count Smith invariant "
+        "factors coprime to N (units convention)"
+    )
     dims = tuple(
         betti[q] - ranks[q] - (ranks[q - 1] if q else 0)
         for q in range(arr.rank + 1)

@@ -597,6 +597,69 @@ def _monic_factor(f: list[int]) -> list[int] | None:
     return None
 
 
+def _irreducible_mod_p(f: list[int], p: int) -> bool:
+    """Rabin's test: is the monic integer polynomial f (ascending
+    coefficients, degree d >= 2) irreducible over F_p?
+
+    It is iff x^(p^d) = x modulo f and x^(p^(d/r)) - x is coprime to f for
+    every prime r dividing d.  A monic f irreducible modulo p is
+    irreducible over Q, since a monic factorization over Z reduces to one
+    modulo p with the same degrees.
+    """
+    d = len(f) - 1
+    f = [c % p for c in f]
+
+    def mulmod(a, b):  # residues of degree < d, reduced modulo f
+        out = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for k in range(2 * d - 2, d - 1, -1):
+            c = out[k] % p
+            if c:
+                for j in range(d):
+                    out[k - d + j] -= c * f[j]
+        return [c % p for c in out[:d]]
+
+    def frobenius(a):  # a^p modulo f
+        out, sq, e = [1] + [0] * (d - 1), a, p
+        while e:
+            if e & 1:
+                out = mulmod(out, sq)
+            sq, e = mulmod(sq, sq), e >> 1
+        return out
+
+    def coprime_to_f(a):  # Euclid over F_p on (f, a)
+        u, v = _poly_trim(list(f)), _poly_trim(list(a))
+        while v:
+            inv = pow(v[-1], p - 2, p)
+            while len(u) >= len(v):
+                c = u[-1] * inv % p
+                shift = len(u) - len(v)
+                for j, y in enumerate(v):
+                    u[shift + j] = (u[shift + j] - c * y) % p
+                _poly_trim(u)
+            u, v = v, u
+        return len(u) == 1
+
+    x = [0, 1] + [0] * (d - 2)
+    powers = [x]  # x^(p^i) modulo f
+    for _ in range(d):
+        powers.append(frobenius(powers[-1]))
+    if powers[d] != x:
+        return False
+    for r in {r for r in range(2, d + 1) if d % r == 0 and is_prime(r)}:
+        diff = [(a - b) % p for a, b in zip(powers[d // r], x)]
+        if not coprime_to_f(diff):
+            return False
+    return True
+
+
+# Primes tried by ``_irreducible_mod_p`` before Kronecker's search.
+_CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
 def _divisors(v: int) -> list[int]:
     """Positive and negative divisors of the nonzero integer v."""
     v = abs(v)
@@ -611,6 +674,8 @@ class NumberField:
     Coefficient lists are ascending: [1, 1, 1] is x^2 + x + 1.  Elements are
     immutable coefficient vectors of length deg(p).  A reducible p, which
     would make the quotient a ring with zero divisors, raises ValueError.
+    Irreducibility is proved modulo a small prime where p stays irreducible
+    (Rabin's test), and otherwise by Kronecker's search over Z.
     """
 
     def __init__(self, min_poly: Iterable[int], gen_name: str = "w"):
@@ -619,7 +684,8 @@ class NumberField:
             raise ValueError("minimal polynomial must have degree >= 2")
         if mp[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        factor = _monic_factor(mp)
+        certified = any(_irreducible_mod_p(mp, p) for p in _CERTIFICATE_PRIMES)
+        factor = None if certified else _monic_factor(mp)
         if factor is not None:
             raise ValueError(
                 f"minimal polynomial {mp} is reducible: it has the factor {factor}"

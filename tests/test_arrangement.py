@@ -20,6 +20,7 @@ from oscoh import (
     product_arrangement,
     projective_closure,
 )
+from oscoh.arrangement import poincare_product
 
 from conftest import CATALOG_NAMES
 
@@ -323,3 +324,25 @@ def test_labels_default_and_custom():
     arr = build_arrangement([[1, 0, 0], [0, 1, 0]], labels=["x", "y"])
     assert arr.labels == ["x", "y"]
     assert len(catalog.get("ceva3").labels) == 9
+
+
+def test_decone_is_the_matroid_with_the_last_hyperplane_at_infinity():
+    for name in ("ceva3", "maclane", "example-lstrict", "boolean(4)"):
+        arr = catalog.get(name)
+        d = arr.decone()
+        assert d is arr.decone()  # built once
+        assert (d.n, d.rank, d.labels) == (arr.n - 1, arr.rank - 1, arr.labels[:-1])
+        assert d.cone_matroid.circuits() == arr.cone_matroid.circuits()
+        # Betti numbers from P(t) / (1 + t), without a lattice of its own
+        betti = d.betti_numbers()
+        assert "lattice" not in d._cache
+        assert poincare_product(betti, (1, 1)) == tuple(arr.betti_numbers())
+        fresh = arrangement_from_cone_circuits(arr.n - 1, arr.central_circuits())
+        levels = fresh.intersection_lattice().levels
+        assert [sum(abs(f.moebius) for f in level) for level in levels] == betti
+    # a decone at a coloop is central: boolean(4) deconed is boolean(3)
+    assert catalog.get("boolean(4)").decone().central
+    assert not catalog.get("ceva3").decone().central
+    for arr in (catalog.get("boolean(1)"), catalog.get("ceva3-section")):
+        with pytest.raises(ValueError, match="decone"):
+            arr.decone()

@@ -111,6 +111,21 @@ def test_oscohom_json(capsys):
     assert doc["ring"] == "Q"
 
 
+def test_oscohom_names_the_reduction(capsys):
+    code, out, _ = run(capsys, ["oscohom", "ceva3", "--weights", CEVA_W])
+    assert code == 0
+    assert "dims by degree: [0, 1, 11, 10]" in out
+    assert "note: central, weight sum zero: decone at H_9 (y-w2z)" in out
+    _, out, _ = run(capsys, ["oscohom", "ceva3", "--weights", CEVA_W, "--format", "json"])
+    assert json.loads(out)["notes"] == ["central, weight sum zero: decone at H_9 (y-w2z)"]
+    _, out, _ = run(capsys, ["modn", "boolean(2)", "--k", "1,1", "--N", "3", "--format", "json"])
+    assert json.loads(out)["notes"] == ["central, weight sum non-zero: the complex is exact"]
+    # the upper bound's reduction reaches the bounds notes
+    _, out, _ = run(capsys, ["bounds", "ceva3", "--weights", CEVA_W, "--format", "json"])
+    notes = json.loads(out)["convention_notes"]
+    assert "central, weight sum zero: decone at H_9 (y-w2z)" in notes
+
+
 def test_modn_text(capsys):
     code, out, _ = run(
         capsys,

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from oscoh import build_arrangement, catalog, exactla
+from oscoh import build_arrangement, catalog, exactla, product_arrangement
 from oscoh.cohom import (
     WeightVector,
     kunneth_product,
@@ -15,7 +17,7 @@ from oscoh.cohom import (
     poincare_str,
     scaling_equivalence_check,
 )
-from oscoh.exactla import STACK_CELLS, rank_mod_p, rank_over_Q, smith_normal_form
+from oscoh.exactla import bareiss_rank, rank_mod_p, rank_over_Q, smith_normal_form
 from oscoh.osalg import aomoto_matrix
 
 from conftest import random_weight_vector
@@ -23,6 +25,31 @@ from conftest import random_weight_vector
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
 MACLANE_SECTION_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 0, -1, 1, -1, -1, 1, 0))
+
+
+def braid_rows(l):
+    """Forms of the essential braid arrangement A_l: x_i and x_i - x_j."""
+    unit = [[int(c == i) for c in range(l)] for i in range(l)]
+    rows = [u + [0] for u in unit]
+    rows += [[a - b for a, b in zip(unit[i], unit[j])] + [0] for i in range(l) for j in range(i + 1, l)]
+    return rows
+
+
+def full_ranks(arr, k, p=None):
+    """Ranks of every boundary of the full complex at the integer weights
+    k, by Bareiss (or modulo the prime p) on the evaluated matrix."""
+    out = []
+    for q in range(arr.rank + 1):
+        mat = aomoto_matrix(arr, q).evaluate(list(k))
+        out.append(bareiss_rank(mat) if p is None else rank_mod_p(mat, p))
+    return tuple(out)
+
+
+def bareiss_dims(arr, k, p=None):
+    """Dims b_q - r_q - r_(q-1) of the full complex at the weights k."""
+    ranks = (0,) + full_ranks(arr, k, p)
+    betti = arr.betti_numbers()
+    return tuple(betti[q] - ranks[q + 1] - ranks[q] for q in range(arr.rank + 1))
 
 
 def three_concurrent_lines():
@@ -176,8 +203,8 @@ def test_mod_prime_dominates_rational_dims():
 
 
 def test_bounded_ranks_match_unbounded_ranks_on_product():
-    # os_cohomology_dims passes b_q - rank mu^(q-1) to rank_over_Q as an
-    # upper bound; at the README weights mu^3 is resonant and misses it
+    # the report's ranks follow from its dims, which come from the factors
+    # (Kunneth); at the README weights mu^3 is resonant
     arr = catalog.get("product-example")
     generic = tuple(
         Fraction(x, 7) for x in (1, 2, 3, -1, -2, -3, 4, 5, 1, 2, -4, 3, 1, -1, 2, 5, 1)
@@ -185,7 +212,8 @@ def test_bounded_ranks_match_unbounded_ranks_on_product():
     lams = (CEVA_WEIGHTS + MACLANE_SECTION_WEIGHTS, generic)
     dims = []
     for lam in lams:
-        arr._cache.pop("rankQ", None)  # rank afresh, not from another test
+        for a in (arr, *arr.product_factors):
+            a._cache.pop("rankQ", None)  # rank afresh, not from another test
         rep = os_cohomology_dims(arr, lam)
         k = list(WeightVector(lam).k)
         unbounded = tuple(
@@ -195,20 +223,44 @@ def test_bounded_ranks_match_unbounded_ranks_on_product():
         assert rep.ranks == unbounded, lam
         dims.append(rep.dims)
     assert rep.dims == (0, 0, 0, 0, 208)
-    # The stacked path agrees.  mu^3 (372 x 480) is above STACK_CELLS, so it
-    # is ranked one matrix at a time, while the smaller degrees are stacked.
-    assert aomoto_matrix(arr, 3).shape == (372, 480) and 372 * 480 > STACK_CELLS
-    arr._cache.pop("rankQ", None)
+    for a in (arr, *arr.product_factors):
+        a._cache.pop("rankQ", None)
     stacked = os_cohomology_dims_stack(arr, [WeightVector(lam).k for lam in lams])
     assert [tuple(row) for row in stacked.tolist()] == dims
 
 
+def test_matrices_above_the_stack_budget_are_ranked_one_at_a_time(monkeypatch):
+    # With the budget below mu^1 (9 x 24) of ceva3-section, each of its
+    # matrices is evaluated and ranked on its own, while mu^0 (1 x 9) is
+    # still stacked; the dims agree with Bareiss ranks of each matrix.
+    from oscoh import cohom
+    from oscoh.osalg import AomotoMatrix
+
+    arr = catalog.get("ceva3-section")
+    arr._cache.pop("rankQ", None)  # rank afresh, not from another test
+    monkeypatch.setattr(cohom, "STACK_CELLS", 100)
+    sizes = {}
+    real = AomotoMatrix.evaluate_stack
+
+    def recorded(self, K):
+        sizes.setdefault(self.shape, []).append(len(K))
+        return real(self, K)
+
+    monkeypatch.setattr(AomotoMatrix, "evaluate_stack", recorded)
+    K = [[1, 1, 1, 1, 1, 1, -2, -2, -2], [1, 2, -1, 3, 1, 0, 2, 1, 1], [2, 1, -3, 1, 1, 1, 4, 1, 2], [1, 0, 0, 0, 1, 0, 0, 0, 1]]
+    got = os_cohomology_dims_stack(arr, K)
+    mu1 = aomoto_matrix(arr, 1).shape
+    assert mu1[0] * mu1[1] > 100 and sizes[mu1] == [1, 1, 1, 1]
+    assert sizes[aomoto_matrix(arr, 0).shape] == [4]
+    assert [tuple(row) for row in got.tolist()] == [bareiss_dims(arr, k) for k in K]
+
+
 def test_exact_degrees_are_proved_by_one_prime_each(monkeypatch):
     # Away from resonance every degree reaches its d**2 = 0 bound
-    # b_q - rank mu^(q-1) modulo the first prime, so each of the eight
-    # boundaries of boolean(8) takes one modular elimination; without the
-    # bound, mu^3 (56 x 70, rank 35) would need the Hadamard loop.
-    arr = build_arrangement([[int(i == j) for j in range(9)] for i in range(8)])
+    # b_q - rank mu^(q-1) modulo the first prime.  On the decone of A_4 at
+    # generic weights each of the three boundaries takes one modular
+    # elimination.  boolean(8) at weights whose sum is non-zero takes none:
+    # its complex is exact, so no matrix is ranked.
     calls = []
     real = exactla._rank_mod_p_numpy
 
@@ -217,9 +269,15 @@ def test_exact_degrees_are_proved_by_one_prime_each(monkeypatch):
         return real(m, p)
 
     monkeypatch.setattr(exactla, "_rank_mod_p_numpy", counted)
+    decone = build_arrangement(braid_rows(4)).decone()
+    rep = os_cohomology_dims(decone, [Fraction(x, 11) for x in (1, 2, 3, -1, 5, 4, -3, 7, 2)])
+    assert rep.dims == (0, 0, 0, abs(decone.euler_characteristic())) and rep.notes == []
+    assert len(calls) == 3
+    calls.clear()
+    arr = build_arrangement([[int(i == j) for j in range(9)] for i in range(8)])
     rep = os_cohomology_dims(arr, [Fraction(x, 11) for x in (1, 2, 3, -1, 5, 4, -3, 7)])
     assert rep.dims == (0,) * 9
-    assert len(calls) == 8
+    assert len(calls) == 0
 
 
 def test_composite_modulus_uses_unit_invariant_factors():
@@ -295,3 +353,122 @@ def test_scaling_equivalence():
         assert scaling_equivalence_check(arr, CEVA_WEIGHTS, c)
     with pytest.raises(ValueError):
         scaling_equivalence_check(arr, CEVA_WEIGHTS, 0)
+
+
+# ---------------------------------------------------------------------------
+# the reduction before ranking: Kunneth, exact central complexes, the decone
+
+REDUCTION = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+# small factors for products: central of rank 1 and 2, and three affine lines
+SMALL_FACTORS = {
+    "boolean(1)": lambda: catalog.get("boolean(1)"),
+    "boolean(2)": lambda: catalog.get("boolean(2)"),
+    "triangle": lambda: build_arrangement([[1, 0, 0], [0, 1, 0], [1, 1, -1]]),
+}
+
+
+@st.composite
+def central_arrangements(draw):
+    """A central arrangement of integer forms through the origin in 3 or 4
+    variables, alone or times a small arrangement (first or second)."""
+    dim = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(dim, dim + 2))
+    forms = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=n, max_size=n)
+    )
+    try:
+        arr = build_arrangement([list(f) + [0] for f in forms])
+    except ValueError:
+        assume(False)
+    other = draw(st.sampled_from([None, *SMALL_FACTORS]))
+    if other is not None:
+        pair = (arr, SMALL_FACTORS[other]())
+        arr = product_arrangement(*(pair if draw(st.booleans()) else pair[::-1]))
+    return arr
+
+
+def zero_sum(row, lo, hi, target=0):
+    """The row with k[hi-1] changed so that row[lo:hi] sums to target."""
+    row = list(row)
+    row[hi - 1] += target - sum(row[lo:hi])
+    return row
+
+
+def weight_stack(draw, arr, p):
+    """Rows mixing zero-sum and non-zero-sum weights (over Q, mod p only,
+    and per factor of a product), with repeated rays."""
+    blocks = [(0, arr.n)]
+    if arr.product_factors is not None:
+        n1 = arr.product_factors[0].n
+        blocks += [(0, n1), (n1, arr.n)]
+    rows = []
+    for _ in range(draw(st.integers(3, 6))):
+        row = [draw(st.integers(-3, 3)) for _ in range(arr.n)]
+        kind = draw(st.sampled_from(["free", "zero", "mod p"]))
+        lo, hi = draw(st.sampled_from(blocks))
+        if kind != "free":
+            row = zero_sum(row, lo, hi, 0 if kind == "zero" else p)
+        rows.append(row)
+    rows.append([2 * x for x in rows[0]])  # the same ray as the first row
+    rows.append([-x for x in rows[1]])
+    return rows
+
+
+@REDUCTION
+@given(central_arrangements(), st.sampled_from([2, 3, 5, 7]), st.data())
+def test_reduced_dims_match_the_full_complex(arr, p, data):
+    K = weight_stack(data.draw, arr, p)
+    stacked = os_cohomology_dims_stack(arr, K).tolist()
+    for k, got in zip(K, stacked):
+        ranks = full_ranks(arr, k)
+        dims = bareiss_dims(arr, k)
+        assert tuple(got) == dims, (k, got, dims)
+        rep = os_cohomology_dims(arr, k)
+        assert (rep.dims, rep.ranks) == (dims, ranks), k
+        mod = modN_cohomology_ranks(arr, k, p)
+        assert (mod.dims, mod.ranks) == (bareiss_dims(arr, k, p), full_ranks(arr, k, p)), k
+
+
+def test_rank_one_central_arrangement():
+    # one hyperplane in C^1: mu^0 is multiplication by k_1
+    arr = build_arrangement([[2, 0]])
+    for k in ((0,), (3,), (-5,)):
+        rep = os_cohomology_dims(arr, k)
+        assert (rep.dims, rep.ranks) == (bareiss_dims(arr, k), full_ranks(arr, k))
+        for p in (2, 3, 5):
+            mod = modN_cohomology_ranks(arr, k, p)
+            assert (mod.dims, mod.ranks) == (bareiss_dims(arr, k, p), full_ranks(arr, k, p))
+    assert os_cohomology_dims(arr, (0,)).dims == (1, 1)
+    assert modN_cohomology_ranks(arr, (5,), 5).dims == (1, 1)
+    assert os_cohomology_dims_stack(arr, [[0], [3], [0], [-1]]).tolist() == [
+        [1, 1], [0, 0], [1, 1], [0, 0]
+    ]
+
+
+def test_notes_name_the_reduction():
+    prod = catalog.get("product-example")
+    rep = os_cohomology_dims(prod, CEVA_WEIGHTS + MACLANE_SECTION_WEIGHTS)
+    assert rep.notes == ["Kunneth over the factors (9 + 8 hyperplanes)"]
+    ceva = catalog.get("ceva3")
+    assert os_cohomology_dims(ceva, CEVA_WEIGHTS).notes == [
+        "central, weight sum zero: decone at H_9 (y-w2z)"
+    ]
+    exact = ["central, weight sum non-zero: the complex is exact"]
+    assert os_cohomology_dims(ceva, (Fraction(1, 3),) * 9).notes == exact
+    # mod 3 the sum 9 of these weights is zero, so the decone is used
+    assert modN_cohomology_ranks(ceva, (1,) * 9, 3).notes[0].startswith("central, weight sum zero")
+    assert modN_cohomology_ranks(ceva, (1,) * 9, 5).notes == exact
+    # a product of central factors names each factor's reduction
+    b = catalog.get("boolean(1)")
+    rep = os_cohomology_dims(product_arrangement(b, ceva), (1,) + (0,) * 9)
+    assert rep.notes == [
+        "Kunneth over the factors (1 + 9 hyperplanes)",
+        "factor 1: central, weight sum non-zero: the complex is exact",
+        "factor 2: central, weight sum zero: decone at H_9 (y-w2z)",
+    ]
+    assert rep.dims == (0,) * 5
+    assert os_cohomology_dims(catalog.get("ceva3-section"), CEVA_WEIGHTS).notes == []

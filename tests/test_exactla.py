@@ -362,9 +362,10 @@ def test_number_field_rejects_reducible_min_poly():
             f = poly_mul(f, g)
         with pytest.raises(ValueError, match="reducible"):
             NumberField(f)
-    # a polynomial whose values are too large to search is refused loudly
+    # a polynomial that factors modulo every prime (its Galois group is
+    # Z/2 x Z/2), with values too large to search, is refused loudly
     with pytest.raises(ValueError, match="cannot prove"):
-        NumberField([10**30 + 1, 0, 1])
+        NumberField([10**28, 0, -(10**15), 0, 1])  # 10**7 (sqrt 2 + sqrt 3)
 
 
 def test_number_field_accepts_irreducible_min_poly():
@@ -374,6 +375,35 @@ def test_number_field_accepts_irreducible_min_poly():
         nf = NumberField(f, "x")
         x = nf.gen
         assert (x + 2) * (x + 2).inverse() == nf.one
+
+
+def cyclotomic(n):
+    """Phi_n, ascending integer coefficients, by dividing x^n - 1 by Phi_d
+    for the proper divisors d of n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = cyclotomic(d)
+            quot = [0] * (len(num) - len(den) + 1)
+            for i in range(len(quot) - 1, -1, -1):  # den is monic
+                quot[i] = num[i + len(den) - 1]
+                for j, c in enumerate(den):
+                    num[i + j] -= quot[i] * c
+            num = quot
+    return num
+
+
+def test_number_field_irreducible_modulo_a_small_prime_is_accepted():
+    # Kronecker's search cannot afford these degrees; each Phi_n stays
+    # irreducible modulo a prime generating (Z/n)^*, which proves it
+    for n in (17, 19, 23, 25, 27, 29, 31, 34, 37, 38):
+        f = cyclotomic(n)
+        assert exactla._irreducible_mod_p(f, next(p for p in range(2, n) if exactla._irreducible_mod_p(f, p)))
+        assert NumberField(f).degree == len(f) - 1
+    # x^2 + 10**30 + 1 is irreducible modulo 7, though too large to search
+    assert NumberField([10**30 + 1, 0, 1]).degree == 2
+    # (Z/32)^* is not cyclic: Phi_32 = x^16 + 1 factors modulo every prime
+    assert not any(exactla._irreducible_mod_p(cyclotomic(32), p) for p in exactla._CERTIFICATE_PRIMES)
 
 
 def test_number_field_coercion_and_equality():
