@@ -185,7 +185,7 @@ def os_cohomology_dims_stack(arr, K) -> np.ndarray:
     lam; any nonzero multiple gives the same dims.  Returns a (T, rank+1)
     array whose row t is ``os_cohomology_dims(arr, lam).dims``.
     """
-    K = K if isinstance(K, np.ndarray) else _int_array(K)
+    K = _int_array(K)
     if K.ndim != 2 or K.shape[1] != arr.n:
         raise ValueError(f"expected rows of {arr.n} weights, got shape {K.shape}")
     return _reduced_dims(arr, K)

@@ -156,11 +156,13 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _int_array(a) -> np.ndarray:
-    """Integer array as int64, or as Python ints past int64."""
+    """Integer array as int64, or as Python ints past int64.  -2**63 counts
+    as past int64: its negation and absolute value wrap."""
     try:
-        return np.array(a, dtype=np.int64)
+        out = np.array(a, dtype=np.int64)
     except OverflowError:
         return np.array(a, dtype=object)
+    return out.astype(object) if (out == np.iinfo(np.int64).min).any() else out
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -255,6 +256,18 @@ def test_matrices_above_the_stack_budget_are_ranked_one_at_a_time(monkeypatch):
     assert [tuple(row) for row in got.tolist()] == [bareiss_dims(arr, k) for k in K]
 
 
+def test_weights_at_minus_two_to_the_63_are_not_wrapped():
+    # -2**63 fits in int64, but its negation does not: mu^1 has an entry
+    # -k_2, which must read 2**63, and the normalized rankQ key flips signs
+    arr = build_arrangement([[0, 1, 0], [1, 0, 0], [1, 1, 1]])
+    k = (1 - 2**62, -(2**63), -(2**62))
+    assert 2**63 in aomoto_matrix(arr, 1).evaluate(k)[0]
+    dims = bareiss_dims(arr, k)
+    assert os_cohomology_dims(arr, WeightVector.from_modular(k, 2**62).lam).dims == dims
+    K = np.array([k, (1, 2, 3)], dtype=np.int64)
+    assert tuple(os_cohomology_dims_stack(arr, K)[0].tolist()) == dims
+
+
 def test_exact_degrees_are_proved_by_one_prime_each(monkeypatch):
     # Away from resonance every degree reaches its d**2 = 0 bound
     # b_q - rank mu^(q-1) modulo the first prime.  On the decone of A_4 at
@@ -359,7 +372,7 @@ def test_scaling_equivalence():
 # the reduction before ranking: Kunneth, exact central complexes, the decone
 
 REDUCTION = settings(
-    max_examples=40,
+    max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
@@ -406,7 +419,7 @@ def weight_stack(draw, arr, p):
         n1 = arr.product_factors[0].n
         blocks += [(0, n1), (n1, arr.n)]
     rows = []
-    for _ in range(draw(st.integers(3, 6))):
+    for _ in range(draw(st.integers(2, 4))):
         row = [draw(st.integers(-3, 3)) for _ in range(arr.n)]
         kind = draw(st.sampled_from(["free", "zero", "mod p"]))
         lo, hi = draw(st.sampled_from(blocks))

@@ -355,7 +355,8 @@ def stacked_options(rows, lam, box):
 
 @st.composite
 def arrangement_rows(draw, dim, central, sizes):
-    """Rows of a small essential arrangement with distinct hyperplanes."""
+    """Rows of a small essential arrangement with distinct hyperplanes,
+    central or affine as asked."""
     coef = st.integers(-2, 2)
     const = st.just(0) if central else coef
     n = draw(sizes)
@@ -366,9 +367,10 @@ def arrangement_rows(draw, dim, central, sizes):
         )
     )
     try:
-        build_arrangement([list(r) for r in rows])
+        arr = build_arrangement([list(r) for r in rows])
     except ValueError:
         assume(False)
+    assume(arr.central == central)
     return [list(r) for r in rows]
 
 
