@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oscoh import build_arrangement, catalog, exactla, product_arrangement, resonance
+from oscoh import build_arrangement, catalog, product_arrangement, resonance
 from oscoh.cohom import WeightVector, os_cohomology_dims
 from oscoh.exactla import STACK_CELLS, NotPrimeError, bareiss_rank
 from oscoh.osalg import CELL_BUDGET, aomoto_matrix
