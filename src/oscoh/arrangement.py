@@ -4,22 +4,26 @@ An arrangement is either realized (exact linear forms over Q or a number
 field) or abstract (matroid data only).  Internally every arrangement
 carries the matroid of its projective cone on elements 0..n, where element
 n plays the hyperplane at infinity; for a central arrangement that element
-is simply a coloop.  All lattice, Betti and density computations run off
-this one structure, so realized and abstract inputs share every code path
-downstream of construction.
+is simply a coloop.  The cone matroid is a rank/closure oracle
+(``matroid``): linear on the integer cone vectors of a realized input,
+circuit-based for abstract input, and a wrapper for sections, products
+and projective closures.  Lattice, Betti, density and NBC computations
+run off the cover map it records while building the lattice, so realized
+and abstract inputs share every code path downstream of construction.
+One atom check on the oracle refuses a hyperplane that is zero or at
+infinity and two that coincide, whatever the input kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .exactla import NumberField, field_rank, pivot_columns, rank_over_Q
-from .matroid import Matroid, parallel_connection, vector_matroid
+from .exactla import NumberField, pivot_columns
+from .matroid import Matroid, add_coloop, parallel_connection, vector_matroid
 
 __all__ = [
     "Arrangement",
@@ -61,11 +65,17 @@ class NotEssentialError(ValueError):
 
 @dataclass(frozen=True)
 class Flat:
-    """A flat of the intersection lattice: which hyperplanes contain it."""
+    """A flat of the intersection lattice: which hyperplanes contain it.
+
+    ``beta`` is Crapo's invariant of the localization at the flat,
+    (-1)^(q-1) * sum over flats G <= F of mu(G) * (q - codim G) for q the
+    codimension; it is non-zero exactly when the localization is connected.
+    """
 
     hyperplanes: frozenset
     codim: int
     moebius: int
+    beta: int
 
     @property
     def sorted_hyperplanes(self) -> tuple:
@@ -156,27 +166,24 @@ class Arrangement:
             self._cache["lattice"] = self._build_lattice()
         return self._cache["lattice"]
 
+    def covers(self) -> dict:
+        """The cover map of the lattice, as masks: ``covers[F][e]`` is
+        cl(F + e) in the cone matroid for each flat F of codimension below
+        the rank and each e outside F.  A cover that contains the
+        hyperplane at infinity (bit n) is no flat of the arrangement."""
+        if "covers" not in self._cache:
+            self.intersection_lattice()
+        return self._cache["covers"]
+
     def _build_lattice(self) -> IntersectionLattice:
-        cm = self.cone_matroid
-        inf_bit = 1 << self.infinity
-        bottom = cm._closure_mask(0)
-        levels_masks = [[bottom]]
-        for _ in range(self.rank):
-            nxt = set()
-            for fm in levels_masks[-1]:
-                covered = fm | inf_bit
-                for e in range(self.n):
-                    if covered >> e & 1:
-                        continue
-                    child = cm._closure_mask(fm | (1 << e))
-                    covered |= child
-                    if not child & inf_bit:
-                        nxt.add(child)
-            levels_masks.append(sorted(nxt))
+        levels_masks, covers = self.cone_matroid.flat_levels(self.infinity, self.rank)
+        self._cache["covers"] = covers
+        bottom = levels_masks[0][0]
 
         # Moebius recursion from the bottom within the poset of central
         # flats: mu(F) = -sum of mu(G) over the flats G below F, for a whole
         # level at once, testing G <= F on the masks packed in 64-bit words.
+        # Crapo's beta of F is one more product over the same flats G.
         words = self.n // 64 + 1
 
         def packed(masks):
@@ -185,24 +192,31 @@ class Arrangement:
                 dtype=np.uint64,
             ).reshape(len(masks), words)
 
-        below, below_mu = packed([bottom]), np.ones(1, dtype=np.int64)
-        flat_levels = [[Flat(_mask_to_frozenset(bottom), 0, 1)]]
+        below = packed([bottom])
+        below_mu, below_codim = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        flat_levels = [[Flat(_mask_to_frozenset(bottom), 0, 1, 0)]]
         for q, level in enumerate(levels_masks[1:], start=1):
             cur = packed(level)
             mu = np.empty(len(level), dtype=np.int64)
+            beta = np.empty(len(level), dtype=np.int64)
+            weight = below_mu * (q - below_codim)
             step = max(1, 2**20 // len(below))
             for s in range(0, len(level), step):
                 inside = np.ones((len(cur[s : s + step]), len(below)), dtype=bool)
                 for w in range(words):
                     inside &= (below[None, :, w] & ~cur[s : s + step, None, w]) == 0
                 mu[s : s + step] = -(inside @ below_mu)
+                beta[s : s + step] = inside @ weight
+            beta *= (-1) ** (q - 1)
             flats = [
-                Flat(_mask_to_frozenset(fm), q, m) for fm, m in zip(level, mu.tolist())
+                Flat(_mask_to_frozenset(fm), q, m, b)
+                for fm, m, b in zip(level, mu.tolist(), beta.tolist())
             ]
             flats.sort(key=lambda f: f.sorted_hyperplanes)
             flat_levels.append(flats)
             below = np.concatenate([below, cur])
             below_mu = np.concatenate([below_mu, mu])
+            below_codim = np.concatenate([below_codim, np.full(len(level), q)])
         return IntersectionLattice(flat_levels)
 
     # -- numeric invariants --------------------------------------------------
@@ -248,7 +262,7 @@ class Arrangement:
                 forms = [list(a) + [c, zero] for a, c in self.forms]
                 forms.append([zero] * self.rank + [one, zero])
                 forms = [(tuple(r[:-1]), r[-1]) for r in forms]
-            cone = _extend_by_coloop(self.cone_matroid)
+            cone = add_coloop(self.cone_matroid)
             self._cache["closure"] = Arrangement(
                 n1, self.rank + 1, True, cone, field=field, forms=forms, labels=labels
             )
@@ -258,17 +272,26 @@ class Arrangement:
         """The decone of a central arrangement at its last hyperplane H_n.
 
         Its cone matroid is this arrangement's matroid with H_n as the
-        hyperplane at infinity, so it is built from ``central_circuits``
-        with no relabelling, and its Poincare polynomial is this one's
-        divided by 1 + t: no second lattice is built.  A rank-1 central
-        arrangement has no decone.
+        hyperplane at infinity: the cone matroid restricted to the
+        hyperplanes, so a realized arrangement's decone keeps its vectors.
+        Its covers are this lattice's covers of the flats without H_n, and
+        its Poincare polynomial is this one's divided by 1 + t: no second
+        lattice is built.  A rank-1 central arrangement has no decone.
         """
         if not self.central or self.rank < 2:
             raise ValueError("the decone needs a central arrangement of rank >= 2")
         if "decone" not in self._cache:
-            d = arrangement_from_cone_circuits(
-                self.n - 1, self.central_circuits(), labels=self.labels[:-1], validate=False
+            n, last = self.n, 1 << (self.n - 1)
+            central = self.cone_matroid._rank_mask(last - 1) < self.rank
+            d = Arrangement(
+                n - 1, self.rank - 1, central, self.cone_matroid.restriction(n),
+                labels=self.labels[:-1],
             )
+            d._cache["covers"] = {
+                fm: {e: child for e, child in cov.items() if e < n}
+                for fm, cov in self.covers().items()
+                if not fm & last
+            }
             betti = [1]
             for b in self.betti_numbers()[1:-1]:
                 betti.append(b - betti[-1])
@@ -277,18 +300,11 @@ class Arrangement:
         return self._cache["decone"]
 
     def dense_edges(self) -> list[Flat]:
-        """Flats of positive codimension whose localization is connected."""
+        """Flats of positive codimension whose localization is connected:
+        those with a non-zero beta invariant."""
         if not self.central:
             raise ValueError("dense edges are defined for central arrangements")
-        if "dense" not in self._cache:
-            cm = self.cone_matroid
-            out = []
-            for level in self.intersection_lattice().levels[1:]:
-                for f in level:
-                    if cm.restriction_connected(f.hyperplanes):
-                        out.append(f)
-            self._cache["dense"] = out
-        return list(self._cache["dense"])
+        return [f for level in self.intersection_lattice().levels[1:] for f in level if f.beta]
 
 
 def _mask_to_frozenset(m: int) -> frozenset:
@@ -302,8 +318,30 @@ def _mask_to_frozenset(m: int) -> frozenset:
     return frozenset(out)
 
 
-def _extend_by_coloop(m: Matroid) -> Matroid:
-    return Matroid(m.n + 1, m.circuits())
+def _check_atoms(cone: Matroid, n: int) -> None:
+    """Refuse a hyperplane that is zero or at infinity, then two that
+    coincide: in the cone matroid, whose element n is infinity, a loop or
+    an atom of the lattice with more than one element."""
+    loops = cone._closure_mask(0)
+    if loops >> n & 1:
+        raise ValueError(f"the hyperplane at infinity (element {n + 1}) is a loop")
+    atoms = cone._covers_of(loops)
+    for e in range(n):
+        if loops >> e & 1 or atoms[e] >> n & 1:
+            raise ZeroFormError(f"hyperplane {e + 1} has zero coefficient part")
+    for e in range(n):
+        others = atoms[e] & ~(1 << e)
+        if others:
+            j = (others & -others).bit_length() - 1
+            raise ValueError(f"hyperplanes {e + 1} and {j + 1} coincide")
+
+
+def _cone_of_forms(forms, nf) -> Matroid:
+    """The linear oracle on the cone vectors (a, c) of the forms a.z + c,
+    with (0, 1) for infinity."""
+    zero, one = _field_consts(nf)
+    ell = len(forms[0][0])
+    return vector_matroid([list(a) + [c] for a, c in forms] + [[zero] * ell + [one]])
 
 
 def _field_consts(field):
@@ -346,13 +384,9 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
     def coerce(x):
         return nf(x) if nf else Fraction(x)
 
-    forms = []
-    for i, r in enumerate(rows):
-        coeffs = tuple(coerce(x) for x in r[:ell])
-        const = coerce(r[ell])
-        if not any(coeffs):
-            raise ZeroFormError(f"hyperplane {i+1} has zero coefficient part")
-        forms.append((coeffs, const))
+    forms = [(tuple(coerce(x) for x in r[:ell]), coerce(r[ell])) for r in rows]
+    cone = _cone_of_forms(forms, nf)
+    _check_atoms(cone, len(forms))
 
     pivots = pivot_columns([a for a, _ in forms])
     if len(pivots) < ell:
@@ -364,27 +398,9 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
         ell = len(pivots)
 
     central = not any(c for _, c in forms)
-    zero, one = _field_consts(nf)
-    vectors = [list(a) + [c] for a, c in forms]
-    vectors.append([zero] * ell + [one])
-    if nf:
-        cone = vector_matroid(vectors, field_rank)
-    else:
-        # scaling a vector keeps the matroid, so rank integer vectors
-        cone = vector_matroid([_integer_row(v) for v in vectors], rank_over_Q)
-    # two forms define the same hyperplane iff their cone vectors are parallel
-    pairs = sorted(sorted(c) for c in cone.circuits() if len(c) == 2)
-    if pairs:
-        i, j = pairs[0]
-        raise ValueError(f"hyperplanes {i+1} and {j+1} coincide")
     return Arrangement(
         len(forms), ell, central, cone, field=nf or "Q", forms=forms, labels=labels
     )
-
-
-def _integer_row(row: list[Fraction]) -> list[int]:
-    m = lcm(*(x.denominator for x in row))
-    return [int(x * m) for x in row]
 
 
 def arrangement_from_circuits(
@@ -410,7 +426,8 @@ def arrangement_from_circuits(
         m = gen.truncate(rank)
         if validate:
             Matroid(n, m.circuits(), validate=True)
-    cone = _extend_by_coloop(m)
+    cone = add_coloop(m)
+    _check_atoms(cone, n)
     return Arrangement(n, m.full_rank, True, cone, labels=labels)
 
 
@@ -424,6 +441,7 @@ def arrangement_from_cone_circuits(n, cone_circuits, labels=None, validate=True)
     m = Matroid(n + 1, cone_circuits, validate=validate)
     if m.full_rank < 2:
         raise ValueError("cone matroid must have rank at least 2")
+    _check_atoms(m, n)
     central = n not in m.closure(range(n))
     return Arrangement(n, m.full_rank - 1, central, m, labels=labels)
 
@@ -448,12 +466,11 @@ def product_arrangement(a1: Arrangement, a2: Arrangement) -> Arrangement:
     central = a1.central and a2.central
     rank = a1.rank + a2.rank
     if a1.forms is not None and a2.forms is not None and a1.field == a2.field:
-        zero = _field_consts(a1.field if isinstance(a1.field, NumberField) else None)[0]
+        nf = a1.field if isinstance(a1.field, NumberField) else None
+        zero = _field_consts(nf)[0]
         forms = [(tuple(a) + (zero,) * a2.rank, c) for a, c in a1.forms]
         forms += [((zero,) * a1.rank + tuple(a), c) for a, c in a2.forms]
-        cone = parallel_connection(
-            a1.cone_matroid, a1.infinity, a2.cone_matroid, a2.infinity
-        )
+        cone = _cone_of_forms(forms, nf)
         return Arrangement(
             n, rank, central, cone, field=a1.field, forms=forms, labels=labels,
             product_factors=(a1, a2),

@@ -7,10 +7,15 @@ Monomials over sets that are independent, central, and free of broken
 circuits form the NBC basis; degree counts match the Whitney numbers of
 the intersection lattice.
 
-Hyperplane order for broken circuits is the input order.  For an affine
-arrangement a set is excluded from the basis when removing nothing at all
-already kills it: supersets of minimal non-central sets reduce to zero,
-exactly like dependent sets.
+Hyperplane order for broken circuits is the input order.  No circuit is
+listed: everything walks the cover map of the intersection lattice, which
+the arrangement's rank/closure oracle records while building the lattice
+(``Arrangement.covers``).  S = {s_1 < ... < s_q} is NBC when each s_i is the
+smallest element of cl{s_i, ..., s_q} and cl(S) misses the hyperplane at
+infinity (Bjorner, 1992), so the basis grows one element at a time from
+each flat.  A monomial over a dependent or non-central set is 0, and any
+other is rewritten with the fundamental circuit of the first smallest
+element that the walk finds missing, until only NBC monomials remain.
 
 Multiplication by the degree-one element with coefficient vector y gives
 the Aomoto boundary maps; their entries are integer linear forms in
@@ -21,7 +26,6 @@ integer weight vectors, one or a whole stack at a time, by one scatter-add.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -49,27 +53,22 @@ def circuits(arr) -> list[tuple]:
     return arr.central_circuits()
 
 
-def _os_tables(arr):
-    """Precompute mask tables driving NBC membership and rewriting."""
-    if "os_tables" in arr._cache:
-        return arr._cache["os_tables"]
-    dep_masks = []
-    rewrites = []  # (broken_mask, broken_tuple, circuit_tuple) sorted for determinism
-    for c in arr.central_circuits():
-        dep_masks.append(_mask(c))
-        rewrites.append((_mask(c[1:]), c[1:], c))
-    nc_masks = [_mask(c) for c in arr.minimal_noncentral()]
-    rewrites.sort(key=lambda t: (t[1], t[2]))
-    tables = (tuple(dep_masks), tuple(nc_masks), tuple(rewrites))
-    arr._cache["os_tables"] = tables
-    return tables
-
-
-def _mask(elems) -> int:
-    m = 0
-    for e in elems:
-        m |= 1 << e
-    return m
+def _nbc_states(arr, q: int) -> list[tuple]:
+    """(S, cl(S)) for the NBC sets S of size q, grown one element at a time
+    below the smallest: e extends S when cl(S + e) is central and e is its
+    smallest element (Bjorner's closure test for no broken circuit)."""
+    states = arr._cache.setdefault("nbc_states", [[((), 0)]])
+    covers, inf_bit = arr.covers(), 1 << arr.infinity
+    while len(states) <= q:
+        grown = []
+        for s, fm in states[-1]:
+            cov = covers[fm]
+            for e in range(s[0] if s else arr.n):
+                child = cov[e]
+                if not child & inf_bit and not child & ((1 << e) - 1):
+                    grown.append(((e,) + s, child))
+        states.append(grown)
+    return states[q]
 
 
 def nbc_basis(arr, q: int) -> list[tuple]:
@@ -78,15 +77,7 @@ def nbc_basis(arr, q: int) -> list[tuple]:
         raise ValueError(f"degree must be in 0..{arr.rank}")
     key = ("nbc", q)
     if key not in arr._cache:
-        dep_masks, nc_masks, rewrites = _os_tables(arr)
-        bad = list(dep_masks) + list(nc_masks) + [r[0] for r in rewrites]
-        bad = [b for b in bad if b.bit_count() <= q]  # larger sets can't embed
-        out = []
-        for s in combinations(range(arr.n), q):
-            sm = _mask(s)
-            if not any(b & ~sm == 0 for b in bad):
-                out.append(s)
-        arr._cache[key] = out
+        arr._cache[key] = sorted(s for s, _ in _nbc_states(arr, q))
     return list(arr._cache[key])
 
 
@@ -117,23 +108,42 @@ def reduce_to_nbc(arr, s) -> dict[tuple, int]:
 def _reduce(arr, s: tuple):
     memo = arr._cache.setdefault("reduce_memo", {})
     hit = memo.get(s)
-    if hit is not None:
-        return hit
-    dep_masks, nc_masks, rewrites = _os_tables(arr)
-    sm = _mask(s)
-    if any(b & ~sm == 0 for b in dep_masks) or any(b & ~sm == 0 for b in nc_masks):
-        memo[s] = {}
-        return {}
-    # first broken circuit occurrence in lexicographic order, if any
-    chosen = None
-    for bmask, btup, ctup in rewrites:
-        if bmask & ~sm == 0:
-            chosen = (btup, ctup)
-            break
-    if chosen is None:
-        memo[s] = {s: 1}
+    if hit is None:
+        hit = memo[s] = _rewrite(arr, s)
+    return hit
+
+
+def _rewrite(arr, s: tuple) -> dict:
+    """e_s in the NBC basis.  Walking s from its largest element down
+    through the covers, e_s is 0 once the set turns dependent or
+    non-central.  Otherwise, if some s_i is not the smallest element m of
+    cl(s_i, ..., s_q), the fundamental circuit C of m in that tail gives
+    the relation e_(C-m) = sum over c in C - m of +-e_(C-c), each term
+    trading an element of s for the smaller m."""
+    covers, inf_bit = arr.covers(), 1 << arr.infinity
+    fm, tail = 0, None
+    for i in range(len(s) - 1, -1, -1):
+        e = s[i]
+        if fm >> e & 1:
+            return {}
+        fm = covers.get(fm, {}).get(e, inf_bit)
+        if fm & inf_bit:
+            return {}
+        if tail is None and fm & ((1 << e) - 1):
+            tail = (s[i:], fm & -fm)
+    if tail is None:
         return {s: 1}
-    btup, ctup = chosen
+    t, low = tail
+    m = low.bit_length() - 1
+
+    def closure(elems):
+        f = 0
+        for x in elems:
+            f = covers[f][x]
+        return f
+
+    btup = tuple(x for x in t if not closure(y for y in t if y != x) & low)
+    ctup = (m,) + btup
     rest = tuple(x for x in s if x not in btup)
     eps, _ = _merge_sign(btup, rest)
     # boundary of the circuit: sum_i (-1)^i e_{C \ c_i} = 0, c_0 = min C
@@ -144,9 +154,7 @@ def _reduce(arr, s: tuple):
         sgn, merged = _merge_sign(term, rest)
         for mono, c in _reduce(arr, merged).items():
             out[mono] = out.get(mono, 0) + coef * sgn * c
-    out = {m: c for m, c in out.items() if c}
-    memo[s] = out
-    return out
+    return {m: c for m, c in out.items() if c}
 
 
 class AomotoMatrix:
