@@ -239,8 +239,8 @@ class Matroid:
 
 class _Oracle(Matroid):
     """A matroid known by its rank and closure functions, with circuits
-    found on demand: minimal dependent sets by search over subsets up to
-    rank + 1, skipping supersets of circuits already found."""
+    found on demand: the dependent sets whose every proper subset is
+    independent, grown size by size from the independent sets."""
 
     def __init__(self, n: int):
         self.n = n
@@ -251,11 +251,15 @@ class _Oracle(Matroid):
     def _circuit_masks(self) -> list[int]:
         if self._found is None:
             found: list[int] = []
+            indep = [0]
             for size in range(1, self.full_rank + 2):
-                for s in combinations(range(self.n), size):
-                    sm = _mask(s)
-                    if not any(c & ~sm == 0 for c in found) and self._rank_mask(sm) < size:
-                        found.append(sm)
+                known, grown = set(indep), []
+                for im in indep:
+                    for e in range(im.bit_length(), self.n):
+                        sm = im | 1 << e
+                        if all(sm & ~(1 << x) in known for x in _bits(im)):
+                            (grown if self._rank_mask(sm) == size else found).append(sm)
+                indep = grown
             self._found = sorted(found)
         return self._found
 

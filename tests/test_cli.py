@@ -321,3 +321,28 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "betti: [1, 2, 1]" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 3, "circuits": [[1, 2]]}',
+        '{"n": 3, "circuits": [[1]]}',
+        '{"n": 3, "cone_circuits": [[1, 4]]}',
+        '{"n": 3, "cone_circuits": [[4]]}',
+    ],
+)
+@pytest.mark.parametrize("command", ["lattice", "oscohom", "modn", "nonres"])
+def test_loops_and_parallel_pairs_exit_1(capsys, tmp_path, doc, command):
+    path = tmp_path / "bad.json"
+    path.write_text(doc + "\n")
+    extra = {
+        "lattice": [],
+        "oscohom": ["--weights", "1/2,1/3,1/5"],
+        "modn": ["--k", "1,2,3", "--N", "5"],
+        "nonres": ["--weights", "1/2,1/3,1/5"],
+    }[command]
+    code, out, err = run(capsys, [command, str(path)] + extra)
+    assert code == 1
+    assert out == ""
+    assert "coincide" in err or "zero coefficient part" in err or "infinity" in err

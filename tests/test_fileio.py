@@ -209,3 +209,24 @@ def test_written_file_is_plain_json(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"field", "hyperplanes", "labels"}
     assert arrangement_to_dict(catalog.get("ceva3")) == doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 3, "circuits": [[1, 2]]}, "hyperplanes 1 and 2 coincide"),
+        ({"n": 3, "circuits": [[1]]}, "hyperplane 1 has zero coefficient part"),
+        ({"n": 3, "cone_circuits": [[1, 4]]}, "hyperplane 1 has zero coefficient part"),
+        ({"n": 3, "cone_circuits": [[4]]}, "hyperplane at infinity"),
+        ({"n": 3, "cone_circuits": [[2, 3]]}, "hyperplanes 2 and 3 coincide"),
+        ({"hyperplanes": [[1, 0, 0], [0, 1, 0], [2, 0, 0]]}, "hyperplanes 1 and 3 coincide"),
+        ({"hyperplanes": [[1, 0, 0], [0, 0, 3], [0, 1, 0]]}, "hyperplane 2 has zero"),
+        ({"hyperplanes": [[1, 0, 0], [0, 0, 0], [0, 1, 0]]}, "hyperplane 2 has zero"),
+    ],
+)
+def test_loops_and_parallel_pairs_are_refused_for_every_input_kind(doc, message):
+    # one atom check on the cone matroid: a loop is a zero hyperplane, an
+    # element parallel to infinity a hyperplane at infinity, and a parallel
+    # pair two hyperplanes that coincide
+    with pytest.raises(ArrangementFileError, match=message):
+        arrangement_from_dict(doc)
