@@ -438,14 +438,13 @@ def _integer_rows(vectors: Sequence[Sequence]) -> np.ndarray:
     out = []
     for v in vectors:
         if field is None:
-            coeffs = [[Fraction(x)] for x in v]
-        else:
-            coeffs = [list(field.coerce(x).coeffs) for x in v]
-        scale = lcm(*(c.denominator for cs in coeffs for c in cs))
-        if field is None:
-            out.append([[int(cs[0] * scale) for cs in coeffs]])
+            v = [Fraction(x) for x in v]
+            scale = lcm(*(x.denominator for x in v))
+            out.append([[int(x * scale) for x in v]])
             continue
-        xs = [field([c * scale for c in cs]) for cs in coeffs]
+        xs = [field.coerce(x) for x in v]
+        scale = lcm(*(c.denominator for x in xs for c in x.coeffs))
+        xs = [x * scale for x in xs]
         block = []
         for _ in range(field.degree):
             block.append([int(c) for x in xs for c in x.coeffs])

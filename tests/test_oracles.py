@@ -117,6 +117,15 @@ def test_parallel_connection_answers_like_the_realized_product(a1, a2, rng):
         assert glued.closure(s) == linear.closure(s), s
     top = linear.full_rank - 1
     assert glued.flat_levels(linear.n - 1, top) == linear.flat_levels(linear.n - 1, top)
+    # a product's covers come from its factors', those of a second copy
+    # from its own lattice
+    from_factors, from_lattice = product_arrangement(a1, a2), product_arrangement(a1, a2)
+    from_lattice.intersection_lattice()
+    for q in range(from_factors.rank + 1):
+        assert nbc_basis(from_factors, q) == nbc_basis(from_lattice, q)
+    for q in range(from_factors.rank):
+        assert aomoto_matrix(from_factors, q).entries == aomoto_matrix(from_lattice, q).entries
+    assert "lattice" not in from_factors._cache
 
 
 def test_beta_marks_exactly_the_connected_localizations():
