@@ -21,6 +21,11 @@ A file is a single JSON object with these keys:
     n+1 elements, element n+1 being the hyperplane at infinity; requires
     ``n``.  This is the general abstract form and covers affine
     combinatorial arrangements such as generic sections.
+
+Every kind passes one check on its cone matroid: a hyperplane that is zero
+or at infinity (a loop, or an element parallel to infinity) and two
+hyperplanes that coincide (a parallel pair) raise ``ArrangementFileError``
+with the messages that forms get.
 """
 
 from __future__ import annotations

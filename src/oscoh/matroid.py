@@ -466,7 +466,7 @@ class _RankFunction(_Oracle):
 
     def _closure_mask(self, sm: int) -> int:
         r = self._rank_mask(sm)
-        return sm | _mask(e for e in range(self.n) if self._rank_mask(sm | 1 << e) == r)
+        return _mask(e for e in range(self.n) if self._rank_mask(sm | 1 << e) == r)
 
 
 def vector_matroid(vectors: Sequence[Sequence], rank_fn=None) -> Matroid:

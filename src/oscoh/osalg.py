@@ -154,7 +154,7 @@ def _rewrite(arr, s: tuple) -> dict:
         sgn, merged = _merge_sign(term, rest)
         for mono, c in _reduce(arr, merged).items():
             out[mono] = out.get(mono, 0) + coef * sgn * c
-    return {m: c for m, c in out.items() if c}
+    return {mono: c for mono, c in out.items() if c}
 
 
 class AomotoMatrix:
