@@ -170,19 +170,22 @@ class Arrangement:
         """The cover map of the lattice, as masks: ``covers[F][e]`` is
         cl(F + e) in the cone matroid for each flat F of codimension below
         the rank and each e outside F.  A cover that contains the
-        hyperplane at infinity (bit n) is no flat of the arrangement.  A
-        product's flats are the pairs of its factors' flats, so its cover
-        map comes from theirs and its own lattice is never built for it."""
+        hyperplane at infinity (bit n) is no flat of the arrangement.  It
+        comes with the flats, before and without their Moebius values."""
         if "covers" not in self._cache:
-            if self.product_factors is not None:
-                self._cache["covers"] = _product_covers(*self.product_factors)
-            else:
-                self.intersection_lattice()
+            self._flat_masks()
         return self._cache["covers"]
 
+    def _flat_masks(self) -> list[list[int]]:
+        """Masks of the flats by codimension, recording the cover map."""
+        if "flat_masks" not in self._cache:
+            levels, covers = self.cone_matroid.flat_levels(self.infinity, self.rank)
+            self._cache["flat_masks"] = levels
+            self._cache.setdefault("covers", covers)
+        return self._cache["flat_masks"]
+
     def _build_lattice(self) -> IntersectionLattice:
-        levels_masks, covers = self.cone_matroid.flat_levels(self.infinity, self.rank)
-        self._cache["covers"] = covers
+        levels_masks = self._flat_masks()
         bottom = levels_masks[0][0]
 
         # Moebius recursion from the bottom within the poset of central
@@ -321,35 +324,6 @@ def _mask_to_frozenset(m: int) -> frozenset:
         m >>= 1
         e += 1
     return frozenset(out)
-
-
-def _product_covers(a1: Arrangement, a2: Arrangement) -> dict:
-    """Cover map of a product from its factors' cover maps.  Adding a
-    hyperplane of one factor moves that factor's flat up, and meets the
-    product's infinity where it meets the factor's (an empty intersection).
-    Every flat gets a cover for every hyperplane outside it."""
-    inf = 1 << (a1.n + a2.n)
-    moves = []
-    for a, shift in ((a1, 0), (a2, a1.n)):
-        cov, a_inf = a.covers(), 1 << a.infinity
-        flats = set(cov) | {c for m in cov.values() for c in m.values() if not c & a_inf}
-        moves.append({
-            fm: {
-                e + shift: inf if child & a_inf else child << shift
-                for e in range(a.n)
-                if not fm >> e & 1
-                for child in (cov.get(fm, {}).get(e, a_inf),)
-            }
-            for fm in flats
-        })
-    out = {}
-    for f1, m1 in moves[0].items():
-        for f2, m2 in moves[1].items():
-            f2 <<= a1.n
-            cov = {e: c if c == inf else c | f2 for e, c in m1.items()}
-            cov.update((e, c if c == inf else c | f1) for e, c in m2.items())
-            out[f1 | f2] = cov
-    return out
 
 
 def _check_atoms(cone: Matroid, n: int) -> None:

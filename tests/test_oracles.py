@@ -117,15 +117,17 @@ def test_parallel_connection_answers_like_the_realized_product(a1, a2, rng):
         assert glued.closure(s) == linear.closure(s), s
     top = linear.full_rank - 1
     assert glued.flat_levels(linear.n - 1, top) == linear.flat_levels(linear.n - 1, top)
-    # a product's covers come from its factors', those of a second copy
-    # from its own lattice
-    from_factors, from_lattice = product_arrangement(a1, a2), product_arrangement(a1, a2)
-    from_lattice.intersection_lattice()
-    for q in range(from_factors.rank + 1):
-        assert nbc_basis(from_factors, q) == nbc_basis(from_lattice, q)
-    for q in range(from_factors.rank):
-        assert aomoto_matrix(from_factors, q).entries == aomoto_matrix(from_lattice, q).entries
-    assert "lattice" not in from_factors._cache
+    # the abstract product of the circuit twins has the realized product's
+    # NBC basis and Aomoto matrices
+    realized_product = product_arrangement(a1, a2)
+    glued_product = product_arrangement(circuit_twin(a1), circuit_twin(a2))
+    for q in range(realized_product.rank + 1):
+        assert nbc_basis(glued_product, q) == nbc_basis(realized_product, q)
+    for q in range(realized_product.rank):
+        assert (
+            aomoto_matrix(glued_product, q).entries
+            == aomoto_matrix(realized_product, q).entries
+        )
 
 
 def test_beta_marks_exactly_the_connected_localizations():
