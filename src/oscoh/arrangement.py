@@ -176,6 +176,15 @@ class Arrangement:
             self._flat_masks()
         return self._cache["covers"]
 
+    def _closure(self, elems) -> int:
+        """Mask of cl(S) through the cover map, for a set S whose closure
+        reaches no flat of top codimension before it is complete."""
+        covers, fm = self.covers(), 0
+        for e in elems:
+            if not fm >> e & 1:
+                fm = covers[fm][e]
+        return fm
+
     def _flat_masks(self) -> list[list[int]]:
         """Masks of the flats by codimension, recording the cover map."""
         if "flat_masks" not in self._cache:
@@ -290,7 +299,7 @@ class Arrangement:
             raise ValueError("the decone needs a central arrangement of rank >= 2")
         if "decone" not in self._cache:
             n, last = self.n, 1 << (self.n - 1)
-            central = self.cone_matroid._rank_mask(last - 1) < self.rank
+            central = not self._closure(range(n - 1)) & last  # H_n is a coloop
             d = Arrangement(
                 n - 1, self.rank - 1, central, self.cone_matroid.restriction(n),
                 labels=self.labels[:-1],

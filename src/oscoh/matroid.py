@@ -304,13 +304,14 @@ def _echelon(blocks: np.ndarray):
     for s in range(d):
         nz = r[:, s:, :] != 0
         col = nz.any(axis=1).argmax(axis=1)  # leftmost non-zero column
-        row = s + nz[at, :, col].argmax(axis=1)
-        order = np.tile(np.arange(d), (p, 1))
-        order[at, s], order[at, row] = row, s
-        r = r[at[:, None], order]
+        if d > 1:  # move a row with a non-zero entry there to row s
+            row = s + nz[at, :, col].argmax(axis=1)
+            order = np.tile(np.arange(d), (p, 1))
+            order[at, s], order[at, row] = row, s
+            r = r[at[:, None], order]
         sign = np.where(r[at, s, col] < 0, -1, 1)
         r[:, s] *= sign[:, None]
-        if d > 1:
+        if d > 1:  # clear the pivot column in the other rows
             if r.dtype != object and _absmax(r) >= 2**31:
                 r = r.astype(object)
             f = r[at, :, col]

@@ -135,14 +135,7 @@ def _rewrite(arr, s: tuple) -> dict:
         return {s: 1}
     t, low = tail
     m = low.bit_length() - 1
-
-    def closure(elems):
-        f = 0
-        for x in elems:
-            f = covers[f][x]
-        return f
-
-    btup = tuple(x for x in t if not closure(y for y in t if y != x) & low)
+    btup = tuple(x for x in t if not arr._closure(y for y in t if y != x) & low)
     ctup = (m,) + btup
     rest = tuple(x for x in s if x not in btup)
     eps, _ = _merge_sign(btup, rest)
