@@ -329,7 +329,7 @@ def _annihilate(k: np.ndarray, r: np.ndarray, piv: np.ndarray) -> np.ndarray:
     coprime columns (m, D, c - d)."""
     m, d, c = r.shape
     at = np.arange(m)
-    if r.dtype != object and _absmax(r) ** (d + 1) >= 2**62:
+    if r.dtype != object and _absmax(r) ** d >= 2**62:  # bounds every entry below
         r = r.astype(object)
     a = r[at[:, None], np.arange(d)[None, :], piv]  # pivot values
     lead = np.prod(a, axis=1)

@@ -13,9 +13,10 @@ the arrangement's rank/closure oracle records while building the lattice
 (``Arrangement.covers``).  S = {s_1 < ... < s_q} is NBC when each s_i is the
 smallest element of cl{s_i, ..., s_q} and cl(S) misses the hyperplane at
 infinity (Bjorner, 1992), so the basis grows one element at a time from
-each flat.  A monomial over a dependent or non-central set is 0, and any
-other is rewritten with the fundamental circuit of the first smallest
-element that the walk finds missing, until only NBC monomials remain.
+each flat.  A monomial over a dependent or non-central set is 0; any
+other that is not NBC is rewritten with the fundamental circuit of
+m = min cl{s_i, ..., s_q} at an s_i above that minimum, until only NBC
+monomials remain.
 
 Multiplication by the degree-one element with coefficient vector y gives
 the Aomoto boundary maps; their entries are integer linear forms in
