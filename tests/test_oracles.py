@@ -180,46 +180,34 @@ def test_decone_of_a_realized_arrangement_needs_no_circuits(monkeypatch):
 
 
 def test_linear_oracle_is_exact_past_int64():
-    # each of eight small forms scaled by its own constant near 2**59: the
-    # matroid is unchanged, the cone vectors still fit int64, and their
-    # products with the annihilator bases pass 2**63; combinations of
-    # 40-bit vectors make the bases themselves big
     rng = random.Random(8)
-    small = [[7, -5, 0, 0], [0, 5, -3, 0], [7, 0, -3, 0], [3, 5, 7, -1], [7, 5, 0, -1],
-             [0, 0, 3, 5], [6, -5, 3, 5], [1, 2, -1, 3]]
-    u, v, w = ([rng.randint(2**39, 2**40) for _ in range(4)] for _ in range(3))
-    combos = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 2, 0),
-              (0, 1, 1), (0, 1, -1), (1, 0, 3), (2, 1, 1)]
-    # and forms over Q(w) that are Z[w]-combinations of two of three rows,
-    # with 20-bit coefficients, for the two-row echelon blocks
-    def z():
-        return OMEGA([rng.randint(-(2**20), 2**20), rng.randint(-(2**20), 2**20)])
-
-    base = [[z() for _ in range(3)] for _ in range(3)]
-    omega_rows = []
-    for _ in range(7):
-        i, j = rng.sample(range(3), 2)
-        a, b = z(), z()
-        omega_rows.append([a * x + b * y for x, y in zip(base[i], base[j])])
-    # and over Q(2^(1/3)) with 4-bit coefficients, whose three-row blocks
-    # pass int64 in the kernel step
     cube = NumberField([-2, 0, 0, 1])
 
-    def y():
-        return cube([rng.randint(-(2**4), 2**4) for _ in range(3)])
+    def pencils(element, count):
+        """Forms that are combinations of two of three random rows, with
+        coefficients drawn by ``element``: many dependencies, big entries."""
+        base = [[element() for _ in range(4)] for _ in range(3)]
+        out = []
+        for _ in range(count):
+            i, j = rng.sample(range(3), 2)
+            a, b = element(), element()
+            out.append([a * x + b * t for x, t in zip(base[i], base[j])])
+        return out
 
-    base = [[y() for _ in range(3)] for _ in range(3)]
-    cube_rows = []
-    for _ in range(6):
-        i, j = rng.sample(range(3), 2)
-        a, b = y(), y()
-        cube_rows.append([a * x + b * t for x, t in zip(base[i], base[j])])
-    for rows, field in (
-        ([[c * x for x in r] for r, c in zip(small, (rng.randint(2**58, 2**59) for _ in small))], "Q"),
-        ([[a * x + b * y + c * z for x, y, z in zip(u, v, w)] for a, b, c in combos], "Q"),
-        (omega_rows, OMEGA),
-        (cube_rows, cube),
-    ):
+    small = [[7, -5, 0, 0], [0, 5, -3, 0], [7, 0, -3, 0], [3, 5, 7, -1], [7, 5, 0, -1],
+             [0, 0, 3, 5], [6, -5, 3, 5], [1, 2, -1, 3]]
+    cases = [
+        # each form scaled by its own constant near 2**59: the cone vectors
+        # fit int64, their products with the annihilator bases do not
+        ([[c * x for x in r] for r in small for c in (rng.randint(2**58, 2**59),)], "Q"),
+        # 40-bit coefficients make the annihilator bases themselves big
+        (pencils(lambda: rng.randint(-(2**40), 2**40), 8), "Q"),
+        # Q(w) with 20-bit coefficients: two-row echelon steps past 2**63
+        (pencils(lambda: OMEGA([rng.randint(-(2**20), 2**20) for _ in range(2)]), 7), OMEGA),
+        # Q(2^(1/3)) with 4-bit coefficients: three-row kernel steps past 2**63
+        (pencils(lambda: cube([rng.randint(-16, 16) for _ in range(3)]), 6), cube),
+    ]
+    for rows, field in cases:
         arr = build_arrangement(rows, field=field)
         twin = circuit_twin(arr)
         assert [[(f.hyperplanes, f.moebius) for f in level] for level in arr.intersection_lattice().levels] == [
