@@ -414,7 +414,9 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
         forms = [(tuple(a[j] for j in pivots), c) for a, c in forms]
         ell = len(pivots)
 
-    central = not any(c for _, c in forms)
+    # central when the hyperplanes meet in a point: infinity is a coloop of
+    # the cone, whether or not the constants vanish
+    central = len(forms) not in cone.closure(range(len(forms)))
     return Arrangement(
         len(forms), ell, central, cone, field=nf or "Q", forms=forms, labels=labels
     )

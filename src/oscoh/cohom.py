@@ -14,28 +14,32 @@ it is a unit the complex is exact; if it is zero the dims are the decone's
 plus the same dims one degree up.  Only what is left is evaluated and
 ranked, degree by degree in stacks.  Ranks over Q are cached on the
 arrangement, keyed by the projectively normalized weight vector, so
-scalings and repeats are free.  For composite N the rank convention counts
-invariant factors of the integer matrix that are coprime to N, which
-equals the minimum of the ranks modulo the prime divisors of N; that path
-ranks the full complex by Smith normal form.
+scalings and repeats are free.  For composite N a boundary's rank counts
+its elementary divisors that are units mod N, which is the minimum of its
+ranks modulo the primes p | N: each comes from the prime path above, with
+its reductions.  The report also gives each boundary's invariant factors
+over Z/N, from the ranks mod p where p divides N once and from an
+elimination over Z/p^e of the full complex where p^e, e >= 2, divides it.
+No integer Smith normal form is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm, prod
 from typing import Sequence
 
 import numpy as np
 
 from .exactla import (
     STACK_CELLS,
+    _factorize,
     _int_array,
+    _local_smith,
     is_prime,
     rank_mod_p,
     rank_over_Q_stack,
-    smith_normal_form,
 )
 from .arrangement import poincare_product
 from .osalg import aomoto_matrix
@@ -303,29 +307,20 @@ def _ranks_over_Q(arr, K: np.ndarray) -> np.ndarray:
     return ranks[inverse]
 
 
-def _snf_factors(arr, q: int, k: tuple) -> tuple:
-    """Smith invariant factors of the integer boundary matrix at weights k."""
-    cache = arr._cache.setdefault("snf", {})
-    hit = cache.get((q, k))
-    if hit is None:
-        mat = aomoto_matrix(arr, q)
-        if not mat.col_monomials or not mat.row_monomials:
-            hit = ()
-        else:
-            hit = tuple(smith_normal_form(mat.evaluate(list(k))))
-        cache[(q, k)] = hit
-    return hit
-
-
 def modN_cohomology_ranks(arr, k: Sequence[int], N: int) -> CohomologyReport:
     """Ranks of the cohomology of the mod-N complex at integer weights k.
 
     For prime N the boundary ranks are plain matrix ranks over the field
-    Z_N.  The mod-N rank of a module over composite N is a matter of
-    convention: here a boundary's rank is the number of Smith invariant
-    factors of its integer matrix that are coprime to N (the number of
-    unit elementary divisors mod N), which agrees with the field rank when
-    N is prime.  Composite reports carry the invariant factors and a note.
+    Z_N, from the reduced complex (``_reduced_dims``).  The mod-N rank of
+    a module over composite N is a matter of convention: here a boundary's
+    rank is the number of its elementary divisors that are units mod N
+    (units convention).  Those divisors form a divisor chain, so this is
+    the least of the boundary's ranks mod the primes p | N, and each of
+    those comes from the prime path; the notes list its reductions after
+    ``mod p:``.  Composite reports also carry each boundary's invariant
+    factors over Z/N (``_invariant_factors``), which depend only on k mod
+    N.  N is factored by ``exactla._factorize``; a modulus it cannot split
+    raises ValueError.
     """
     N = int(N)
     if N < 2:
@@ -339,19 +334,54 @@ def modN_cohomology_ranks(arr, k: Sequence[int], N: int) -> CohomologyReport:
         return CohomologyReport(
             ("Z", N), tuple(dims), _ranks_from_dims(arr, dims), tuple(k), notes
         )
-    betti = arr.betti_numbers()
-    factors = tuple(_snf_factors(arr, q, tuple(k)) for q in range(arr.rank + 1))
-    ranks = [sum(1 for d in fq if gcd(d, N) == 1) for fq in factors]
+    primes = _factorize(N)
     notes.append(
-        "composite modulus: boundary ranks count Smith invariant "
-        "factors coprime to N (units convention)"
+        "composite modulus: a boundary's rank counts its unit elementary "
+        "divisors mod N (units convention), the least of its ranks mod p | N"
     )
+    rank_mod = []
+    for p in primes:
+        sub: list = []
+        dims = _reduced_dims(arr, _int_array([k]), p, sub)[0].tolist()
+        rank_mod.append(_ranks_from_dims(arr, dims))
+        notes.extend(f"mod {p}: {x}" for x in sub)
+    ranks = tuple(map(min, zip(*rank_mod)))
+    betti = arr.betti_numbers()
     dims = tuple(
         betti[q] - ranks[q] - (ranks[q - 1] if q else 0)
         for q in range(arr.rank + 1)
     )
-    return CohomologyReport(
-        ("Z", N), dims, tuple(ranks), tuple(k), notes, factors
+    factors = tuple(
+        _invariant_factors(arr, q, k, primes, [r[q] for r in rank_mod])
+        for q in range(arr.rank + 1)
+    )
+    return CohomologyReport(("Z", N), dims, ranks, tuple(k), notes, factors)
+
+
+def _invariant_factors(arr, q: int, k: list, primes: dict, ranks: list) -> tuple:
+    """Invariant factors over Z/N of the boundary mu^q at weights k, for
+    N = prod p^e over ``primes`` {p: e}, given its ranks mod each p.
+
+    They are the gcd(d_i, N) of its integer elementary divisors d_i, in
+    divisibility order, less those that are 0 mod N.  Factor i is the
+    product over p | N of the i-th elementary divisor over Z/p^e (p^e once
+    they run out).  Those are 1 up to the rank mod p, and nothing else when
+    e = 1 or the rank is full; otherwise they come from the elimination
+    over Z/p^e (``exactla._local_smith``) of the full boundary matrix.
+    """
+    mat = aomoto_matrix(arr, q)
+    local = []  # per prime: the exponents t < e of its elementary divisors p^t
+    for (p, e), r in zip(primes.items(), ranks):
+        if e == 1 or r == min(mat.shape):  # no divisor past the units
+            exps = [0] * r
+        else:
+            m = _int_array(mat.evaluate([x % p**e for x in k]))
+            exps = [t for t, c in enumerate(_local_smith(m, p, e)) for _ in range(c)]
+        local.append((p, e, exps))
+    length = max(len(exps) for _, _, exps in local)
+    return tuple(
+        prod(p ** (exps[i] if i < len(exps) else e) for p, e, exps in local)
+        for i in range(length)
     )
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q, number fields and Z_p.
+"""Exact linear algebra over Q, number fields, Z_p and Z/p^e.
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
 rationals, and algebraic numbers represented modulo a monic integer minimal
@@ -11,12 +11,21 @@ Each arithmetic has one elimination:
   ``rank_over_Q_stack`` for the rest; ``rank_over_Q`` ranks one matrix
   by Bareiss when small and as a stack of one otherwise.  Callers scale
   rational rows to integers, which keeps ranks.
-* Z_p: one numpy row reduction, in int64 for p < 2**31 and in Python
-  integers (object arrays) above that, run on one matrix or on a stack of
-  many (see Stacks below).
+* Z_p and Z/p^e: one numpy row reduction (``_local_smith``), in int64
+  below 2**31 and in Python integers (object arrays) above that.  Over
+  Z/p^e it pivots on entries of least p-adic valuation, which divide the
+  rest of their column, so it gives the local Smith form with entries
+  that never grow past p^e (H. Cohen, GTM 138, 2.4; Hafner-McCurley
+  1991).  With e = 1 it is the rank mod p of one matrix; a stack of many
+  takes the column-at-a-time elimination described under Stacks below.
 * Fields given by their entries (Fraction or NFElement): Gaussian
   elimination with exact pivot division (``pivot_columns``), whose pivot
   count is ``field_rank``.
+
+The integer Smith normal form (``smith_normal_form``) stays as the
+reference oracle for these eliminations; its entries grow, and no
+computation in the package calls it.  Moduli are factored by trial
+division and Pollard-Brent rho (``_factorize``).
 
 Matrices are plain nested sequences (list of rows).  Every rank mod p is a
 lower bound on the rank over Q.  When the caller proves an upper bound (in
@@ -107,6 +116,86 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Rho steps allowed for one split.  Brent's search finds a prime factor p
+# in the round whose stride r passes the length of the rho sequence mod p,
+# after about 4r steps.  That length exceeds t with probability about
+# exp(-t^2 / 2p): for the least prime factor of an N below 2**64, p < 2**32,
+# strides up to 2**19 fail with probability about exp(-32), and a split
+# takes 2*10^5 steps or fewer in practice.  Past the budget a refusal costs
+# a few seconds.
+_RHO_STEPS = 2**21
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, primes in increasing order.
+
+    Trial division by the primes below 1000, then Pollard's rho with
+    Brent's cycle search on what is left, split until every part passes
+    ``is_prime``.  A part that rho does not split within ``_RHO_STEPS``
+    steps, such as the product of two primes above 2**100, raises
+    ValueError naming n rather than run on.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    rest = n
+    for p in range(2, 1000):
+        if p * p > rest:
+            break
+        while rest % p == 0:  # a composite p has no prime factor left in rest
+            out[p] = out.get(p, 0) + 1
+            rest //= p
+    parts = [rest] if rest > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _rho_factor(m)
+        if d is None:
+            raise ValueError(
+                f"cannot factor the modulus {n}: no factor of {m} found in "
+                f"{_RHO_STEPS} Pollard rho steps"
+            )
+        parts += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(n: int) -> int | None:
+    """A proper factor of the odd composite n, or None after _RHO_STEPS
+    steps (Brent 1980: x -> x^2 + c, differences multiplied in batches of
+    128 between gcds, and a step back through a batch that overshot)."""
+    steps = 0
+    for c in range(1, 100):
+        y, r, g = 2, 1, 1
+        acc = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                done += 128
+            steps += 2 * r
+            r *= 2
+            if g == 1 and steps > _RHO_STEPS:
+                return None
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    return None
+
+
 # ---------------------------------------------------------------------------
 # integer matrices
 
@@ -185,34 +274,60 @@ def _rank_mod_p_numpy(m: np.ndarray, p: int):
     """Rank over Z_p of an integer array: the one modular elimination.
 
     A 2-D array gives its rank.  A 3-D stack (T, rows, cols) gives the
-    array of its T ranks: a stack of one runs the 2-D loop below, a larger
-    one ``_rank_mod_p_stack``.
+    array of its T ranks: a stack of one runs the 2-D loop of
+    ``_local_smith``, a larger one ``_rank_mod_p_stack``.
     """
     if m.ndim == 3 and len(m) != 1:
         return _rank_mod_p_stack(m, p)
-    one = m.ndim == 3
-    m = _residues(m[0] if one else m, p)
+    if m.ndim == 3:
+        return np.array([_local_smith(m[0], p)[0]])
+    return _local_smith(m, p)[0]
+
+
+def _local_smith(m: np.ndarray, p: int, e: int = 1) -> list[int]:
+    """Smith form over Z/p^e of a 2-D integer array, as the list whose
+    entry t counts the elementary divisors p^t, t = 0..e-1 (the rest are
+    0 mod p^e).  With e = 1 this is the 2-D loop of the Z_p elimination,
+    and entry 0 is the rank mod p.
+
+    Pass t sweeps the columns and pivots on entries of valuation t, which
+    is the least valuation left: every entry of the remaining rows is then
+    divisible by p^t, so the pivot p^t*u divides its whole column and one
+    row operation per row clears it, with no Euclid steps.  Clearing the
+    pivot row by column operations would touch nothing else, so the pivot
+    row is just set aside.  Skipped columns stay divisible by p^(t+1), and
+    after the sweep so does everything left.  Residues are int64 while
+    p^e < 2**31 and Python integers above (as in ``_residues``); entries
+    never grow past p^e.
+    """
+    q = p**e
+    m = _residues(m, q)
     nr, nc = m.shape
+    counts = []
     r = 0
-    for c in range(nc):
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r, c:] = _mod(m[r, c:] * inv, p)
-        below = m[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            f = below[nzb]
-            m[r + 1 + nzb, c:] = _mod(m[r + 1 + nzb, c:] - f[:, None] * m[r, c:], p)
-        r += 1
-        if r == nr:
-            break
-    return np.array([r]) if one else r
+    for t in range(e):
+        start, pt, last = r, p**t, t == e - 1
+        for c in range(nc):
+            if r == nr:
+                break
+            col = m[r:, c]
+            nz = np.nonzero(col if last else col % (pt * p))[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                m[[r, i]] = m[[i, r]]
+            lo = c if last else 0  # before the last pass, columns left of c are not yet 0
+            inv = pow(int(m[r, c]) // pt, -1, q)
+            m[r, lo:] = _mod(m[r, lo:] * inv, q)
+            below = m[r + 1 :, c]
+            nzb = np.nonzero(below)[0]
+            if nzb.size:
+                f = below[nzb] // pt if t else below[nzb]
+                m[r + 1 + nzb, lo:] = _mod(m[r + 1 + nzb, lo:] - f[:, None] * m[r, lo:], q)
+            r += 1
+        counts.append(r - start)
+    return counts
 
 
 def _rank_mod_p_stack(m: np.ndarray, p: int) -> np.ndarray:
@@ -459,7 +574,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix, in divisibility order.
 
     The length of the result is the rank over Q; the rank over Z_p is the
-    number of factors not divisible by p.
+    number of factors not divisible by p, and the Smith form over Z/p^e has
+    the factors gcd(d, p^e).  Euclid steps on the integers make the entries
+    grow, so this is the reference oracle the Z/p^e elimination
+    (``_local_smith``) is tested against, not a path of the package.
     """
     a = _as_int_rows(rows)
     nr = len(a)

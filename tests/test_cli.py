@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oscoh
-from oscoh import catalog
+from oscoh import catalog, exactla
 from oscoh.cli import main
 from oscoh.cohom import os_cohomology_dims
 from oscoh.fileio import write_arrangement
@@ -142,6 +142,23 @@ def test_modn_composite_notes(capsys):
     assert code == 0
     assert "dims by degree: [1, 2, 1]" in out
     assert "units" in out
+
+
+def test_modn_composite_factors_depend_only_on_k_mod_N(capsys):
+    _, out, _ = run(capsys, ["modn", "boolean(2)", "--k=2,2", "--N", "4"])
+    _, lifted, _ = run(capsys, ["modn", "boolean(2)", "--k=6,6", "--N", "4"])
+    assert "invariant factors of boundary 0: [2]" in out
+    assert lifted == out
+
+
+def test_modn_refuses_a_modulus_it_cannot_factor(capsys, monkeypatch):
+    # a short rho budget keeps this quick; tests/test_cohom.py refuses the
+    # same kind of modulus with the real one
+    monkeypatch.setattr(exactla, "_RHO_STEPS", 2**12)
+    p, q = [n for n in range(2**100, 2**100 + 1000) if exactla.is_prime(n)][:2]
+    code, _, err = run(capsys, ["modn", "boolean(2)", "--k", "1,1", "--N", str(p * q)])
+    assert code == 1
+    assert f"cannot factor the modulus {p * q}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oscoh
 from oscoh import build_arrangement, catalog, exactla, product_arrangement
 from oscoh.cohom import (
     WeightVector,
@@ -21,7 +23,9 @@ from oscoh.cohom import (
 from oscoh.exactla import bareiss_rank, rank_mod_p, rank_over_Q, smith_normal_form
 from oscoh.osalg import aomoto_matrix
 
-from conftest import random_weight_vector
+from oscoh.resonance import betti_bounds
+
+from conftest import CATALOG_NAMES, random_weight_vector
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
@@ -326,6 +330,106 @@ def test_modn_rejects_bad_modulus():
     sec = catalog.get("ceva3-section")
     with pytest.raises(ValueError):
         modN_cohomology_ranks(sec, (1,) * 9, 0)
+
+
+def smith_rule(arr, k, N):
+    """Composite-N ranks and invariant factors from the integer Smith form
+    of each full boundary matrix: a rank counts the elementary divisors d_i
+    coprime to N, and the factors are the gcd(d_i, N) not 0 mod N."""
+    ranks, factors = [], []
+    for q in range(arr.rank + 1):
+        mat = aomoto_matrix(arr, q)
+        d = smith_normal_form(mat.evaluate(k)) if mat.row_monomials and mat.col_monomials else []
+        ranks.append(sum(gcd(x, N) == 1 for x in d))
+        factors.append(tuple(gcd(x, N) for x in d if x % N))
+    return tuple(ranks), tuple(factors)
+
+
+def small_zero_sum(rng, k):
+    """k moved one unit at a time, within -2..2, until it sums to 0."""
+    k = list(k)
+    while sum(k):
+        s = 1 if sum(k) > 0 else -1
+        i = rng.choice([i for i, x in enumerate(k) if x != -2 * s])
+        k[i] -= s
+    return k
+
+
+COMPOSITE = (4, 6, 8, 9, 12, 30, 210)
+
+
+# product-example's integer Smith forms take seconds each; a smaller
+# product of catalog entries stands in for it
+@pytest.mark.parametrize(
+    "name", [n for n in CATALOG_NAMES if n != "product-example"] + ["boolean(2) x maclane-section"]
+)
+def test_composite_modulus_matches_the_smith_rule(name):
+    if " x " in name:
+        arr = product_arrangement(*map(catalog.get, name.split(" x ")))
+    else:
+        arr = catalog.get(name)
+    betti = arr.betti_numbers()
+    rng = random.Random(name)
+    for N in COMPOSITE:
+        k = [rng.randint(-2, 2) for _ in range(arr.n)]
+        for kk in (k, small_zero_sum(rng, k)):
+            rep = modN_cohomology_ranks(arr, kk, N)
+            ranks, factors = smith_rule(arr, kk, N)
+            assert (rep.ranks, rep.invariant_factors) == (ranks, factors), (N, kk)
+            assert rep.dims == tuple(
+                b - r - (ranks[q - 1] if q else 0) for q, (b, r) in enumerate(zip(betti, ranks))
+            )
+            assert "units" in rep.notes[0]
+            primes = [p for p in (2, 3, 5, 7) if N % p == 0]
+            assert all(x.split(":")[0] in {f"mod {p}" for p in primes} for x in rep.notes[1:])
+            if arr.central or arr.product_factors is not None:
+                assert len(rep.notes) > 1  # a reduction proved each prime's ranks
+
+
+def test_composite_reports_depend_only_on_k_mod_N():
+    b2 = catalog.get("boolean(2)")
+    assert modN_cohomology_ranks(b2, (6, 6), 4).invariant_factors == ((2,), (2,), ())
+    rng = random.Random(10)
+    for name in ("boolean(2)", "ceva3-section", "maclane", "example-lstrict"):
+        arr = catalog.get(name)
+        for N in (4, 8, 9, 12, 30):
+            k = [rng.randint(-2, 2) for _ in range(arr.n)]
+            lift = [x + N * rng.randint(-3, 3) for x in k]
+            a = modN_cohomology_ranks(arr, k, N).to_dict()
+            b = modN_cohomology_ranks(arr, lift, N).to_dict()
+            assert a.pop("weights") != b.pop("weights") or k == lift
+            assert a == b, (name, N, k, lift)
+
+
+def test_composite_moduli_need_no_smith_normal_form(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("integer Smith normal form called")
+
+    monkeypatch.setattr(exactla, "smith_normal_form", refuse)
+    monkeypatch.setattr(oscoh, "smith_normal_form", refuse)
+    mac = catalog.get("maclane")
+    rep = modN_cohomology_ranks(mac, (-1, -3, -3, 3, 2, -3, 3, -3), 10)
+    assert rep.dims == (0, 0, 7, 7) and rep.ranks == (1, 7, 6, 0)
+    rep = modN_cohomology_ranks(catalog.get("ceva3-section"), (2, 2, 2, 2, 2, 2, -4, -4, 4), 8)
+    assert rep.invariant_factors[0] == (2,)
+    sec = catalog.get("maclane-section")
+    lam = MACLANE_SECTION_WEIGHTS[:-1] + (Fraction(1, 2),)
+    bounds = betti_bounds(sec, lam)
+    assert bounds.N == 6 and "units" in bounds.convention_notes[1]
+    assert bounds.upper == modN_cohomology_ranks(sec, WeightVector(lam).k, 6).dims
+
+
+def test_moduli_past_2_64_are_factored_or_refused():
+    sec = catalog.get("ceva3-section")
+    k = (1, 1, 1, 1, 1, 1, -2, -2, 5)
+    m31, m61 = 2**31 - 1, 2**61 - 1
+    rep = modN_cohomology_ranks(sec, k, m31 * m61)
+    per_prime = [modN_cohomology_ranks(sec, k, p).ranks for p in (m31, m61)]
+    assert rep.ranks == tuple(map(min, *per_prime))
+    assert rep.invariant_factors == smith_rule(sec, list(k), m31 * m61)[1]
+    big = [n for n in range(2**100, 2**100 + 1000) if exactla.is_prime(n)][:2]
+    with pytest.raises(ValueError, match=str(big[0] * big[1])):
+        modN_cohomology_ranks(sec, k, big[0] * big[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,28 @@ def test_is_prime_large_values():
 
 def test_not_prime_error_is_value_error():
     assert issubclass(NotPrimeError, ValueError)
+
+
+def test_factorize_splits_moduli_below_2_64_and_past_them():
+    assert exactla._factorize(1) == {}
+    assert exactla._factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert exactla._factorize(2**64 - 1) == {
+        3: 1, 5: 1, 17: 1, 257: 1, 641: 1, 65537: 1, 6700417: 1
+    }
+    m31, m61 = 2**31 - 1, 2**61 - 1
+    assert exactla._factorize(m31 * m61) == {m31: 1, m61: 1}
+    assert exactla._factorize(12 * m31**2) == {2: 2, 3: 1, m31: 2}
+    # the hardest moduli below 2**64: two prime factors near 2**32
+    rng = random.Random(64)
+    for _ in range(4):
+        a, b = sorted(next_prime_above(rng.randrange(2**31, 2**32)) for _ in range(2))
+        assert exactla._factorize(a * b) == ({a: 2} if a == b else {a: 1, b: 1})
+
+
+def next_prime_above(n):
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +335,45 @@ def test_smith_normal_form_determinant_product():
     assert found_nonsingular > 10
 
 
+def local_oracle(m, p, e):
+    """Elementary divisors of m over Z/p^e, counted by exponent t < e, from
+    the integer Smith form: the divisor d_i becomes gcd(d_i, p^e).  The
+    module over Z/p^e depends only on m mod p^e, which keeps the Smith
+    form's entries small."""
+    counts = [0] * e
+    for d in smith_normal_form([[x % p**e for x in row] for row in m]):
+        t = 0
+        while t < e and d % p == 0:
+            d //= p
+            t += 1
+        if t < e:
+            counts[t] += 1
+    return counts
+
+
+def test_local_smith_known_values():
+    # diag(1, 2, 4, 8) mixed by unimodular matrices, over Z/8 and Z/4
+    m = matmul(matmul([[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 5], [0, 0, 0, 1]],
+                      [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]]),
+               [[1, 0, 0, 0], [4, 1, 0, 0], [1, 1, 1, 0], [2, 0, 3, 1]])
+    assert exactla._local_smith(exactla._int_array(m), 2, 3) == [1, 1, 1]
+    assert exactla._local_smith(exactla._int_array(m), 2, 2) == [1, 1]
+    assert exactla._local_smith(exactla._int_array(m), 3, 1) == [4]
+    # the pivot of least valuation is not the first entry: [[4, 2], [2, 3]]
+    # is diag(1, 8) over Z
+    assert exactla._local_smith(exactla._int_array([[4, 2], [2, 3]]), 2, 4) == [1, 0, 0, 1]
+
+
+def test_local_smith_past_int64():
+    # p^e >= 2**31 takes the object path: residues are Python integers
+    p = 2**31 - 1
+    assert exactla._residues(np.array([[1]]), p**3).dtype == object
+    m = matmul([[1, 1, 0], [2, 3, 0], [5, 1, 1]], [[1, 0, 0], [0, p, 0], [0, 0, p**2 * 7]])
+    assert exactla._local_smith(exactla._int_array(m), p, 3) == [1, 1, 1]
+    assert exactla._local_smith(exactla._int_array(m), p, 2) == [1, 1]
+    assert local_oracle(m, p, 3) == [1, 1, 1]
+
+
 # ---------------------------------------------------------------------------
 # number field arithmetic (cyclotomic field of cube roots of unity)
 
@@ -453,10 +516,10 @@ def matmul(u, v):
 
 
 @st.composite
-def int_matrices(draw, entries):
+def int_matrices(draw, entries, size=7):
     """Dense integer matrices, half of them a product through a thin middle."""
-    nr = draw(st.integers(1, 7))
-    nc = draw(st.integers(1, 7))
+    nr = draw(st.integers(1, size))
+    nc = draw(st.integers(1, size))
     if draw(st.booleans()):
         k = draw(st.integers(0, min(nr, nc) - 1))
         u = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=nr, max_size=nr))
@@ -603,3 +666,22 @@ def test_essentialize_keeps_the_cone_matroid_over_Q(rows):
 @given(non_essential_forms(omega_elements))
 def test_essentialize_keeps_the_cone_matroid_over_omega(rows):
     cone_circuits_match(rows, OMEGA)
+
+
+def p_adic_matrices(p):
+    """Matrices from int_matrices whose entries carry powers of p, at most
+    4 x 4: the integer Smith form, the oracle, can take seconds on 5 x 5
+    and minutes on 6 x 6 ones with p = 2**31 - 1."""
+    entries = st.builds(lambda x, v: x * p**v, st.integers(-5, 5), st.integers(0, 2))
+    return int_matrices(entries, size=4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])  # 2**31 - 1 takes the object path
+@pytest.mark.parametrize("e", [2, 3, 5])
+@settings(DIFF, max_examples=25)
+@given(st.data())
+def test_local_smith_matches_the_integer_smith_form(p, e, data):
+    m = data.draw(p_adic_matrices(p))
+    got = exactla._local_smith(exactla._int_array(m), p, e)
+    assert got == local_oracle(m, p, e)
+    assert got[0] == gf_rank(m, p)

@@ -2,6 +2,7 @@
 derived matroids against what they wrap."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -12,6 +13,7 @@ from oscoh import (
     catalog,
     product_arrangement,
 )
+from oscoh.cohom import os_cohomology_dims
 from oscoh.exactla import NumberField, field_rank
 from oscoh.matroid import parallel_connection, vector_matroid
 from oscoh.osalg import aomoto_matrix, nbc_basis
@@ -79,8 +81,7 @@ def nbc_by_definition(arr, q):
 @given(realized())
 def test_linear_oracle_matches_the_circuit_oracle(arr):
     twin = circuit_twin(arr)
-    # a realized arrangement is central when its constants vanish; the
-    # circuit twin when infinity is a coloop
+    # both are central when infinity is a coloop of the cone
     assert twin.central == (arr.infinity not in arr.cone_matroid.closure(range(arr.n)))
     assert twin.rank == arr.rank
 
@@ -104,6 +105,58 @@ def test_linear_oracle_matches_the_circuit_oracle(arr):
         assert nbc_basis(arr, q) == nbc_basis(twin, q) == nbc_by_definition(twin, q)
     for q in range(arr.rank):
         assert aomoto_matrix(arr, q).entries == aomoto_matrix(twin, q).entries
+
+
+@st.composite
+def translated_central(draw):
+    """Central integer forms in 2 or 3 variables, and the same forms moved
+    to pass through a random integer point instead of the origin."""
+    ell = draw(st.integers(2, 3))
+    n = draw(st.integers(ell, 6))
+    normals = [[draw(st.integers(-2, 2)) for _ in range(ell)] for _ in range(n)]
+    point = [draw(st.integers(-3, 3)) for _ in range(ell)]
+    try:
+        central = build_arrangement([a + [0] for a in normals])
+    except ValueError:
+        assume(False)
+    moved = build_arrangement([a + [-sum(x * t for x, t in zip(a, point))] for a in normals])
+    return central, moved
+
+
+def test_forms_through_a_common_point_are_central():
+    # three lines through (1, 1)
+    arr = build_arrangement([[1, 0, -1], [0, 1, -1], [1, 1, -2]])
+    assert arr.central
+    assert [f.hyperplanes for f in arr.dense_edges()] == [
+        frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1, 2})
+    ]
+    rep = os_cohomology_dims(arr, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)])
+    assert rep.dims == (0, 1, 1)
+    assert rep.notes == ["central, weight sum zero: decone at H_3 (H3)"]
+
+
+@RANDOM
+@given(translated_central(), st.data())
+def test_translated_central_forms_answer_like_the_central_ones(pair, data):
+    arr, moved = pair
+    assert arr.central and moved.central
+
+    def flats(a):
+        return [
+            [(f.hyperplanes, f.moebius, f.beta) for f in level]
+            for level in a.intersection_lattice().levels
+        ]
+
+    assert flats(moved) == flats(arr)
+    assert moved.betti_numbers() == arr.betti_numbers()
+    for _ in range(3):
+        k = [data.draw(st.integers(-3, 3)) for _ in range(arr.n)]
+        if data.draw(st.booleans()):
+            k[-1] -= sum(k)
+        lam = [Fraction(x, data.draw(st.sampled_from([2, 3, 5]))) for x in k]
+        rep, rep_moved = os_cohomology_dims(arr, lam), os_cohomology_dims(moved, lam)
+        assert rep_moved.dims == rep.dims
+        assert rep_moved.notes == rep.notes and rep.notes  # a reduction proved them
 
 
 @settings(RANDOM, max_examples=15)
