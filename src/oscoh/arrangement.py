@@ -405,7 +405,12 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
     cone = _cone_of_forms(forms, nf)
     _check_atoms(cone, len(forms))
 
-    pivots = pivot_columns([a for a, _ in forms])
+    # Infinity is a coloop of the cone, so the hyperplanes meet in a point
+    # and the arrangement is central, exactly when the constants lie in the
+    # column span of the normals: when the constant column is no pivot.
+    pivots = pivot_columns([list(a) + [c] for a, c in forms])
+    central = ell not in pivots
+    pivots = [j for j in pivots if j < ell]
     if len(pivots) < ell:
         if not essentialize:
             raise NotEssentialError(
@@ -414,9 +419,6 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
         forms = [(tuple(a[j] for j in pivots), c) for a, c in forms]
         ell = len(pivots)
 
-    # central when the hyperplanes meet in a point: infinity is a coloop of
-    # the cone, whether or not the constants vanish
-    central = len(forms) not in cone.closure(range(len(forms)))
     return Arrangement(
         len(forms), ell, central, cone, field=nf or "Q", forms=forms, labels=labels
     )

@@ -24,6 +24,8 @@ from oscoh.exactla import (
 )
 from oscoh.matroid import vector_matroid
 
+from conftest import next_prime
+
 
 def fraction_rank(rows):
     """Independent oracle: plain Gaussian elimination over Fraction."""
@@ -110,14 +112,8 @@ def test_factorize_splits_moduli_below_2_64_and_past_them():
     # the hardest moduli below 2**64: two prime factors near 2**32
     rng = random.Random(64)
     for _ in range(4):
-        a, b = sorted(next_prime_above(rng.randrange(2**31, 2**32)) for _ in range(2))
+        a, b = sorted(next_prime(rng.randrange(2**31, 2**32)) for _ in range(2))
         assert exactla._factorize(a * b) == ({a: 2} if a == b else {a: 1, b: 1})
-
-
-def next_prime_above(n):
-    while not is_prime(n):
-        n += 1
-    return n
 
 
 # ---------------------------------------------------------------------------
