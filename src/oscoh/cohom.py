@@ -329,8 +329,9 @@ def modN_cohomology_ranks(arr, k: Sequence[int], N: int) -> CohomologyReport:
     if len(k) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(k)}")
     notes = []
+    K = _int_array([k])
     if is_prime(N):
-        dims = _reduced_dims(arr, _int_array([k]), N, notes)[0].tolist()
+        dims = _reduced_dims(arr, K, N, notes)[0].tolist()
         return CohomologyReport(
             ("Z", N), tuple(dims), _ranks_from_dims(arr, dims), tuple(k), notes
         )
@@ -342,7 +343,7 @@ def modN_cohomology_ranks(arr, k: Sequence[int], N: int) -> CohomologyReport:
     rank_mod = []
     for p in primes:
         sub: list = []
-        dims = _reduced_dims(arr, _int_array([k]), p, sub)[0].tolist()
+        dims = _reduced_dims(arr, K, p, sub)[0].tolist()
         rank_mod.append(_ranks_from_dims(arr, dims))
         notes.extend(f"mod {p}: {x}" for x in sub)
     ranks = tuple(map(min, zip(*rank_mod)))
