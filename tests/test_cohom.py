@@ -22,7 +22,6 @@ from oscoh.cohom import (
 )
 from oscoh.exactla import bareiss_rank, rank_mod_p, rank_over_Q, smith_normal_form
 from oscoh.osalg import aomoto_matrix
-
 from oscoh.resonance import betti_bounds
 
 from conftest import CATALOG_NAMES, random_weight_vector

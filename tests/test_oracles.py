@@ -63,6 +63,14 @@ def circuit_twin(arr):
     return arrangement_from_cone_circuits(arr.n, [sorted(c) for c in circuits])
 
 
+def flats(a):
+    """The lattice as levels of (hyperplanes, Moebius value, beta)."""
+    return [
+        [(f.hyperplanes, f.moebius, f.beta) for f in level]
+        for level in a.intersection_lattice().levels
+    ]
+
+
 def nbc_by_definition(arr, q):
     """Independent central q-sets containing no broken circuit C - min C of
     a circuit avoiding infinity."""
@@ -84,13 +92,6 @@ def test_linear_oracle_matches_the_circuit_oracle(arr):
     # both are central when infinity is a coloop of the cone
     assert twin.central == (arr.infinity not in arr.cone_matroid.closure(range(arr.n)))
     assert twin.rank == arr.rank
-
-    def flats(a):
-        return [
-            [(f.hyperplanes, f.moebius, f.beta) for f in level]
-            for level in a.intersection_lattice().levels
-        ]
-
     assert flats(arr) == flats(twin)
     closure, twin_closure = arr.projective_closure()[0], twin.projective_closure()[0]
     dense = [f.hyperplanes for f in closure.dense_edges()]
@@ -140,13 +141,6 @@ def test_forms_through_a_common_point_are_central():
 def test_translated_central_forms_answer_like_the_central_ones(pair, data):
     arr, moved = pair
     assert arr.central and moved.central
-
-    def flats(a):
-        return [
-            [(f.hyperplanes, f.moebius, f.beta) for f in level]
-            for level in a.intersection_lattice().levels
-        ]
-
     assert flats(moved) == flats(arr)
     assert moved.betti_numbers() == arr.betti_numbers()
     for _ in range(3):
