@@ -2,20 +2,23 @@
 
 Given a rational weight vector, the boundary maps are evaluated on integer
 vectors (denominators cleared; ranks are scaling-invariant) and ranked
-exactly.  Over Q there is one path: ``os_cohomology_dims_stack`` works on
-many weight vectors (a translate box) at once, and ``os_cohomology_dims``
-is its case of one vector, with the same proofs.  Over Z_N with N prime
-the same path ranks modulo N.
+exactly.  There is one path: ``os_cohomology_dims_stack`` works on many
+weight vectors (a translate box) at once, and ``os_cohomology_dims`` is
+its case of one vector, with the same proofs.  Over Z_N with N prime the
+same path ranks modulo N.
 
 Before anything is ranked, each weight vector is reduced to the smallest
 complex with the same cohomology (``_reduced_dims``): a product goes to its
 factors (Kunneth), and on a central arrangement the weight sum decides.  If
 it is a unit the complex is exact; if it is zero the dims are the decone's
-plus the same dims one degree up.  Only what is left is evaluated and
-ranked, degree by degree in stacks.  Ranks over Q are cached on the
-arrangement, keyed by the projectively normalized weight vector, so
-scalings and repeats are free.  For composite N a boundary's rank counts
-its elementary divisors that are units mod N, which is the minimum of its
+plus the same dims one degree up.  What is left goes to the one rank
+driver, ``_ranks``, over Q or at a prime: it evaluates and ranks degree by
+degree in stacks, bounds each rank by d^2 = 0 (the one-prime certificate
+target over Q, a check at p), and shares ranks between calls through one
+cache on the arrangement, keyed by the field, the degree and the weight
+row (projectively normalized over Q, reduced mod p), and emptied when it
+passes RANK_CACHE_ENTRIES.  For composite N a boundary's rank counts its
+elementary divisors that are units mod N, which is the minimum of its
 ranks modulo the primes p | N: each comes from the prime path above, with
 its reductions.  The report also gives each boundary's invariant factors
 over Z/N, from the ranks mod p where p divides N once and from an
@@ -34,11 +37,12 @@ import numpy as np
 
 from .exactla import (
     STACK_CELLS,
+    _check_upper,
     _factorize,
     _int_array,
     _local_smith,
+    _rank_mod_p_numpy,
     is_prime,
-    rank_mod_p,
     rank_over_Q_stack,
 )
 from .arrangement import poincare_product
@@ -141,27 +145,13 @@ class CohomologyReport:
 
 def _normalized_rows(K: np.ndarray) -> np.ndarray:
     """Projective normal form of every row of an integer array: divide by
-    the gcd and make the first nonzero entry positive.  The rankQ cache is
-    keyed by these rows."""
+    the gcd and make the first nonzero entry positive.  Ranks over Q are
+    cached under these rows."""
     g = np.gcd.reduce(K, axis=1)
     g[g == 0] = 1
     v = K // g[:, None]
     lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
     return v * np.where(lead < 0, -1, 1)[:, None]
-
-
-def _rank_mod(arr, q: int, k: Sequence[int], p: int) -> int:
-    kk = tuple(x % p for x in k)
-    cache = arr._cache.setdefault("rankP", {})
-    hit = cache.get((q, kk, p))
-    if hit is None:
-        mat = aomoto_matrix(arr, q)
-        if not mat.col_monomials or not mat.row_monomials or not any(kk):
-            hit = 0
-        else:
-            hit = rank_mod_p(mat.evaluate(list(kk)), p)
-        cache[(q, kk, p)] = hit
-    return hit
 
 
 def os_cohomology_dims(arr, lam) -> CohomologyReport:
@@ -233,7 +223,8 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
             notes.extend(f"factor {i}: {x}" for i, s in enumerate(sub, 1) for x in s)
         return dims
     if not arr.central:
-        return _ranked_dims(arr, K, p)
+        ranks = _ranks(arr, K, p)
+        return np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]
     wide = K.dtype != object and np.abs(K, dtype=np.float64).max(initial=0) * arr.n >= 2**62
     sums = (K.astype(object) if wide else K).sum(axis=1)
     zero = sums == 0 if p is None else sums % p == 0
@@ -257,54 +248,60 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
     return dims
 
 
-def _ranked_dims(arr, K: np.ndarray, p: int | None) -> np.ndarray:
-    """Dims from the ranks of the full complex at every row of K."""
-    if p is None:
-        ranks = _ranks_over_Q(arr, K)
-    else:
-        ranks = np.array(
-            [[0] + [_rank_mod(arr, q, k, p) for q in range(arr.rank + 1)] for k in K.tolist()],
-            dtype=np.int64,
-        ).reshape(len(K), arr.rank + 2)
-    return np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]
+# Most entries the rank family of an arrangement's cache holds before a
+# _ranks call empties it.
+RANK_CACHE_ENTRIES = 2**18
 
 
-def _ranks_over_Q(arr, K: np.ndarray) -> np.ndarray:
-    """Ranks of the boundaries at every row of K, as a (T, rank+2) array
-    whose column q+1 is rank mu^q (column 0 is rank mu^(-1) = 0).
+def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
+    """Ranks of the boundaries at every row of K over Q (p None) or Z_p (p
+    prime), as a (T, rank+2) array whose column q+1 is rank mu^q (column 0
+    is rank mu^(-1) = 0).
 
-    Rows are normalized and deduplicated like the rankQ cache keys, cached
-    ranks are reused, and the rest are evaluated and ranked degree by
-    degree in stacks of at most STACK_CELLS entries (one matrix when it is
-    larger).  Degrees go upward: mu^q mu^(q-1) = 0 bounds rank mu^q by
-    b_q - rank mu^(q-1), and a rank modulo one prime reaching that bound
-    proves it; the others are proved by the Hadamard loop of
-    ``rank_over_Q_stack``.  New ranks are written back to the cache.
+    Rows are deduplicated by their projective normal form over Q and by
+    their residues mod p, which with p key the arrangement's one rank
+    family {(p, q, row): rank}; the family is emptied first when it holds
+    more than RANK_CACHE_ENTRIES.  The missing ranks are evaluated and
+    ranked degree by degree in stacks of at most STACK_CELLS entries (one
+    matrix when it is larger).  Degrees go upward: mu^q mu^(q-1) = 0 bounds
+    rank mu^q by b_q - rank mu^(q-1) over either field.  Over Q a rank
+    modulo one prime reaching that bound proves it, and the others are
+    proved by the Hadamard loop of ``rank_over_Q_stack``; at p a rank above
+    it raises ValueError.
     """
     betti = arr.betti_numbers()
-    v = _normalized_rows(K)
+    v = _normalized_rows(K) if p is None else (K.astype(object) if p >= 2**63 else K) % p
     index: dict[tuple, int] = {}
     inverse = [index.setdefault(key, len(index)) for key in map(tuple, v.tolist())]
     keys = list(index)
-    v = v[np.unique(inverse, return_index=True)[1]]
-    cache = arr._cache.setdefault("rankQ", {})
-    ranks = np.zeros((len(keys), arr.rank + 2), dtype=np.int64)
+    cache = arr._cache.setdefault("ranks", {})
+    if len(cache) > RANK_CACHE_ENTRIES:
+        cache.clear()
+    ranks = [[0] * len(keys)]  # ranks[q + 1][u] is rank mu^q at keys[u]
     for q in range(arr.rank + 1):
-        found = [cache.get((q, key)) for key in keys]
-        miss = np.array([u for u, hit in enumerate(found) if hit is None], dtype=np.int64)
-        got = np.zeros(miss.size, dtype=np.int64)  # rank 0 without a matrix
+        found = [cache.get((p, q, key)) for key in keys]
+        miss = [u for u, hit in enumerate(found) if hit is None]
+        got = np.zeros(len(miss), dtype=np.int64)  # rank 0 without a matrix
         mat = aomoto_matrix(arr, q)
         nr, nc = mat.shape
-        if nr and nc:
-            upper = betti[q] - ranks[miss, q]
+        if miss and nr and nc:
+            rows = _int_array([keys[u] for u in miss])
+            upper = betti[q] - np.array(ranks[q])[miss]
             step = max(1, STACK_CELLS // (nr * nc))
-            for s in range(0, miss.size, step):
+            for s in range(0, len(miss), step):
                 sel = slice(s, s + step)
-                got[sel] = rank_over_Q_stack(mat.evaluate_stack(v[miss[sel]]), upper[sel])
-        for u, r in zip(miss.tolist(), got.tolist()):
-            found[u] = cache[(q, keys[u])] = r
-        ranks[:, q + 1] = found
-    return ranks[inverse]
+                stack = mat.evaluate_stack(rows[sel])
+                if p is None:
+                    got[sel] = rank_over_Q_stack(stack, upper[sel])
+                else:
+                    got[sel] = _rank_mod_p_numpy(stack, p)
+            over = np.flatnonzero(got > upper)
+            if over.size:
+                _check_upper(int(got[over[0]]), int(upper[over[0]]))
+        for u, r in zip(miss, got.tolist()):
+            found[u] = cache[(p, q, keys[u])] = r
+        ranks.append(found)
+    return np.array(ranks, dtype=np.int64).T[inverse]
 
 
 def modN_cohomology_ranks(arr, k: Sequence[int], N: int) -> CohomologyReport:

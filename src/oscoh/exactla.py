@@ -16,8 +16,8 @@ Each arithmetic has one elimination:
   Z/p^e it pivots on entries of least p-adic valuation, which divide the
   rest of their column, so it gives the local Smith form with entries
   that never grow past p^e (H. Cohen, GTM 138, 2.4; Hafner-McCurley
-  1991).  With e = 1 it is the rank mod p of one matrix; a stack of many
-  takes the column-at-a-time elimination described under Stacks below.
+  1991).  With e = 1 it is the rank mod p of one matrix (``rank_mod_p``);
+  stacks take ``_rank_mod_p_numpy``, described under Stacks below.
 * Fields given by their entries (Fraction or NFElement): Gaussian
   elimination with exact pivot division (``pivot_columns``), whose pivot
   count is ``field_rank``.
@@ -37,21 +37,22 @@ the modular ranks into a proof (``_hadamard_proves``, the one place that
 bound is tested).
 
 Stacks.  ``rank_over_Q_stack`` ranks T matrices of one shape (such as the
-Aomoto matrices at many weights) as one (T, rows, cols) array.  Each
-matrix keeps its own proof: it is settled when its rank modulo the first
-prime reaches min(rows, cols, its upper bound), and the rest go on over
-further primes, as a shrinking stack, until each one's own Hadamard bound
-is beaten.  Modulo p, a stack of one runs the row-swapping 2-D loop, which
-touches only the rows below the pivot and the columns right of it.  A
-larger stack runs ``_rank_mod_p_stack``: one elimination step per column
-for every matrix at once, so the Python loop runs min(rows, cols) times
-per stack instead of per matrix.  That step updates every row of every
-matrix, so it would rank one large matrix 2 to 6 times slower (on a 2-core
-x86 VM, A_5 mu^3, 225 x 274: about 28 against 15 ms; product-example mu^3,
-372 x 480: about 110 against 20 ms).  Callers evaluate and rank chunks of
-at most ``STACK_CELLS`` entries, or one matrix when it is larger: memory
-stays flat however large the box, a chunk's residues (512 KB of int64)
-stay in cache, and no caller picks a kernel.
+Aomoto matrices at many weights) as one (T, rows, cols) array.  Each matrix
+keeps its own proof: it is settled when its rank modulo the first prime
+reaches min(rows, cols, its upper bound), and the rest go on over further
+primes, as a shrinking stack, until each one's own Hadamard bound is
+beaten.  Modulo p, ``_rank_mod_p_numpy`` takes stacks only (the cohomology
+driver also calls it at a prime).  A stack of one runs the row-swapping 2-D
+loop, which touches only the rows below the pivot and the columns right of
+it.  A larger stack runs ``_rank_mod_p_stack``: one elimination step per
+column for every matrix at once, so the Python loop runs min(rows, cols)
+times per stack instead of per matrix.  That step updates every row of
+every matrix, so it would rank one large matrix 2 to 6 times slower (on a
+2-core x86 VM, A_5 mu^3, 225 x 274: about 28 against 15 ms;
+product-example mu^3, 372 x 480: about 110 against 20 ms).  Callers
+evaluate and rank chunks of at most ``STACK_CELLS`` entries, or one matrix
+when it is larger: memory stays flat however large the box, a chunk's
+residues (512 KB of int64) stay in cache, and no caller picks a kernel.
 """
 
 from __future__ import annotations
@@ -270,18 +271,13 @@ def _residues(m: np.ndarray, p: int) -> np.ndarray:
     return (m % p).astype(np.int64) if p < 2**31 else m.astype(object) % p
 
 
-def _rank_mod_p_numpy(m: np.ndarray, p: int):
-    """Rank over Z_p of an integer array: the one modular elimination.
-
-    A 2-D array gives its rank.  A 3-D stack (T, rows, cols) gives the
-    array of its T ranks: a stack of one runs the 2-D loop of
-    ``_local_smith``, a larger one ``_rank_mod_p_stack``.
-    """
-    if m.ndim == 3 and len(m) != 1:
-        return _rank_mod_p_stack(m, p)
-    if m.ndim == 3:
+def _rank_mod_p_numpy(m: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over Z_p of a stack (T, rows, cols) of integer matrices: a
+    stack of one runs the 2-D loop of ``_local_smith``, a larger one
+    ``_rank_mod_p_stack``."""
+    if len(m) == 1:
         return np.array([_local_smith(m[0], p)[0]])
-    return _local_smith(m, p)[0]
+    return _rank_mod_p_stack(m, p)
 
 
 def _local_smith(m: np.ndarray, p: int, e: int = 1) -> list[int]:
@@ -381,7 +377,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     a = _as_int_rows(rows)
     if not a or not a[0]:
         return 0
-    return _rank_mod_p_numpy(_int_array(a), p)
+    return _local_smith(_int_array(a), p)[0]
 
 
 def _stack_array(stack) -> np.ndarray:

@@ -53,6 +53,13 @@ def random_weight_vector(rng: random.Random, n: int, denominators=(2, 3, 5, 7)):
             return lam
 
 
+def empty_rank_cache(*arrs):
+    """Empty the rank family of each arrangement's cache (the ranks over Q
+    and mod p of ``cohom._ranks``), so the next call ranks afresh."""
+    for a in arrs:
+        a._cache.get("ranks", {}).clear()
+
+
 def catalog_arrangements():
     """(name, arrangement) pairs for every catalog entry."""
     return [(name, catalog.get(name)) for name in CATALOG_NAMES]

@@ -24,7 +24,7 @@ from oscoh.exactla import bareiss_rank, rank_mod_p, rank_over_Q, smith_normal_fo
 from oscoh.osalg import aomoto_matrix
 from oscoh.resonance import betti_bounds
 
-from conftest import CATALOG_NAMES, random_weight_vector
+from conftest import CATALOG_NAMES, empty_rank_cache, random_weight_vector
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
@@ -216,8 +216,7 @@ def test_bounded_ranks_match_unbounded_ranks_on_product():
     lams = (CEVA_WEIGHTS + MACLANE_SECTION_WEIGHTS, generic)
     dims = []
     for lam in lams:
-        for a in (arr, *arr.product_factors):
-            a._cache.pop("rankQ", None)  # rank afresh, not from another test
+        empty_rank_cache(arr, *arr.product_factors)  # rank afresh, not from another test
         rep = os_cohomology_dims(arr, lam)
         k = list(WeightVector(lam).k)
         unbounded = tuple(
@@ -227,8 +226,7 @@ def test_bounded_ranks_match_unbounded_ranks_on_product():
         assert rep.ranks == unbounded, lam
         dims.append(rep.dims)
     assert rep.dims == (0, 0, 0, 0, 208)
-    for a in (arr, *arr.product_factors):
-        a._cache.pop("rankQ", None)
+    empty_rank_cache(arr, *arr.product_factors)
     stacked = os_cohomology_dims_stack(arr, [WeightVector(lam).k for lam in lams])
     assert [tuple(row) for row in stacked.tolist()] == dims
 
@@ -241,7 +239,7 @@ def test_matrices_above_the_stack_budget_are_ranked_one_at_a_time(monkeypatch):
     from oscoh.osalg import AomotoMatrix
 
     arr = catalog.get("ceva3-section")
-    arr._cache.pop("rankQ", None)  # rank afresh, not from another test
+    empty_rank_cache(arr)  # rank afresh, not from another test
     monkeypatch.setattr(cohom, "STACK_CELLS", 100)
     sizes = {}
     real = AomotoMatrix.evaluate_stack
@@ -261,7 +259,7 @@ def test_matrices_above_the_stack_budget_are_ranked_one_at_a_time(monkeypatch):
 
 def test_weights_at_minus_two_to_the_63_are_not_wrapped():
     # -2**63 fits in int64, but its negation does not: mu^1 has an entry
-    # -k_2, which must read 2**63, and the normalized rankQ key flips signs
+    # -k_2, which must read 2**63, and the normalized cache key flips signs
     arr = build_arrangement([[0, 1, 0], [1, 0, 0], [1, 1, 1]])
     k = (1 - 2**62, -(2**63), -(2**62))
     assert 2**63 in aomoto_matrix(arr, 1).evaluate(k)[0]
@@ -429,6 +427,63 @@ def test_moduli_past_2_64_are_factored_or_refused():
     big = [n for n in range(2**100, 2**100 + 1000) if exactla.is_prime(n)][:2]
     with pytest.raises(ValueError, match=str(big[0] * big[1])):
         modN_cohomology_ranks(sec, k, big[0] * big[1])
+
+
+# ---------------------------------------------------------------------------
+# the rank driver and its cache
+
+
+def test_the_rank_cache_keys_ranks_by_their_field():
+    # k normalizes to itself over Q and reduces to itself mod 2, so only the
+    # field tells the two cached ranks apart; both orders must hold
+    sec = catalog.get("ceva3-section")
+    k = (0, 0, 0, 1, 0, 0, 1, 0, 0)
+    for mod_2_first in (True, False):
+        empty_rank_cache(sec)
+        calls = [
+            lambda: modN_cohomology_ranks(sec, k, 2).dims == (0, 1, 17),
+            lambda: os_cohomology_dims(sec, k).dims == (0, 0, 16),
+        ]
+        for call in calls if mod_2_first else calls[::-1]:
+            assert call(), mod_2_first
+        assert sec._cache["ranks"]
+
+
+@pytest.mark.parametrize("p", [2**89 - 1, 2**127 - 1])
+def test_primes_past_2_63_rank_on_the_merged_path(p):
+    # residues mod p are Python integers (object arrays) on every path
+    sec = catalog.get("ceva3-section")
+    k = [x + p for x in (1, 1, 1, 1, 1, 1, -2, -2, 5)]
+    rep = modN_cohomology_ranks(sec, k, p)
+    assert rep.notes == [] and rep.dims == (0, 0, 16) == bareiss_dims(sec, k, p)
+    assert rep.ranks == full_ranks(sec, k, p)
+    ceva = catalog.get("ceva3")
+    k = [x + p for x in (1, 1, 1, 1, 1, 1, -2, -2, -2)]  # sum 9p: the decone
+    rep = modN_cohomology_ranks(ceva, k, p)
+    assert "decone" in rep.notes[0]
+    assert rep.dims == (0, 1, 11, 10) == bareiss_dims(ceva, k, p)
+    assert rep.ranks == full_ranks(ceva, k, p)
+
+
+def test_a_mod_p_rank_above_the_complex_bound_is_refused(monkeypatch):
+    # rank mu^q <= b_q - rank mu^(q-1) holds mod p as well; a kernel that
+    # overstates the rank of mu^1 breaks it and the driver refuses
+    from oscoh import cohom
+
+    real = cohom._rank_mod_p_numpy
+
+    def overstated(m, p):
+        return real(m, p) + (m.shape[1:] == aomoto_matrix(sec, 1).shape)
+
+    sec = catalog.get("ceva3-section")
+    k = (1, 1, 1, 1, 1, 1, -2, -2, 5)
+    empty_rank_cache(sec)
+    assert modN_cohomology_ranks(sec, k, 11).ranks == (1, 8, 0)  # mu^1 at its bound
+    empty_rank_cache(sec)
+    monkeypatch.setattr(cohom, "_rank_mod_p_numpy", overstated)
+    with pytest.raises(ValueError, match="rank 9 exceeds the claimed upper bound 8"):
+        modN_cohomology_ranks(sec, k, 11)
+    empty_rank_cache(sec)  # drop what the overstating kernel left
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from oscoh.resonance import (
     yuzvinsky_vanishing,
 )
 
-from conftest import random_weight_vector
+from conftest import empty_rank_cache, random_weight_vector
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
@@ -318,6 +318,34 @@ def test_bounds_refuse_a_complex_over_the_cell_budget():
     assert CELL_BUDGET > 1624 * 1764  # the largest Aomoto matrix of A_6
 
 
+def test_a_bounded_rank_cache_keeps_the_box_answers(monkeypatch):
+    # A bound below one box's ranks empties the rank family between the
+    # chunks of the box; the options and witnesses stay those of the
+    # unbounded cache, and after each call the family holds at most the
+    # bound plus the entries that call wrote.
+    from oscoh import cohom
+
+    arr = catalog.get("maclane-section")
+    lam = tuple(Fraction(x, 3) for x in (1, 0, -1, 1, -1, -1, 1, 0))
+    monkeypatch.setattr(resonance, "STACK_CELLS", 100 * arr.n)  # 100 translates a chunk
+    empty_rank_cache(arr)
+    want = _lower_dims_options(arr, lam, 1)
+    sizes = []
+    real = cohom._ranks
+
+    def recorded(a, K, p):
+        out = real(a, K, p)
+        sizes.append((len(a._cache["ranks"]), len(K) * (a.rank + 1)))
+        return out
+
+    monkeypatch.setattr(cohom, "RANK_CACHE_ENTRIES", 500)
+    monkeypatch.setattr(cohom, "_ranks", recorded)
+    empty_rank_cache(arr)
+    assert _lower_dims_options(arr, lam, 1) == want
+    assert len(sizes) > 1 and all(held <= 500 + wrote for held, wrote in sizes)
+    assert any(b[0] < a[0] for a, b in zip(sizes, sizes[1:]))  # it was emptied
+
+
 # ---------------------------------------------------------------------------
 # translate boxes ranked as stacks, against Bareiss ranks per translate
 
@@ -396,7 +424,7 @@ def test_box_dims_match_per_translate_dims_on_the_zero_sum_slice(rows, data):
     assert got == per_translate_options(rows, lam, 1)
     # every translate on the slice sums to zero, so its dims come from the
     # decone's complex: the full complex is never ranked
-    assert "rankQ" not in arr._cache
+    assert not arr._cache.get("ranks")
 
 
 @BOX
