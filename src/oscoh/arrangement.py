@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactla import NumberField, pivot_columns
-from .matroid import Matroid, add_coloop, parallel_connection, vector_matroid
+from .matroid import Matroid, _unmask, add_coloop, parallel_connection, vector_matroid
 
 __all__ = [
     "Arrangement",
@@ -147,18 +147,6 @@ class Arrangement:
             )
         return self._cache[key]
 
-    def minimal_noncentral(self) -> list[tuple]:
-        """Minimal index sets with empty intersection (affine only)."""
-        key = "minimal_noncentral"
-        if key not in self._cache:
-            inf = self.infinity
-            self._cache[key] = sorted(
-                tuple(sorted(c - {inf}))
-                for c in self.cone_matroid.circuits()
-                if inf in c
-            )
-        return self._cache[key]
-
     # -- lattice -------------------------------------------------------------
 
     def intersection_lattice(self) -> IntersectionLattice:
@@ -211,7 +199,7 @@ class Arrangement:
 
         below = packed([bottom])
         below_mu, below_codim = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        flat_levels = [[Flat(_mask_to_frozenset(bottom), 0, 1, 0)]]
+        flat_levels = [[Flat(_unmask(bottom), 0, 1, 0)]]
         for q, level in enumerate(levels_masks[1:], start=1):
             cur = packed(level)
             mu = np.empty(len(level), dtype=np.int64)
@@ -226,7 +214,7 @@ class Arrangement:
                 beta[s : s + step] = inside @ weight
             beta *= (-1) ** (q - 1)
             flats = [
-                Flat(_mask_to_frozenset(fm), q, m, b)
+                Flat(_unmask(fm), q, m, b)
                 for fm, m, b in zip(level, mu.tolist(), beta.tolist())
             ]
             flats.sort(key=lambda f: f.sorted_hyperplanes)
@@ -322,17 +310,6 @@ class Arrangement:
         if not self.central:
             raise ValueError("dense edges are defined for central arrangements")
         return [f for level in self.intersection_lattice().levels[1:] for f in level if f.beta]
-
-
-def _mask_to_frozenset(m: int) -> frozenset:
-    out = []
-    e = 0
-    while m:
-        if m & 1:
-            out.append(e)
-        m >>= 1
-        e += 1
-    return frozenset(out)
 
 
 def _check_atoms(cone: Matroid, n: int) -> None:

@@ -20,8 +20,9 @@ from fractions import Fraction
 
 from . import catalog
 from .arrangement import Arrangement, essentialize
-from .cohom import modN_cohomology_ranks, os_cohomology_dims
-from .fileio import ArrangementFileError, read_arrangement
+from .cohom import WeightVector, modN_cohomology_ranks, os_cohomology_dims
+from .exactla import is_prime
+from .fileio import read_arrangement
 from .resonance import (
     betti_bounds,
     edge_weights,
@@ -75,11 +76,7 @@ def _load(name_or_path: str, want_essentialize: bool) -> Arrangement:
                 f"{name_or_path!r} is neither a catalog name "
                 f"({', '.join(catalog.names())}) nor a file"
             )
-        try:
-            arr = read_arrangement(name_or_path, essentialize=want_essentialize)
-        except ArrangementFileError as e:
-            raise CliError(str(e))
-        return arr
+        return read_arrangement(name_or_path, essentialize=want_essentialize)
     if want_essentialize and arr.forms is not None:
         arr = essentialize(arr)
     return arr
@@ -173,10 +170,7 @@ def _cmd_modn(arr: Arrangement, args) -> int:
     k = _parse_ints(args.k, "k")
     if len(k) != arr.n:
         raise CliError(f"expected {arr.n} integer weights, got {len(k)}")
-    try:
-        rep = modN_cohomology_ranks(arr, k, args.N)
-    except ValueError as e:
-        raise CliError(str(e))
+    rep = modN_cohomology_ranks(arr, k, args.N)
     _emit(rep.to_dict(), _report_lines(rep), args.format)
     return 0
 
@@ -245,9 +239,6 @@ def _cmd_nonres(arr: Arrangement, args) -> int:
             f"certified vanishing: weighted cohomology is {claimed} "
             f"(top dimension |e| = {top})"
         )
-    from .cohom import WeightVector
-    from .exactla import is_prime
-
     wv = WeightVector(lam)
     verified = None
     if wv.N >= 2 and is_prime(wv.N):
@@ -277,10 +268,7 @@ def _cmd_nonres(arr: Arrangement, args) -> int:
 
 def _cmd_resonance(arr: Arrangement, args) -> int:
     lam = _weights_for(arr, args.weights)
-    try:
-        member, dim = resonance_membership(arr, lam, args.q, args.m)
-    except ValueError as e:
-        raise CliError(str(e))
+    member, dim = resonance_membership(arr, lam, args.q, args.m)
     doc = {
         "degree": args.q,
         "depth": args.m,
@@ -374,10 +362,7 @@ def main(argv=None) -> int:
     try:
         arr = _load(args.input, args.essentialize)
         return _DISPATCH[args.command](arr, args)
-    except CliError as e:
-        print(f"oscoh: error: {e}", file=sys.stderr)
-        return 1
-    except (ArrangementFileError, ValueError) as e:
+    except (CliError, ValueError) as e:  # ArrangementFileError is a ValueError
         print(f"oscoh: error: {e}", file=sys.stderr)
         return 1
 

@@ -12,18 +12,22 @@ complex with the same cohomology (``_reduced_dims``): a product goes to its
 factors (Kunneth), and on a central arrangement the weight sum decides.  If
 it is a unit the complex is exact; if it is zero the dims are the decone's
 plus the same dims one degree up.  What is left goes to the one rank
-driver, ``_ranks``, over Q or at a prime: it evaluates and ranks degree by
-degree in stacks, bounds each rank by d^2 = 0 (the one-prime certificate
-target over Q, a check at p), and shares ranks between calls through one
-cache on the arrangement, keyed by the field, the degree and the weight
-row (projectively normalized over Q, reduced mod p), and emptied when it
-passes RANK_CACHE_ENTRIES.  For composite N a boundary's rank counts its
-elementary divisors that are units mod N, which is the minimum of its
-ranks modulo the primes p | N: each comes from the prime path above, with
-its reductions.  The report also gives each boundary's invariant factors
-over Z/N, from the ranks mod p where p divides N once and from an
-elimination over Z/p^e of the full complex where p^e, e >= 2, divides it.
-No integer Smith normal form is computed.
+driver, ``_ranks``, over Q or at a prime: it evaluates degree by degree in
+stacks and hands each stack to ``exactla.rank_stack`` with the bound
+d^2 = 0 gives (the one-prime certificate target over Q, a check at p).  It
+shares ranks between calls through one cache on the arrangement, keyed by
+the field, the degree and the weight row (projectively normalized over Q,
+reduced mod p), and emptied when it passes RANK_CACHE_ENTRIES.
+
+Mod N there is one loop over the primes p | N, each through the prime path
+above with its reductions; prime N is the case of one prime.  For
+composite N a boundary's rank counts its elementary divisors that are
+units mod N, which is the least of its ranks mod those primes.  The
+report also gives each boundary's invariant factors over Z/N, from the
+ranks mod p where p divides N once, and from an elimination over Z/p^e of
+the full boundary where p^e, e >= 2, divides it and the rank mod p is not
+full: only then is the full complex's matrix built.  No integer Smith
+normal form is computed.
 """
 
 from __future__ import annotations
@@ -35,16 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import (
-    STACK_CELLS,
-    _check_upper,
-    _factorize,
-    _int_array,
-    _local_smith,
-    _rank_mod_p_numpy,
-    is_prime,
-    rank_over_Q_stack,
-)
+from .exactla import STACK_CELLS, _factorize, _int_array, _local_smith, rank_stack
 from .arrangement import poincare_product
 from .osalg import aomoto_matrix
 
@@ -266,8 +261,8 @@ def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
     matrix when it is larger).  Degrees go upward: mu^q mu^(q-1) = 0 bounds
     rank mu^q by b_q - rank mu^(q-1) over either field.  Over Q a rank
     modulo one prime reaching that bound proves it, and the others are
-    proved by the Hadamard loop of ``rank_over_Q_stack``; at p a rank above
-    it raises ValueError.
+    proved by the Hadamard loop of ``rank_stack``; at p a rank above it
+    raises ValueError.
     """
     betti = arr.betti_numbers()
     v = _normalized_rows(K) if p is None else (K.astype(object) if p >= 2**63 else K) % p
@@ -290,14 +285,7 @@ def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
             step = max(1, STACK_CELLS // (nr * nc))
             for s in range(0, len(miss), step):
                 sel = slice(s, s + step)
-                stack = mat.evaluate_stack(rows[sel])
-                if p is None:
-                    got[sel] = rank_over_Q_stack(stack, upper[sel])
-                else:
-                    got[sel] = _rank_mod_p_numpy(stack, p)
-            over = np.flatnonzero(got > upper)
-            if over.size:
-                _check_upper(int(got[over[0]]), int(upper[over[0]]))
+                got[sel] = rank_stack(mat.evaluate_stack(rows[sel]), upper[sel], p)
         for u, r in zip(miss, got.tolist()):
             found[u] = cache[(p, q, keys[u])] = r
         ranks.append(found)
@@ -307,56 +295,58 @@ def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
 def modN_cohomology_ranks(arr, k: Sequence[int], N: int) -> CohomologyReport:
     """Ranks of the cohomology of the mod-N complex at integer weights k.
 
-    For prime N the boundary ranks are plain matrix ranks over the field
-    Z_N, from the reduced complex (``_reduced_dims``).  The mod-N rank of
-    a module over composite N is a matter of convention: here a boundary's
-    rank is the number of its elementary divisors that are units mod N
-    (units convention).  Those divisors form a divisor chain, so this is
-    the least of the boundary's ranks mod the primes p | N, and each of
-    those comes from the prime path; the notes list its reductions after
-    ``mod p:``.  Composite reports also carry each boundary's invariant
+    The mod-N rank of a module over composite N is a matter of convention:
+    here a boundary's rank is the number of its elementary divisors that
+    are units mod N (units convention).  Those divisors form a divisor
+    chain, so this is the least of the boundary's ranks mod the primes
+    p | N, and each of those comes from the prime path (``_reduced_dims``
+    at p).  Prime N is the case of one such prime: its ranks are plain
+    matrix ranks over the field Z_N.  Composite reports list each prime's
+    reductions after ``mod p:`` and also carry each boundary's invariant
     factors over Z/N (``_invariant_factors``), which depend only on k mod
     N.  N is factored by ``exactla._factorize``; a modulus it cannot split
     raises ValueError.
     """
+    rep, primes, rank_mod = _modN_report(arr, k, N)
+    if primes != {int(N): 1}:
+        rep.invariant_factors = tuple(
+            _invariant_factors(arr, q, rep.weights, primes, [r[q] for r in rank_mod])
+            for q in range(arr.rank + 1)
+        )
+    return rep
+
+
+def _modN_report(arr, k: Sequence[int], N: int) -> tuple:
+    """The report of ``modN_cohomology_ranks`` without invariant factors,
+    with the factorization {p: e} of N and the boundary ranks mod each p:
+    one loop over the primes p | N, with no work over Z/p^e."""
     N = int(N)
     if N < 2:
         raise ValueError("modulus must be at least 2")
-    k = [int(x) for x in k]
+    k = tuple(int(x) for x in k)
     if len(k) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(k)}")
-    notes = []
-    K = _int_array([k])
-    if is_prime(N):
-        dims = _reduced_dims(arr, K, N, notes)[0].tolist()
-        return CohomologyReport(
-            ("Z", N), tuple(dims), _ranks_from_dims(arr, dims), tuple(k), notes
-        )
     primes = _factorize(N)
-    notes.append(
-        "composite modulus: a boundary's rank counts its unit elementary "
-        "divisors mod N (units convention), the least of its ranks mod p | N"
-    )
+    prime = primes == {N: 1}
+    K = _int_array([k])
+    notes = []
+    if not prime:
+        notes.append(
+            "composite modulus: a boundary's rank counts its unit elementary "
+            "divisors mod N (units convention), the least of its ranks mod p | N"
+        )
     rank_mod = []
     for p in primes:
         sub: list = []
         dims = _reduced_dims(arr, K, p, sub)[0].tolist()
         rank_mod.append(_ranks_from_dims(arr, dims))
-        notes.extend(f"mod {p}: {x}" for x in sub)
+        notes.extend(sub if prime else (f"mod {p}: {x}" for x in sub))
     ranks = tuple(map(min, zip(*rank_mod)))
-    betti = arr.betti_numbers()
-    dims = tuple(
-        betti[q] - ranks[q] - (ranks[q - 1] if q else 0)
-        for q in range(arr.rank + 1)
-    )
-    factors = tuple(
-        _invariant_factors(arr, q, k, primes, [r[q] for r in rank_mod])
-        for q in range(arr.rank + 1)
-    )
-    return CohomologyReport(("Z", N), dims, ranks, tuple(k), notes, factors)
+    dims = tuple(b - r - s for b, r, s in zip(arr.betti_numbers(), ranks, (0,) + ranks))
+    return CohomologyReport(("Z", N), dims, ranks, k, notes), primes, rank_mod
 
 
-def _invariant_factors(arr, q: int, k: list, primes: dict, ranks: list) -> tuple:
+def _invariant_factors(arr, q: int, k: Sequence[int], primes: dict, ranks: list) -> tuple:
     """Invariant factors over Z/N of the boundary mu^q at weights k, for
     N = prod p^e over ``primes`` {p: e}, given its ranks mod each p.
 
@@ -364,17 +354,19 @@ def _invariant_factors(arr, q: int, k: list, primes: dict, ranks: list) -> tuple
     divisibility order, less those that are 0 mod N.  Factor i is the
     product over p | N of the i-th elementary divisor over Z/p^e (p^e once
     they run out).  Those are 1 up to the rank mod p, and nothing else when
-    e = 1 or the rank is full; otherwise they come from the elimination
-    over Z/p^e (``exactla._local_smith``) of the full boundary matrix.
+    e = 1 or the rank is full (mu^q is b_q x b_(q+1)); otherwise they come
+    from the elimination over Z/p^e (``exactla._local_smith``) of the full
+    boundary matrix, the only case that builds it.
     """
-    mat = aomoto_matrix(arr, q)
+    betti = arr.betti_numbers() + [0]
+    full = min(betti[q], betti[q + 1])
     local = []  # per prime: the exponents t < e of its elementary divisors p^t
     for (p, e), r in zip(primes.items(), ranks):
-        if e == 1 or r == min(mat.shape):  # no divisor past the units
+        if e == 1 or r == full:  # no divisor past the units
             exps = [0] * r
         else:
-            m = _int_array(mat.evaluate([x % p**e for x in k]))
-            exps = [t for t, c in enumerate(_local_smith(m, p, e)) for _ in range(c)]
+            m = aomoto_matrix(arr, q).evaluate_stack(_int_array([[x % p**e for x in k]]))
+            exps = [t for t, c in enumerate(_local_smith(m[0], p, e)) for _ in range(c)]
         local.append((p, e, exps))
     length = max(len(exps) for _, _, exps in local)
     return tuple(

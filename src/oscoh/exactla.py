@@ -6,11 +6,6 @@ polynomial.  No floating point is used anywhere.
 
 Each arithmetic has one elimination:
 
-* Z and Q: fraction-free Bareiss elimination (``bareiss_rank``) for small
-  integer matrices, and the certified multi-modular loop of
-  ``rank_over_Q_stack`` for the rest; ``rank_over_Q`` ranks one matrix
-  by Bareiss when small and as a stack of one otherwise.  Callers scale
-  rational rows to integers, which keeps ranks.
 * Z_p and Z/p^e: one numpy row reduction (``_local_smith``), in int64
   below 2**31 and in Python integers (object arrays) above that.  Over
   Z/p^e it pivots on entries of least p-adic valuation, which divide the
@@ -18,47 +13,54 @@ Each arithmetic has one elimination:
   that never grow past p^e (H. Cohen, GTM 138, 2.4; Hafner-McCurley
   1991).  With e = 1 it is the rank mod p of one matrix (``rank_mod_p``);
   stacks take ``_rank_mod_p_numpy``, described under Stacks below.
+* Z and Q: the certified multi-modular loop over those ranks mod p.
+  ``rank_stack`` ranks a stack over Q or over one Z_p, and
+  ``rank_over_Q`` ranks one matrix as a stack of one, whatever its size.
+  Callers scale rational rows to integers, which keeps ranks.
 * Fields given by their entries (Fraction or NFElement): Gaussian
   elimination with exact pivot division (``pivot_columns``), whose pivot
   count is ``field_rank``.
 
-The integer Smith normal form (``smith_normal_form``) stays as the
-reference oracle for these eliminations; its entries grow, and no
-computation in the package calls it.  Moduli are factored by trial
-division and Pollard-Brent rho (``_factorize``).
+Fraction-free Bareiss elimination (``bareiss_rank``) and the integer Smith
+normal form (``smith_normal_form``) stay as reference oracles for these
+eliminations; their entries grow, and no computation in the package calls
+them.  Moduli are factored by trial division and Pollard-Brent rho
+(``_factorize``).
 
 Matrices are plain nested sequences (list of rows).  Every rank mod p is a
 lower bound on the rank over Q.  When the caller proves an upper bound (in
 a complex, d^2 = 0 gives rank d^q <= dim C^q - rank d^(q-1)), the first
 prime whose rank reaches it proves the rational rank; this is the usual
 case when the complex is exact in that degree.  Otherwise the loop ranks
-modulo enough word-size primes for a Hadamard bound on the minors to turn
+modulo further word-size primes until a Hadamard bound on the minors turns
 the modular ranks into a proof (``_hadamard_proves``, the one place that
-bound is tested).
+bound is tested); there is no cap on the primes and no fallback.  At a
+given prime p the same bound is only checked: a rank above it raises
+ValueError.
 
-Stacks.  ``rank_over_Q_stack`` ranks T matrices of one shape (such as the
-Aomoto matrices at many weights) as one (T, rows, cols) array.  Each matrix
-keeps its own proof: it is settled when its rank modulo the first prime
-reaches min(rows, cols, its upper bound), and the rest go on over further
-primes, as a shrinking stack, until each one's own Hadamard bound is
-beaten.  Modulo p, ``_rank_mod_p_numpy`` takes stacks only (the cohomology
-driver also calls it at a prime).  A stack of one runs the row-swapping 2-D
-loop, which touches only the rows below the pivot and the columns right of
-it.  A larger stack runs ``_rank_mod_p_stack``: one elimination step per
-column for every matrix at once, so the Python loop runs min(rows, cols)
-times per stack instead of per matrix.  That step updates every row of
-every matrix, so it would rank one large matrix 2 to 6 times slower (on a
-2-core x86 VM, A_5 mu^3, 225 x 274: about 28 against 15 ms;
-product-example mu^3, 372 x 480: about 110 against 20 ms).  Callers
-evaluate and rank chunks of at most ``STACK_CELLS`` entries, or one matrix
-when it is larger: memory stays flat however large the box, a chunk's
-residues (512 KB of int64) stay in cache, and no caller picks a kernel.
+Stacks.  ``rank_stack`` ranks T matrices of one shape (such as the Aomoto
+matrices at many weights) as one (T, rows, cols) array.  Over Q each
+matrix keeps its own proof: it is settled when its rank modulo the first
+prime reaches min(rows, cols, its upper bound), and the rest go on over
+further primes, as a shrinking stack, until each one's own Hadamard bound
+is beaten.  Modulo p, ``_rank_mod_p_numpy`` takes stacks only.  A stack of
+one runs the row-swapping 2-D loop, which touches only the rows below the
+pivot and the columns right of it.  A larger stack runs
+``_rank_mod_p_stack``: one elimination step per column for every matrix at
+once, so the Python loop runs min(rows, cols) times per stack instead of
+per matrix.  That step updates every row of every matrix, so it would rank
+one large matrix 2 to 6 times slower (on a 2-core x86 VM, A_5 mu^3,
+225 x 274: about 28 against 15 ms; product-example mu^3, 372 x 480: about
+110 against 20 ms).  Callers evaluate and rank chunks of at most
+``STACK_CELLS`` entries, or one matrix when it is larger: memory stays flat
+however large the box, a chunk's residues (512 KB of int64) stay in cache,
+and no caller picks a kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd, isqrt, prod
 from typing import Iterable, Sequence
 
@@ -74,7 +76,7 @@ __all__ = [
     "pivot_columns",
     "rank_mod_p",
     "rank_over_Q",
-    "rank_over_Q_stack",
+    "rank_stack",
     "smith_normal_form",
     "is_prime",
 ]
@@ -130,15 +132,17 @@ _RHO_STEPS = 2**21
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, primes in increasing order.
 
-    Trial division by the primes below 1000, then Pollard's rho with
-    Brent's cycle search on what is left, split until every part passes
-    ``is_prime``.  A part that rho does not split within ``_RHO_STEPS``
+    A prime n is answered by ``is_prime`` alone.  Otherwise trial division
+    by the primes below 1000, then Pollard's rho with Brent's cycle search
+    on what is left, split until every part passes ``is_prime``.  A part that rho does not split within ``_RHO_STEPS``
     steps, such as the product of two primes above 2**100, raises
     ValueError naming n rather than run on.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"cannot factor {n}")
+    if is_prime(n):
+        return {n: 1}
     out: dict[int, int] = {}
     rest = n
     for p in range(2, 1000):
@@ -409,15 +413,8 @@ def _nth_prime(i: int) -> int:
 
 
 def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
-    """Rank over Q of an integer matrix, certified exactly.
-
-    Small matrices go through Bareiss, large ones through
-    ``rank_over_Q_stack`` as a stack of one: ranks modulo 31-bit primes
-    p_1, p_2, ..., with r the maximum modular rank seen.  Some r x r minor
-    is nonzero mod one of the primes, so rank >= r.  If the rank exceeded
-    r, some nonzero (r+1)-minor D would be divisible by every prime used,
-    hence |D| >= prod p_i; once prod p_i beats the Hadamard bound on
-    (r+1)-minors this is impossible and rank == r is proved.
+    """Rank over Q of an integer matrix, certified exactly: ``rank_stack``
+    on a stack of one.
 
     ``upper``, if given, must be a proven upper bound on the rank over Q,
     such as dim C^q - rank d^(q-1) for the boundary d^q of a complex.  The
@@ -428,15 +425,8 @@ def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     a = _as_int_rows(rows)
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    if nr * nc <= 8000 or min(nr, nc) <= 24:
-        return _check_upper(bareiss_rank(a), upper)
     bound = min(nr, nc) if upper is None else upper
-    return int(rank_over_Q_stack(_int_array([a]), [bound])[0])
-
-
-# More primes than any sane matrix needs; past them, ranks fall back to
-# Bareiss and stay exact regardless.
-_MAX_PRIMES = 512
+    return int(rank_stack(_int_array(a).reshape(1, nr, nc), [bound])[0])
 
 
 def _hadamard_proves(norms2: Sequence[int], r: int, prod: int) -> bool:
@@ -468,56 +458,46 @@ def _sorted_row_norms2(mats: np.ndarray) -> list[list[int]]:
     return [sorted(row, reverse=True) for row in norms.tolist()]
 
 
-def rank_over_Q_stack(stack, upper: Sequence[int]) -> np.ndarray:
-    """Ranks over Q of a stack (T, rows, cols) of integer matrices, each
-    certified exactly.
+def rank_stack(stack, upper: Sequence[int], p: int | None = None) -> np.ndarray:
+    """Ranks of a stack (T, rows, cols) of integer matrices over Q (p None)
+    or over Z_p (p prime), each exact.
 
     ``upper[t]`` must be a proven upper bound on the rank of matrix t, as
-    in ``rank_over_Q``.  Every matrix is ranked modulo the first 31-bit
-    prime; matrix t is settled when that rank reaches
-    min(rows, cols, upper[t]).  The others go on together over further
-    primes until each one's own Hadamard bound is beaten.  A modular rank
-    above ``upper[t]`` raises ValueError.
+    in ``rank_over_Q``; a rank above it raises ValueError.  At p one
+    elimination gives every rank, and the bound is only that check.  Over
+    Q every matrix is ranked modulo the first 31-bit prime, and matrix t is
+    settled when that rank reaches min(rows, cols, upper[t]); the others go
+    on together over further primes until each one's own Hadamard bound is
+    beaten, which a finite number of primes always does.  A p that is not
+    prime raises NotPrimeError.
     """
+    if p is not None and not is_prime(p):
+        raise NotPrimeError(f"modulus {p} is not prime")
     m = _stack_array(stack)
     t, nr, nc = m.shape
     upper = np.asarray(upper, dtype=np.int64).reshape(t)
     ranks = np.zeros(t, dtype=np.int64)
-    if t == 0 or nr == 0 or nc == 0:
-        for u in upper.tolist():
-            _check_upper(0, u)
-        return ranks
-    target = np.minimum(upper, min(nr, nc))
-    todo = np.arange(t)
-    norms2: dict[int, list[int]] = {}  # for the matrices left after one prime
-    prod = 1
-    for i in range(_MAX_PRIMES):
-        p = _nth_prime(i)
-        rp = _rank_mod_p_numpy(m[todo], p)
-        ranks[todo] = np.maximum(ranks[todo], rp)
-        over = np.nonzero(ranks[todo] > upper[todo])[0]
-        if over.size:
-            j = todo[over[0]]
-            _check_upper(int(ranks[j]), int(upper[j]))
-        prod *= p
-        todo = todo[ranks[todo] < target[todo]]
-        if todo.size == 0:
-            return ranks
-        if not norms2:
-            norms2 = dict(zip(todo.tolist(), _sorted_row_norms2(m[todo])))
-        proved = [_hadamard_proves(norms2[j], int(ranks[j]), prod) for j in todo.tolist()]
-        todo = todo[~np.array(proved, dtype=bool)]
-        if todo.size == 0:
-            return ranks
-    for j in todo.tolist():
-        ranks[j] = _check_upper(bareiss_rank(m[j].tolist()), int(upper[j]))
+    if t and nr and nc:
+        ranks = _rank_mod_p_numpy(m, _nth_prime(0) if p is None else int(p))
+    if p is None:
+        target = np.minimum(upper, min(nr, nc))
+        todo = np.flatnonzero(ranks < target)
+        norms2 = dict(zip(todo.tolist(), _sorted_row_norms2(m[todo]))) if todo.size else {}
+        prod = _nth_prime(0)
+        for i in count(1):
+            proved = [_hadamard_proves(norms2[j], int(ranks[j]), prod) for j in todo.tolist()]
+            todo = todo[~np.array(proved, dtype=bool)]
+            if todo.size == 0:
+                break
+            q = _nth_prime(i)
+            ranks[todo] = np.maximum(ranks[todo], _rank_mod_p_numpy(m[todo], q))
+            prod *= q
+            todo = todo[ranks[todo] < target[todo]]
+    over = np.flatnonzero(ranks > upper)
+    if over.size:
+        j = over[0]
+        raise ValueError(f"rank {ranks[j]} exceeds the claimed upper bound {upper[j]}")
     return ranks
-
-
-def _check_upper(r: int, upper: int | None) -> int:
-    if upper is not None and r > upper:
-        raise ValueError(f"rank {r} exceeds the claimed upper bound {upper}")
-    return r
 
 
 # ---------------------------------------------------------------------------

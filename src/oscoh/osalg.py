@@ -34,7 +34,6 @@ import numpy as np
 from .exactla import _int_array
 
 __all__ = [
-    "circuits",
     "nbc_basis",
     "reduce_to_nbc",
     "aomoto_matrix",
@@ -47,11 +46,6 @@ __all__ = [
 # braid arrangement A_6 needs 1624 * 1764 = 2,864,736 and every catalog
 # entry far less; boolean(14) (3432 * 3003) is over.
 CELL_BUDGET = 4 * 10**6
-
-
-def circuits(arr) -> list[tuple]:
-    """Circuits among the hyperplanes (minimal central dependent sets)."""
-    return arr.central_circuits()
 
 
 def _nbc_states(arr, q: int) -> list[tuple]:

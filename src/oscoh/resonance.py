@@ -29,6 +29,7 @@ from .arrangement import poincare_product
 from .cohom import (
     CohomologyReport,
     WeightVector,
+    _modN_report,
     modN_cohomology_ranks,
     os_cohomology_dims,
     os_cohomology_dims_stack,
@@ -344,7 +345,7 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         next(w for d, w in options.items() if d[q] == lower[q]) if lower[q] else None
         for q in range(arr.rank + 1)
     )
-    upper_rep = modN_cohomology_ranks(arr, wv.k, wv.N)
+    upper_rep = _modN_report(arr, wv.k, wv.N)[0]  # no invariant factors
     notes.extend(upper_rep.notes)
     return BettiBoundsReport(
         wv.lam, wv.N, box, lower, tuple(upper_rep.dims), witness, notes

@@ -53,7 +53,6 @@ def test_generic_affine_lines():
     assert arr.rank == 2
     assert betti_numbers(arr) == [1, 3, 3]
     assert euler_characteristic(arr) == 1
-    assert arr.minimal_noncentral() == [(0, 1, 2)]
 
 
 def test_concurrent_central_lines():
@@ -61,7 +60,6 @@ def test_concurrent_central_lines():
     assert arr.central
     assert betti_numbers(arr) == [1, 3, 2]
     assert euler_characteristic(arr) == 0
-    assert arr.minimal_noncentral() == []
 
 
 def test_zero_form_rejected():

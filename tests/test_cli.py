@@ -279,6 +279,19 @@ def test_bounds_refuses_a_translate_box_over_budget(capsys):
     assert "1594323 candidate translates" in err and "box 1" in err
 
 
+def test_modn_answers_a_complex_over_the_cell_budget_at_squarefree_N(capsys):
+    # the degree-5 matrix of boolean(14) is 2002 x 3003, over the cell
+    # budget, but k has unit sums mod 3 and mod 2 goes to the decone: no
+    # full boundary matrix is needed, not even for invariant factors
+    code, out, err = run(
+        capsys, ["modn", "boolean(14)", "--k=" + ",".join(["1"] * 14), "--N", "6", "--format", "json"]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["dims"] == [0] * 15
+    arr = catalog.get("boolean(14)")
+    assert not any(key[0] == "aomoto" for key in arr._cache if isinstance(key, tuple))
+
+
 def test_bad_weight_token(capsys):
     code, _, err = run(capsys, ["oscohom", "boolean(2)", "--weights", "1/3,x"])
     assert code == 1

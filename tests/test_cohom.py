@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oscoh
-from oscoh import build_arrangement, catalog, exactla, product_arrangement
+from oscoh import build_arrangement, catalog, cohom, exactla, product_arrangement
 from oscoh.cohom import (
     WeightVector,
     kunneth_product,
@@ -416,6 +416,30 @@ def test_composite_moduli_need_no_smith_normal_form(monkeypatch):
     assert bounds.upper == modN_cohomology_ranks(sec, WeightVector(lam).k, 6).dims
 
 
+def test_composite_moduli_build_no_full_complex_without_a_square_factor():
+    # N = 6 is squarefree: the invariant factors come from the ranks mod 2
+    # and mod 3, so the product's own Aomoto matrices are never assembled
+    prod = product_arrangement(catalog.get("ceva3-section"), catalog.get("maclane-section"))
+    rep = modN_cohomology_ranks(prod, [1] * prod.n, 6)
+    assert rep.dims == (0, 0, 0, 26, 234) and len(rep.invariant_factors) == 5
+    assert not any(key[0] == "aomoto" for key in prod._cache if isinstance(key, tuple))
+
+
+def test_bounds_compute_no_invariant_factors(monkeypatch):
+    # N = 4 has a square factor, but the upper bound needs only the ranks
+    # mod 2, not the elimination over Z/4
+    prod = catalog.get("product-example")
+    lam = [Fraction((-1) ** i, 4) for i in range(prod.n)]
+    want = modN_cohomology_ranks(prod, WeightVector(lam).k, 4)
+
+    def refuse(m, p, e=1):
+        raise AssertionError("elimination over Z/p^e called")
+
+    monkeypatch.setattr(cohom, "_local_smith", refuse)
+    rep = betti_bounds(prod, lam, box=0)
+    assert rep.upper == want.dims and rep.convention_notes[1:] == want.notes
+
+
 def test_moduli_past_2_64_are_factored_or_refused():
     sec = catalog.get("ceva3-section")
     k = (1, 1, 1, 1, 1, 1, -2, -2, 5)
@@ -468,9 +492,7 @@ def test_primes_past_2_63_rank_on_the_merged_path(p):
 def test_a_mod_p_rank_above_the_complex_bound_is_refused(monkeypatch):
     # rank mu^q <= b_q - rank mu^(q-1) holds mod p as well; a kernel that
     # overstates the rank of mu^1 breaks it and the driver refuses
-    from oscoh import cohom
-
-    real = cohom._rank_mod_p_numpy
+    real = exactla._rank_mod_p_numpy
 
     def overstated(m, p):
         return real(m, p) + (m.shape[1:] == aomoto_matrix(sec, 1).shape)
@@ -480,7 +502,7 @@ def test_a_mod_p_rank_above_the_complex_bound_is_refused(monkeypatch):
     empty_rank_cache(sec)
     assert modN_cohomology_ranks(sec, k, 11).ranks == (1, 8, 0)  # mu^1 at its bound
     empty_rank_cache(sec)
-    monkeypatch.setattr(cohom, "_rank_mod_p_numpy", overstated)
+    monkeypatch.setattr(exactla, "_rank_mod_p_numpy", overstated)
     with pytest.raises(ValueError, match="rank 9 exceeds the claimed upper bound 8"):
         modN_cohomology_ranks(sec, k, 11)
     empty_rank_cache(sec)  # drop what the overstating kernel left

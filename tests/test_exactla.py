@@ -19,7 +19,7 @@ from oscoh.exactla import (
     is_prime,
     rank_mod_p,
     rank_over_Q,
-    rank_over_Q_stack,
+    rank_stack,
     smith_normal_form,
 )
 from oscoh.matroid import vector_matroid
@@ -176,7 +176,7 @@ def test_rank_mod_p_drops_on_divisible_pivots():
 
 
 def test_rank_over_Q_stops_at_a_proven_upper_bound(monkeypatch):
-    # 60 x 200 is above the Bareiss threshold, so the multimodular loop runs
+    # 60 x 200 of rank 40: a bound of 40 settles it at the first prime
     m = planted_rank_matrix(random.Random(40), 60, 200, 40)
     calls = []
     real = exactla._rank_mod_p_numpy
@@ -214,6 +214,38 @@ def test_rank_over_Q_rejects_a_false_bound_on_small_matrices():
 def test_rank_mod_p_rejects_composite_modulus():
     with pytest.raises(NotPrimeError):
         rank_mod_p([[1]], 6)
+    with pytest.raises(NotPrimeError, match="modulus 91 is not prime"):
+        rank_stack([[[1, 2], [3, 4]]], [2], 91)
+
+
+def _refuse_bareiss(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("Bareiss called")
+
+    monkeypatch.setattr(exactla, "bareiss_rank", refuse)
+
+
+def test_rank_over_Q_needs_no_bareiss_on_small_matrices(monkeypatch):
+    _refuse_bareiss(monkeypatch)
+    assert rank_over_Q([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+    assert rank_over_Q([[6]]) == 1 and rank_over_Q([]) == 0
+
+
+def test_ranks_are_proved_past_512_primes(monkeypatch):
+    # the Hadamard test refuses the first 600 primes, so the loop runs on
+    # past them with no cap and no Bareiss fallback
+    _refuse_bareiss(monkeypatch)
+    real = exactla._hadamard_proves
+    tries = []
+
+    def slow(norms2, r, prod):
+        tries.append(r)
+        return len(tries) > 600 and real(norms2, r, prod)
+
+    monkeypatch.setattr(exactla, "_hadamard_proves", slow)
+    m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    assert rank_over_Q(m) == 2
+    assert len(tries) == 601
 
 
 def test_rank_mod_p_matches_oracle_elimination():
@@ -544,24 +576,28 @@ def test_rank_mod_p_matches_the_oracle(p, stack):
     want = [gf_rank(m, p) for m in stack]
     assert [rank_mod_p(m, p) for m in stack] == want
     assert exactla._rank_mod_p_numpy(exactla._int_array(stack), p).tolist() == want
+    assert rank_stack(stack, want, p).tolist() == want
+    if max(want):
+        with pytest.raises(ValueError, match="exceeds the claimed upper bound"):
+            rank_stack(stack, [max(r - 1, 0) for r in want], p)
 
 
 @DIFF
 @given(int_stacks(WIDE), st.integers(0, 7))
-def test_rank_over_Q_stack_matches_the_fraction_oracle(stack, slack):
+def test_rank_stack_matches_the_fraction_oracle(stack, slack):
     want = [fraction_rank(m) for m in stack]
     nr, nc = len(stack[0]), len(stack[0][0])
     # no usable bound, the true rank, and a loose bound
     for upper in ([min(nr, nc)] * len(stack), want, [r + slack for r in want]):
-        assert rank_over_Q_stack(stack, upper).tolist() == want
+        assert rank_stack(stack, upper).tolist() == want
     # a false bound is caught when a modular rank exceeds it
     low = [max(r - 1, 0) for r in want]
     if any(gf_rank(m, exactla._nth_prime(0)) > b for m, b in zip(stack, low)):
         with pytest.raises(ValueError, match="exceeds the claimed upper bound"):
-            rank_over_Q_stack(stack, low)
+            rank_stack(stack, low)
 
 
-def test_rank_over_Q_stack_settles_bounded_matrices_with_one_prime(monkeypatch):
+def test_rank_stack_settles_bounded_matrices_with_one_prime(monkeypatch):
     rng = random.Random(42)
     stack = [planted_rank_matrix(rng, 12, 30, r) for r in (3, 7, 12, 12)]
     calls = []
@@ -573,11 +609,11 @@ def test_rank_over_Q_stack_settles_bounded_matrices_with_one_prime(monkeypatch):
 
     monkeypatch.setattr(exactla, "_rank_mod_p_numpy", counted)
     # the first two are proved by their bounds, the full-rank ones by shape
-    assert rank_over_Q_stack(stack, [3, 7, 12, 12]).tolist() == [3, 7, 12, 12]
+    assert rank_stack(stack, [3, 7, 12, 12]).tolist() == [3, 7, 12, 12]
     assert calls == [4]
     calls.clear()
     # without bounds only the deficient matrices go on to further primes
-    assert rank_over_Q_stack(stack, [12] * 4).tolist() == [3, 7, 12, 12]
+    assert rank_stack(stack, [12] * 4).tolist() == [3, 7, 12, 12]
     assert calls[0] == 4 and len(calls) > 1 and max(calls[1:]) <= 2
 
 
