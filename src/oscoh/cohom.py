@@ -39,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import STACK_CELLS, _factorize, _int_array, _local_smith, rank_stack
+from .exactla import STACK_CELLS, _absmax, _exact_int, _exact_ints, _factorize, _local_smith
+from .exactla import _widen, rank_stack
 from .arrangement import poincare_product
 from .osalg import aomoto_matrix
 
@@ -75,18 +76,19 @@ class WeightVector:
 
     @classmethod
     def from_modular(cls, k: Sequence[int], N: int) -> "WeightVector":
+        k, N = tuple(_exact_ints(k).tolist()), _exact_int(N)
         if N < 1:
             raise ValueError("modulus must be positive")
-        wv = cls([Fraction(int(x), N) for x in k])
+        wv = cls([Fraction(x, N) for x in k])
         if wv.N != N:
-            wv.reduced_from = (tuple(int(x) for x in k), N)
+            wv.reduced_from = (k, N)
         return wv
 
     def __len__(self):
         return len(self.lam)
 
     def translate(self, m: Sequence[int]) -> "WeightVector":
-        return WeightVector([l + int(x) for l, x in zip(self.lam, m)])
+        return WeightVector([l + x for l, x in zip(self.lam, _exact_ints(m).tolist())])
 
     def __repr__(self):
         return f"WeightVector(({', '.join(str(l) for l in self.lam)}))"
@@ -161,7 +163,7 @@ def os_cohomology_dims(arr, lam) -> CohomologyReport:
     if len(wv) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(wv)}")
     notes: list = []
-    dims = _reduced_dims(arr, _int_array([wv.k]), None, notes)[0].tolist()
+    dims = _reduced_dims(arr, _exact_ints([wv.k]), None, notes)[0].tolist()
     return CohomologyReport(
         ("Q",), tuple(dims), _ranks_from_dims(arr, dims), wv.lam, notes
     )
@@ -170,11 +172,12 @@ def os_cohomology_dims(arr, lam) -> CohomologyReport:
 def os_cohomology_dims_stack(arr, K) -> np.ndarray:
     """Weighted cohomology dimensions over Q at every row of an integer array.
 
-    Row t of K (T x n, int64 or Python ints) holds k = N*lam for weights
-    lam; any nonzero multiple gives the same dims.  Returns a (T, rank+1)
-    array whose row t is ``os_cohomology_dims(arr, lam).dims``.
+    Row t of K (T x n integers; a float or a non-integral Fraction raises
+    ValueError) holds k = N*lam for weights lam; any nonzero multiple gives
+    the same dims.  Returns a (T, rank+1) array whose row t is
+    ``os_cohomology_dims(arr, lam).dims``.
     """
-    K = _int_array(K)
+    K = _exact_ints(K)
     if K.ndim != 2 or K.shape[1] != arr.n:
         raise ValueError(f"expected rows of {arr.n} weights, got shape {K.shape}")
     return _reduced_dims(arr, K)
@@ -220,9 +223,8 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
     if not arr.central:
         ranks = _ranks(arr, K, p)
         return np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]
-    wide = K.dtype != object and np.abs(K, dtype=np.float64).max(initial=0) * arr.n >= 2**62
-    sums = (K.astype(object) if wide else K).sum(axis=1)
-    zero = sums == 0 if p is None else sums % p == 0
+    sums = _widen(K, 2 * _absmax(K) * arr.n).sum(axis=1)  # |sum| <= n max|k|, doubled for margin
+    zero = sums == 0 if p is None else _widen(sums, p) % p == 0
     dims = np.zeros((len(K), arr.rank + 1), dtype=np.int64)
     if not zero.any():
         if notes is not None:
@@ -265,7 +267,7 @@ def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
     raises ValueError.
     """
     betti = arr.betti_numbers()
-    v = _normalized_rows(K) if p is None else (K.astype(object) if p >= 2**63 else K) % p
+    v = _normalized_rows(K) if p is None else _widen(K, p) % p
     index: dict[tuple, int] = {}
     inverse = [index.setdefault(key, len(index)) for key in map(tuple, v.tolist())]
     keys = list(index)
@@ -280,7 +282,7 @@ def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
         mat = aomoto_matrix(arr, q)
         nr, nc = mat.shape
         if miss and nr and nc:
-            rows = _int_array([keys[u] for u in miss])
+            rows = np.array([keys[u] for u in miss], dtype=v.dtype)
             upper = betti[q] - np.array(ranks[q])[miss]
             step = max(1, STACK_CELLS // (nr * nc))
             for s in range(0, len(miss), step):
@@ -320,15 +322,15 @@ def _modN_report(arr, k: Sequence[int], N: int) -> tuple:
     """The report of ``modN_cohomology_ranks`` without invariant factors,
     with the factorization {p: e} of N and the boundary ranks mod each p:
     one loop over the primes p | N, with no work over Z/p^e."""
-    N = int(N)
+    N = _exact_int(N)
     if N < 2:
         raise ValueError("modulus must be at least 2")
-    k = tuple(int(x) for x in k)
+    K = _exact_ints([k])
+    k = tuple(K[0].tolist())
     if len(k) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(k)}")
     primes = _factorize(N)
     prime = primes == {N: 1}
-    K = _int_array([k])
     notes = []
     if not prime:
         notes.append(
@@ -365,7 +367,7 @@ def _invariant_factors(arr, q: int, k: Sequence[int], primes: dict, ranks: list)
         if e == 1 or r == full:  # no divisor past the units
             exps = [0] * r
         else:
-            m = aomoto_matrix(arr, q).evaluate_stack(_int_array([[x % p**e for x in k]]))
+            m = aomoto_matrix(arr, q).evaluate_stack(_exact_ints([[x % p**e for x in k]]))
             exps = [t for t, c in enumerate(_local_smith(m[0], p, e)) for _ in range(c)]
         local.append((p, e, exps))
     length = max(len(exps) for _, _, exps in local)

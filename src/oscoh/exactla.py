@@ -6,8 +6,8 @@ polynomial.  No floating point is used anywhere.
 
 Each arithmetic has one elimination:
 
-* Z_p and Z/p^e: one numpy row reduction (``_local_smith``), in int64
-  below 2**31 and in Python integers (object arrays) above that.  Over
+* Z_p and Z/p^e: one numpy row reduction (``_local_smith``), on residues
+  in int64 below 2**31 and in Python integers above that.  Over
   Z/p^e it pivots on entries of least p-adic valuation, which divide the
   rest of their column, so it gives the local Smith form with entries
   that never grow past p^e (H. Cohen, GTM 138, 2.4; Hafner-McCurley
@@ -26,6 +26,14 @@ normal form (``smith_normal_form``) stay as reference oracles for these
 eliminations; their entries grow, and no computation in the package calls
 them.  Moduli are factored by trial division and Pollard-Brent rho
 (``_factorize``).
+
+Integers.  Two functions make every choice between int64 and Python
+integers (object arrays), apart from the eliminations' residues.
+``_exact_ints`` takes integers from a caller: int64 when all fit, Python
+integers otherwise, and ValueError for a float or a non-integral Fraction,
+never truncated.  ``_widen`` takes an array the package built and a bound
+on every value the caller computes from it, and widens it to Python
+integers when that bound reaches 2**63.
 
 Matrices are plain nested sequences (list of rows).  Every rank mod p is a
 lower bound on the rank over Q.  When the caller proves an upper bound (in
@@ -60,6 +68,7 @@ and no caller picks a kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, product
 from math import gcd, isqrt, prod
 from typing import Iterable, Sequence
@@ -93,8 +102,9 @@ class NotPrimeError(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
+    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs; cached."""
     n = int(n)
     if n < 2:
         return False
@@ -205,8 +215,40 @@ def _rho_factor(n: int) -> int | None:
 # integer matrices
 
 
-def _as_int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[int(x) for x in row] for row in rows]
+def _exact_int(x) -> int:
+    """An integer (or integral Fraction) from a caller as a Python int; a
+    float or any other value raises ValueError rather than be truncated."""
+    if isinstance(x, (int, np.integer)) or isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
+
+
+def _exact_ints(a) -> np.ndarray:
+    """Integers from a caller as an array: int64 when all fit (-2**63 does
+    not: its negation wraps), Python integers otherwise.  Entries other than
+    Python ints in an object array, or in a list, go through ``_exact_int``."""
+    if isinstance(a, np.ndarray) and a.dtype.kind in "ib":
+        out = a.astype(np.int64, copy=False)
+    else:
+        a = np.asarray(a, dtype=object)
+        if set(map(type, a.flat)) - {int}:
+            a = np.array([_exact_int(v) for v in a.flat], dtype=object).reshape(a.shape)
+        try:
+            out = a.astype(np.int64)
+        except OverflowError:
+            return a
+    return out.astype(object) if out.min(initial=0) == -(2**63) else out
+
+
+def _widen(a: np.ndarray, bound: int) -> np.ndarray:
+    """The package's own array a, as Python integers when ``bound``, on
+    every value the caller computes from a, reaches 2**63."""
+    return a.astype(object) if bound >= 2**63 and a.dtype != object else a
+
+
+def _absmax(a: np.ndarray) -> int:
+    """The largest absolute value in an integer array, 0 when empty."""
+    return int(np.abs(a).max(initial=0))
 
 
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -215,7 +257,7 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     Intermediate entries are determinants of submatrices of the input, so
     growth is polynomial in the bit size; every division below is exact.
     """
-    a = _as_int_rows(rows)
+    a = _exact_ints(rows).tolist()
     nr = len(a)
     nc = len(a[0]) if nr else 0
     r = 0
@@ -247,16 +289,6 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
         if r == nr:
             break
     return r
-
-
-def _int_array(a) -> np.ndarray:
-    """Integer array as int64, or as Python ints past int64.  -2**63 counts
-    as past int64: its negation and absolute value wrap."""
-    try:
-        out = np.array(a, dtype=np.int64)
-    except OverflowError:
-        return np.array(a, dtype=object)
-    return out.astype(object) if (out == np.iinfo(np.int64).min).any() else out
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -375,23 +407,11 @@ def _rank_mod_p_stack(m: np.ndarray, p: int) -> np.ndarray:
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank of an integer matrix over the prime field Z_p."""
-    p = int(p)
+    p = _exact_int(p)
     if not is_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
-    a = _as_int_rows(rows)
-    if not a or not a[0]:
-        return 0
-    return _local_smith(_int_array(a), p)[0]
-
-
-def _stack_array(stack) -> np.ndarray:
-    """A (T, rows, cols) integer array: int64, or Python ints past int64."""
-    m = stack if isinstance(stack, np.ndarray) else _int_array(stack)
-    if m.dtype.kind not in "iO":
-        raise ValueError(f"expected integer entries, got {m.dtype}")
-    if m.ndim != 3:
-        raise ValueError(f"expected a (T, rows, cols) stack, got shape {m.shape}")
-    return m
+    m = _exact_ints(rows)
+    return _local_smith(m, p)[0] if m.size else 0
 
 
 # 31-bit primes for the certified multi-modular rank.  Generated on first use.
@@ -422,11 +442,10 @@ def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     min(rows, columns, upper), since that rank is also a lower bound.  A
     rank above ``upper`` shows the bound false and raises ValueError.
     """
-    a = _as_int_rows(rows)
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
+    m = _exact_ints(rows)
+    nr, nc = len(m), m.shape[1] if m.ndim == 2 else 0
     bound = min(nr, nc) if upper is None else upper
-    return int(rank_stack(_int_array(a).reshape(1, nr, nc), [bound])[0])
+    return int(rank_stack(m.reshape(1, nr, nc), [bound])[0])
 
 
 def _hadamard_proves(norms2: Sequence[int], r: int, prod: int) -> bool:
@@ -450,10 +469,7 @@ def _hadamard_proves(norms2: Sequence[int], r: int, prod: int) -> bool:
 
 def _sorted_row_norms2(mats: np.ndarray) -> list[list[int]]:
     """Squared row norms of each matrix in a stack, largest first, exact."""
-    if mats.dtype != object:
-        big = int(np.abs(mats).max(initial=0))
-        if big * big * mats.shape[2] >= 2**63:
-            mats = mats.astype(object)
+    mats = _widen(mats, _absmax(mats) ** 2 * mats.shape[2])
     norms = (mats * mats).sum(axis=2)
     return [sorted(row, reverse=True) for row in norms.tolist()]
 
@@ -471,14 +487,17 @@ def rank_stack(stack, upper: Sequence[int], p: int | None = None) -> np.ndarray:
     beaten, which a finite number of primes always does.  A p that is not
     prime raises NotPrimeError.
     """
+    p = None if p is None else _exact_int(p)
     if p is not None and not is_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
-    m = _stack_array(stack)
+    m = _exact_ints(stack)
+    if m.ndim != 3:
+        raise ValueError(f"expected a (T, rows, cols) stack, got shape {m.shape}")
     t, nr, nc = m.shape
     upper = np.asarray(upper, dtype=np.int64).reshape(t)
     ranks = np.zeros(t, dtype=np.int64)
     if t and nr and nc:
-        ranks = _rank_mod_p_numpy(m, _nth_prime(0) if p is None else int(p))
+        ranks = _rank_mod_p_numpy(m, _nth_prime(0) if p is None else p)
     if p is None:
         target = np.minimum(upper, min(nr, nc))
         todo = np.flatnonzero(ranks < target)
@@ -555,7 +574,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     grow, so this is the reference oracle the Z/p^e elimination
     (``_local_smith``) is tested against, not a path of the package.
     """
-    a = _as_int_rows(rows)
+    a = _exact_ints(rows).tolist()
     nr = len(a)
     nc = len(a[0]) if nr else 0
     diag = []

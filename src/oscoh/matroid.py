@@ -17,8 +17,8 @@ basis and Orlik-Solomon rewriting all walk.  Implementations:
   Each flat F carries an integer basis K_F of the annihilator of its
   span; the elements outside F fall into the covers of F by the row
   spaces of their images V_e K_F, in reduced echelon form, for a whole
-  lattice level at a time in numpy.  Entries stay exact: int64 while no
-  product can reach 2**63, Python integers past that.
+  lattice level at a time in numpy.  Entries stay exact: each step bounds
+  what it computes and widens by that bound (``exactla._widen``).
 * Wrappers that keep no circuit lists: truncation (generic sections),
   parallel connection (cones of products) and extension by a coloop
   (projective closures), each answering from the oracles it wraps.
@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactla import NFElement, _int_array
+from .exactla import NFElement, _absmax, _exact_ints, _widen
 
 __all__ = ["Matroid", "LinearMatroid", "vector_matroid", "parallel_connection", "add_coloop"]
 
@@ -274,16 +274,10 @@ class _Oracle(Matroid):
 # the linear oracle
 
 
-def _absmax(a: np.ndarray) -> int:
-    return int(np.abs(a).max(initial=0))
-
-
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b exactly: int64 when no entry can reach 2**63, else Python ints."""
-    if a.dtype != object and b.dtype != object:
-        if _absmax(a) * _absmax(b) * a.shape[-1] < 2**63:
-            return a @ b
-    return np.matmul(a.astype(object), b.astype(object))
+    """a @ b exactly: no entry exceeds max|a| max|b| times the inner size."""
+    bound = _absmax(a) * _absmax(b) * a.shape[-1]
+    return np.matmul(_widen(a, bound), _widen(b, bound))
 
 
 def _primitive(a: np.ndarray, axis: int) -> np.ndarray:
@@ -311,9 +305,8 @@ def _echelon(blocks: np.ndarray):
             r = r[at[:, None], order]
         sign = np.where(r[at, s, col] < 0, -1, 1)
         r[:, s] *= sign[:, None]
-        if d > 1:  # clear the pivot column in the other rows
-            if r.dtype != object and _absmax(r) >= 2**31:
-                r = r.astype(object)
+        if d > 1:  # clear the pivot column in the other rows: |x*y - z*w| <= 2 max|r|^2
+            r = _widen(r, 2 * _absmax(r) ** 2)
             f = r[at, :, col]
             f[:, s] = 0
             mult = np.where(np.arange(d) == s, 1, r[at, s, col][:, None])
@@ -329,8 +322,7 @@ def _annihilate(k: np.ndarray, r: np.ndarray, piv: np.ndarray) -> np.ndarray:
     coprime columns (m, D, c - d)."""
     m, d, c = r.shape
     at = np.arange(m)
-    if r.dtype != object and _absmax(r) ** d >= 2**62:  # bounds every entry below
-        r = r.astype(object)
+    r = _widen(r, 2 * _absmax(r) ** d)  # max|r|^d bounds every entry below, doubled for margin
     a = r[at[:, None], np.arange(d)[None, :], piv]  # pivot values
     lead = np.prod(a, axis=1)
     free = np.ones((m, c), dtype=bool)
@@ -451,7 +443,7 @@ def _integer_rows(vectors: Sequence[Sequence]) -> np.ndarray:
             block.append([int(c) for x in xs for c in x.coeffs])
             xs = [field.gen * x for x in xs]
         out.append(block)
-    return _int_array(out)
+    return _exact_ints(out)
 
 
 class _RankFunction(_Oracle):
@@ -591,6 +583,10 @@ class _Coloop(_Oracle):
 
     def _circuit_masks(self) -> list[int]:
         return self.inner._circuit_masks()
+
+    def restriction(self, k: int) -> "Matroid":
+        """The inner matroid when k drops just the coloop (a decone's case)."""
+        return self.inner if k == self.inner.n else super().restriction(k)
 
     def _expand(self, flats: list[int]) -> None:
         self.inner._expand([fm & ~self._c for fm in flats])

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import _int_array
+from .exactla import _absmax, _exact_ints, _widen
 
 __all__ = [
     "nbc_basis",
@@ -173,19 +173,16 @@ class AomotoMatrix:
     def evaluate(self, k: Sequence[int]) -> list[list[int]]:
         """Integer matrix at the weight vector k, as a list of rows: the
         one-row case of ``evaluate_stack``."""
-        return self.evaluate_stack(_int_array([k]))[0].tolist()
+        return self.evaluate_stack([k])[0].tolist()
 
     def evaluate_stack(self, K: np.ndarray) -> np.ndarray:
-        """Matrices at each row of the integer array K (T, n), as a
-        (T, rows, cols) stack: one scatter-add of the terms
-        coefficient * K[:, variable] into their positions.
-
-        Entries are exact: int64 while max|K| times the largest sum of
-        |coefficient| in one form stays below 2**63, Python integers
-        (dtype=object) beyond that.
+        """Matrices at each row of the integers K (T, n), as a (T, rows,
+        cols) stack: one scatter-add of the terms coefficient * K[:, variable]
+        into their positions.  Entries are exact: max|K| times the largest
+        sum of |coefficient| in one form bounds them (``exactla._widen``).
         """
-        if K.dtype != object and int(np.abs(K).max(initial=0)) * self._norm >= 2**63:
-            K = K.astype(object)
+        K = _exact_ints(K)
+        K = _widen(K, _absmax(K) * self._norm)
         out = np.zeros((len(K), self.shape[0] * self.shape[1]), dtype=K.dtype)
         np.add.at(out, (slice(None), self._pos), K[:, self._var] * self._coef)
         return out.reshape(len(K), *self.shape)
@@ -209,33 +206,18 @@ def check_complex_size(arr) -> None:
 def aomoto_matrix(arr, q: int) -> AomotoMatrix:
     """Boundary matrix in degree q with symbolic integer-linear entries."""
     key = ("aomoto", q)
-    if key in arr._cache:
-        return arr._cache[key]
-    check_complex_size(arr)
-    rows = nbc_basis(arr, q)
-    cols = nbc_basis(arr, q + 1) if q < arr.rank else []
-    if not cols:
-        mat = AomotoMatrix(q, rows, [], {})
-        arr._cache[key] = mat
-        return mat
-    col_index = {m: j for j, m in enumerate(cols)}
-    entries: dict[tuple, dict] = {}
-    for i, s in enumerate(rows):
-        for v in range(arr.n):
-            if v in s:
-                continue
-            smaller = sum(1 for x in s if x < v)
-            sign = -1 if smaller & 1 else 1
-            merged = tuple(sorted(s + (v,)))
-            for mono, c in _reduce(arr, merged).items():
-                j = col_index[mono]
-                form = entries.setdefault((i, j), {})
-                form[v] = form.get(v, 0) + sign * c
-    entries = {
-        pos: {v: c for v, c in form.items() if c}
-        for pos, form in entries.items()
-    }
-    entries = {pos: form for pos, form in entries.items() if form}
-    mat = AomotoMatrix(q, rows, cols, entries)
-    arr._cache[key] = mat
-    return mat
+    if key not in arr._cache:
+        check_complex_size(arr)
+        rows = nbc_basis(arr, q)
+        cols = nbc_basis(arr, q + 1) if q < arr.rank else []
+        col_index = {m: j for j, m in enumerate(cols)}
+        entries: dict[tuple, dict] = {}
+        for i, s in enumerate(rows if cols else []):
+            for v in range(arr.n):
+                if v in s:
+                    continue
+                sign = -1 if sum(x < v for x in s) & 1 else 1
+                for mono, c in _reduce(arr, tuple(sorted(s + (v,)))).items():
+                    entries.setdefault((i, col_index[mono]), {})[v] = sign * c
+        arr._cache[key] = AomotoMatrix(q, rows, cols, entries)
+    return arr._cache[key]

@@ -34,7 +34,7 @@ from .cohom import (
     os_cohomology_dims,
     os_cohomology_dims_stack,
 )
-from .exactla import STACK_CELLS, NotPrimeError, is_prime
+from .exactla import STACK_CELLS, NotPrimeError, _exact_int, _exact_ints, _widen, is_prime
 from .osalg import check_complex_size
 
 __all__ = [
@@ -148,10 +148,10 @@ def yuzvinsky_vanishing(arr, k: Sequence[int], p: int) -> VanishingReport:
     Raises NotPrimeError for composite p.  The returned report carries the
     computed mod-p cohomology alongside the combinatorial test.
     """
-    p = int(p)
+    p = _exact_int(p)
     if not is_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
-    k = [int(x) for x in k]
+    k = _exact_ints(k).tolist()
     edges = edge_weights(arr, k)
     failures = [e for e in edges if int(e.weight) % p == 0]
     holds = not failures
@@ -227,13 +227,14 @@ def _translate_chunks(lam: tuple, box: int, sum_target=None):
     Offsets come in itertools.product order over the coordinates, in
     chunks of about STACK_CELLS entries.  With ``sum_target``, only offsets
     with sum(lam + m) == sum_target are kept: the last coordinate is then
-    fixed by the others, and none exist when the target is off the lattice.
+    fixed by the others, and none exist when the target is off the lattice
+    or more than n*box away from sum(lam).
     """
     n = len(lam)
     free = n
     if sum_target is not None:
         shift = sum_target - sum(lam)
-        if shift.denominator != 1:
+        if shift.denominator != 1 or abs(shift) > n * box:
             return
         free = n - 1
     base = 2 * box + 1
@@ -288,12 +289,12 @@ def _lower_dims_options(arr, lam: tuple, box: int) -> dict:
     # they sum to zero; only the zero-sum slice can contribute.
     sum_target = Fraction(0) if arr.central else None
     wv = WeightVector(lam)
-    # k = N*lam + N*m in int64, or in Python ints once it could overflow
-    wide = max(map(abs, wv.k)) + wv.N * box >= 2**62
-    k0 = np.array(wv.k, dtype=object if wide else np.int64)
+    # |k + N*m| <= max|k| + N*box, doubled for margin; N*m needs N itself
+    bound = 2 * (max(map(abs, wv.k)) + wv.N * max(box, 1))
+    k0 = _widen(_exact_ints(wv.k), bound)
     out: dict = {}
     for m in _translate_chunks(lam, box, sum_target):
-        dims = os_cohomology_dims_stack(arr, k0 + wv.N * (m.astype(object) if wide else m))
+        dims = os_cohomology_dims_stack(arr, k0 + wv.N * _widen(m, bound))
         for i, d in enumerate(map(tuple, dims.tolist())):
             if d not in out:
                 out[d] = tuple(l + x for l, x in zip(lam, m[i].tolist()))

@@ -20,7 +20,9 @@ from oscoh import (
     product_arrangement,
     projective_closure,
 )
+from oscoh import matroid
 from oscoh.arrangement import poincare_product
+from oscoh.cohom import os_cohomology_dims
 
 from conftest import CATALOG_NAMES
 
@@ -316,6 +318,20 @@ def test_dense_edges_of_boolean_are_just_hyperplanes():
 def test_dense_edges_require_central():
     with pytest.raises(ValueError, match="central"):
         dense_edges(three_generic_lines())
+
+
+def test_the_decone_of_an_abstract_arrangement_searches_for_no_circuits(monkeypatch):
+    # the decone's matroid is the one under the coloop, not a restriction
+    # rebuilt from circuits found by a search over subsets
+    k = [1, 2, 3, 4, 5, 6, 7, -28]
+    want = os_cohomology_dims(catalog.get("maclane"), k).dims
+    arr = catalog.maclane_matroid.__wrapped__()  # fresh: no decone cached
+
+    def no_search(self):
+        raise AssertionError("circuit search")
+
+    monkeypatch.setattr(matroid._Oracle, "_circuit_masks", no_search)
+    assert os_cohomology_dims(arr, k).dims == want
 
 
 def test_labels_default_and_custom():

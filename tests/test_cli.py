@@ -137,6 +137,15 @@ def test_modn_text(capsys):
     assert "poincare: t + 14*t^2" in out
 
 
+def test_modn_at_a_prime_past_2_63_with_small_weights(capsys):
+    code, out, err = run(
+        capsys,
+        ["modn", "maclane", "--k=1,1,1,1,1,1,1,-7", "--N", str(2**89 - 1)],
+    )
+    assert code == 0 and err == ""
+    assert "dims by degree: [0, 0, 7, 7]" in out
+
+
 def test_modn_composite_notes(capsys):
     code, out, _ = run(capsys, ["modn", "boolean(2)", "--k", "2,2", "--N", "4"])
     assert code == 0
@@ -227,6 +236,15 @@ def test_nonres_failure_exit_code(capsys):
     code, out, _ = run(capsys, ["nonres", "ceva3", "--weights", CEVA_W])
     assert code == 2
     assert "in V (no dense edge weight a positive integer): no" in out
+    assert "non-resonance certified: no" in out
+
+
+def test_nonres_at_a_prime_past_2_63_answers(capsys):
+    p = 2**89 - 1
+    lam = f"1/{p},0,0,0,0,0,-1/{p}"
+    code, out, err = run(capsys, ["nonres", "example-lstrict", f"--weights={lam}"])
+    assert code == 2 and err == ""
+    assert f"mod-{p} certificate: edge test fails" in out
     assert "non-resonance certified: no" in out
 
 

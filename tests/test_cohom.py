@@ -20,9 +20,9 @@ from oscoh.cohom import (
     poincare_str,
     scaling_equivalence_check,
 )
-from oscoh.exactla import bareiss_rank, rank_mod_p, rank_over_Q, smith_normal_form
+from oscoh.exactla import bareiss_rank, rank_mod_p, rank_over_Q, rank_stack, smith_normal_form
 from oscoh.osalg import aomoto_matrix
-from oscoh.resonance import betti_bounds
+from oscoh.resonance import betti_bounds, yuzvinsky_vanishing
 
 from conftest import CATALOG_NAMES, empty_rank_cache, random_weight_vector
 
@@ -487,6 +487,61 @@ def test_primes_past_2_63_rank_on_the_merged_path(p):
     assert "decone" in rep.notes[0]
     assert rep.dims == (0, 1, 11, 10) == bareiss_dims(ceva, k, p)
     assert rep.ranks == full_ranks(ceva, k, p)
+
+
+@pytest.mark.parametrize("name", ["boolean(4)", "ceva3", "example-lstrict", "maclane", "maclane-matroid"])
+def test_primes_past_2_63_answer_small_weights_on_central_arrangements(name):
+    # the weight sums are reduced mod p in Python integers, at a zero sum
+    # (the decone) and at a non-zero one (an exact complex)
+    arr = catalog.get(name)
+    zero_sum = list(range(1, arr.n)) + [-sum(range(1, arr.n))]
+    for k in (zero_sum, list(range(1, arr.n + 1))):
+        assert modN_cohomology_ranks(arr, k, 2**89 - 1).dims == os_cohomology_dims(arr, k).dims
+
+
+def test_a_prime_modulus_is_proved_prime_once():
+    sec = catalog.get("ceva3-section")
+    empty_rank_cache(sec)  # so every degree is ranked at p
+    exactla.is_prime.cache_clear()
+    modN_cohomology_ranks(sec, (1, 2, 3, 4, 5, 6, 7, 8, -9), 2**61 - 1)
+    info = exactla.is_prime.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
+def _k(bad):
+    return [1] * 8 + [bad]
+
+
+def _m(bad):
+    return [[1, 2], [3, bad]]
+
+
+# Every public entry that takes integer weights, matrices or moduli, called
+# on ceva3-section with one non-integer.
+NON_INTEGER_CALLS = {
+    "modN weights": lambda sec, bad: modN_cohomology_ranks(sec, _k(bad), 7),
+    "modN modulus": lambda sec, bad: modN_cohomology_ranks(sec, _k(1), 7 + bad),
+    "vanishing weights": lambda sec, bad: yuzvinsky_vanishing(sec, _k(bad), 7),
+    "vanishing prime": lambda sec, bad: yuzvinsky_vanishing(sec, _k(1), 7 + bad),
+    "from_modular": lambda sec, bad: WeightVector.from_modular(_k(bad), 7),
+    "evaluate": lambda sec, bad: aomoto_matrix(sec, 1).evaluate(_k(bad)),
+    "evaluate_stack": lambda sec, bad: aomoto_matrix(sec, 1).evaluate_stack(np.array([_k(bad)])),
+    "dims stack": lambda sec, bad: os_cohomology_dims_stack(sec, [_k(bad)]),
+    "rank_over_Q": lambda sec, bad: rank_over_Q(_m(bad)),
+    "rank_mod_p": lambda sec, bad: rank_mod_p(_m(bad), 5),
+    "rank_mod_p prime": lambda sec, bad: rank_mod_p(_m(4), 7 + bad),
+    "rank_stack": lambda sec, bad: rank_stack([_m(bad)], [2]),
+    "rank_stack prime": lambda sec, bad: rank_stack([_m(4)], [2], 7 + bad),
+    "bareiss_rank": lambda sec, bad: bareiss_rank(_m(bad)),
+    "smith_normal_form": lambda sec, bad: smith_normal_form(_m(bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("entry", list(NON_INTEGER_CALLS))
+def test_non_integers_are_refused_rather_than_truncated(entry, bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        NON_INTEGER_CALLS[entry](catalog.get("ceva3-section"), bad)
 
 
 def test_a_mod_p_rank_above_the_complex_bound_is_refused(monkeypatch):

@@ -120,6 +120,18 @@ def test_factorize_splits_moduli_below_2_64_and_past_them():
 # integer ranks
 
 
+def test_one_rule_chooses_int64_or_python_integers():
+    assert exactla._exact_ints([[1, -2], [2**63 - 1, 0]]).dtype == np.int64
+    for past in ([2**63], [-(2**63)], [Fraction(2**70)], np.array([-(2**63)])):
+        assert exactla._exact_ints(past).dtype == object
+    assert exactla._exact_ints([Fraction(6, 3), np.int32(5)]).tolist() == [2, 5]
+    with pytest.raises(ValueError, match="expected an integer"):
+        exactla._exact_ints(np.array([1.0]))
+    a = np.ones(3, dtype=np.int64)
+    assert exactla._widen(a, 2**63 - 1) is a
+    assert exactla._widen(a, 2**63).dtype == object
+
+
 def test_rank_of_empty_and_zero_matrices():
     assert bareiss_rank([]) == 0
     assert rank_over_Q([]) == 0
@@ -384,12 +396,12 @@ def test_local_smith_known_values():
     m = matmul(matmul([[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, 5], [0, 0, 0, 1]],
                       [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]]),
                [[1, 0, 0, 0], [4, 1, 0, 0], [1, 1, 1, 0], [2, 0, 3, 1]])
-    assert exactla._local_smith(exactla._int_array(m), 2, 3) == [1, 1, 1]
-    assert exactla._local_smith(exactla._int_array(m), 2, 2) == [1, 1]
-    assert exactla._local_smith(exactla._int_array(m), 3, 1) == [4]
+    assert exactla._local_smith(exactla._exact_ints(m), 2, 3) == [1, 1, 1]
+    assert exactla._local_smith(exactla._exact_ints(m), 2, 2) == [1, 1]
+    assert exactla._local_smith(exactla._exact_ints(m), 3, 1) == [4]
     # the pivot of least valuation is not the first entry: [[4, 2], [2, 3]]
     # is diag(1, 8) over Z
-    assert exactla._local_smith(exactla._int_array([[4, 2], [2, 3]]), 2, 4) == [1, 0, 0, 1]
+    assert exactla._local_smith(exactla._exact_ints([[4, 2], [2, 3]]), 2, 4) == [1, 0, 0, 1]
 
 
 def test_local_smith_past_int64():
@@ -397,8 +409,8 @@ def test_local_smith_past_int64():
     p = 2**31 - 1
     assert exactla._residues(np.array([[1]]), p**3).dtype == object
     m = matmul([[1, 1, 0], [2, 3, 0], [5, 1, 1]], [[1, 0, 0], [0, p, 0], [0, 0, p**2 * 7]])
-    assert exactla._local_smith(exactla._int_array(m), p, 3) == [1, 1, 1]
-    assert exactla._local_smith(exactla._int_array(m), p, 2) == [1, 1]
+    assert exactla._local_smith(exactla._exact_ints(m), p, 3) == [1, 1, 1]
+    assert exactla._local_smith(exactla._exact_ints(m), p, 2) == [1, 1]
     assert local_oracle(m, p, 3) == [1, 1, 1]
 
 
@@ -575,7 +587,7 @@ def int_stacks(draw, entries):
 def test_rank_mod_p_matches_the_oracle(p, stack):
     want = [gf_rank(m, p) for m in stack]
     assert [rank_mod_p(m, p) for m in stack] == want
-    assert exactla._rank_mod_p_numpy(exactla._int_array(stack), p).tolist() == want
+    assert exactla._rank_mod_p_numpy(exactla._exact_ints(stack), p).tolist() == want
     assert rank_stack(stack, want, p).tolist() == want
     if max(want):
         with pytest.raises(ValueError, match="exceeds the claimed upper bound"):
@@ -714,6 +726,6 @@ def p_adic_matrices(p):
 @given(st.data())
 def test_local_smith_matches_the_integer_smith_form(p, e, data):
     m = data.draw(p_adic_matrices(p))
-    got = exactla._local_smith(exactla._int_array(m), p, e)
+    got = exactla._local_smith(exactla._exact_ints(m), p, e)
     assert got == local_oracle(m, p, e)
     assert got[0] == gf_rank(m, p)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oscoh import build_arrangement, catalog, product_arrangement, resonance
-from oscoh.cohom import WeightVector, os_cohomology_dims
+from oscoh.cohom import WeightVector, modN_cohomology_ranks, os_cohomology_dims
 from oscoh.exactla import STACK_CELLS, NotPrimeError, bareiss_rank
 from oscoh.osalg import CELL_BUDGET, aomoto_matrix
 from oscoh.resonance import (
@@ -303,6 +303,28 @@ def test_bounds_witnesses_reach_the_lower_bounds():
         assert [r["witness"] for r in doc["rows"]] == [
             None if w is None else [str(x) for x in w] for w in rep.witness
         ]
+
+
+def test_bounds_at_a_modulus_past_2_63_with_box_0():
+    # the translates k + N*m are formed in Python integers: N*m needs N
+    # itself even when every offset m is 0
+    p = 2**89 - 1
+    arr = catalog.get("example-lstrict")
+    lam = (Fraction(1, p), 0, 0, 0, 0, 0, Fraction(-1, p))
+    rep = betti_bounds(arr, lam, box=0)
+    assert rep.lower == os_cohomology_dims(arr, lam).dims
+    assert rep.upper == modN_cohomology_ranks(arr, (1, 0, 0, 0, 0, 0, -1), p).dims
+
+
+def test_bounds_skip_a_zero_sum_slice_out_of_reach():
+    # no offset in the box brings a weight sum of 2**70 + 1 to zero, so no
+    # translate is enumerated and the lower bound is all zeros
+    lam = (2**70 + Fraction(1, 2), Fraction(1, 2), 0, 0)
+    arr = catalog.get("boolean(4)")
+    rep = betti_bounds(arr, lam, box=1)
+    assert rep.lower == (0,) * 5 and rep.witness == (None,) * 5
+    assert rep.upper == modN_cohomology_ranks(arr, (2**71 + 1, 1, 0, 0), 2).dims
+    assert list(_translate_chunks(lam, 1, Fraction(0))) == []
 
 
 def test_bounds_refuse_a_complex_over_the_cell_budget():
