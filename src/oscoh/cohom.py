@@ -15,9 +15,9 @@ plus the same dims one degree up.  What is left goes to the one rank
 driver, ``_ranks``, over Q or at a prime: it evaluates degree by degree in
 stacks and hands each stack to ``exactla.rank_stack`` with the bound
 d^2 = 0 gives (the one-prime certificate target over Q, a check at p).  It
-shares ranks between calls through one cache on the arrangement, keyed by
-the field, the degree and the weight row (projectively normalized over Q,
-reduced mod p), and emptied when it passes RANK_CACHE_ENTRIES.
+shares ranks through one cache on the arrangement: one entry per field and
+weight row (normalized over Q, reduced mod p), under ``exactla._row_keys``,
+holds its ranks in all degrees; it is emptied past RANK_CACHE_ENTRIES ranks.
 
 Mod N there is one loop over the primes p | N, each through the prime path
 above with its reductions; prime N is the case of one prime.  For
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactla import STACK_CELLS, _absmax, _exact_int, _exact_ints, _factorize, _local_smith
-from .exactla import _widen, rank_stack
+from .exactla import _primitive, _row_keys, _widen, rank_stack
 from .arrangement import poincare_product
 from .osalg import aomoto_matrix
 
@@ -141,12 +141,9 @@ class CohomologyReport:
 
 
 def _normalized_rows(K: np.ndarray) -> np.ndarray:
-    """Projective normal form of every row of an integer array: divide by
-    the gcd and make the first nonzero entry positive.  Ranks over Q are
-    cached under these rows."""
-    g = np.gcd.reduce(K, axis=1)
-    g[g == 0] = 1
-    v = K // g[:, None]
+    """Projective normal form of every row of an integer array (primitive,
+    first nonzero entry positive), under which ranks over Q are cached."""
+    v = _primitive(K, 1)
     lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
     return v * np.where(lead < 0, -1, 1)[:, None]
 
@@ -245,8 +242,8 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
     return dims
 
 
-# Most entries the rank family of an arrangement's cache holds before a
-# _ranks call empties it.
+# Most ranks the rank family of an arrangement's cache holds (entries
+# times rank + 1) before a _ranks call empties it.
 RANK_CACHE_ENTRIES = 2**18
 
 
@@ -255,43 +252,36 @@ def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
     prime), as a (T, rank+2) array whose column q+1 is rank mu^q (column 0
     is rank mu^(-1) = 0).
 
-    Rows are deduplicated by their projective normal form over Q and by
-    their residues mod p, which with p key the arrangement's one rank
-    family {(p, q, row): rank}; the family is emptied first when it holds
-    more than RANK_CACHE_ENTRIES.  The missing ranks are evaluated and
-    ranked degree by degree in stacks of at most STACK_CELLS entries (one
-    matrix when it is larger).  Degrees go upward: mu^q mu^(q-1) = 0 bounds
-    rank mu^q by b_q - rank mu^(q-1) over either field.  Over Q a rank
-    modulo one prime reaching that bound proves it, and the others are
-    proved by the Hadamard loop of ``rank_stack``; at p a rank above it
-    raises ValueError.
+    The arrangement's rank family maps (p, key) to a row's ranks of
+    mu^0..mu^rank, the row normalized over Q or reduced mod p and keyed by
+    ``exactla._row_keys``.  The misses, each once, are ranked degree by
+    degree upward, in stacks of at most STACK_CELLS entries (one matrix
+    when it is larger), under the bound b_q - rank mu^(q-1) that
+    mu^q mu^(q-1) = 0 gives over either field: over Q a rank modulo one
+    prime reaching it proves it and the Hadamard loop of ``rank_stack``
+    proves the rest; at p a rank above it raises ValueError.  The family
+    is emptied before the misses are stored when it holds more than
+    RANK_CACHE_ENTRIES ranks.
     """
-    betti = arr.betti_numbers()
     v = _normalized_rows(K) if p is None else _widen(K, p) % p
-    index: dict[tuple, int] = {}
-    inverse = [index.setdefault(key, len(index)) for key in map(tuple, v.tolist())]
-    keys = list(index)
     cache = arr._cache.setdefault("ranks", {})
-    if len(cache) > RANK_CACHE_ENTRIES:
-        cache.clear()
-    ranks = [[0] * len(keys)]  # ranks[q + 1][u] is rank mu^q at keys[u]
-    for q in range(arr.rank + 1):
-        found = [cache.get((p, q, key)) for key in keys]
-        miss = [u for u, hit in enumerate(found) if hit is None]
-        got = np.zeros(len(miss), dtype=np.int64)  # rank 0 without a matrix
+    keys = [(p, row) for row in _row_keys(v)]
+    hits = [cache.get(key) for key in keys]
+    miss = {key: t for t, (key, hit) in enumerate(zip(keys, hits)) if hit is None}
+    rows = v[list(miss.values())]
+    got = np.zeros((len(rows), arr.rank + 2), dtype=np.int64)
+    for q in range(arr.rank):  # mu^rank maps to C^(rank+1) = 0: its rank is 0
         mat = aomoto_matrix(arr, q)
-        nr, nc = mat.shape
-        if miss and nr and nc:
-            rows = np.array([keys[u] for u in miss], dtype=v.dtype)
-            upper = betti[q] - np.array(ranks[q])[miss]
-            step = max(1, STACK_CELLS // (nr * nc))
-            for s in range(0, len(miss), step):
-                sel = slice(s, s + step)
-                got[sel] = rank_stack(mat.evaluate_stack(rows[sel]), upper[sel], p)
-        for u, r in zip(miss, got.tolist()):
-            found[u] = cache[(p, q, keys[u])] = r
-        ranks.append(found)
-    return np.array(ranks, dtype=np.int64).T[inverse]
+        step = max(1, STACK_CELLS // (mat.shape[0] * mat.shape[1]))
+        for s in range(0, len(rows), step):
+            sel = slice(s, s + step)
+            upper = arr.betti_numbers()[q] - got[sel, q]
+            got[sel, q + 1] = rank_stack(mat.evaluate_stack(rows[sel]), upper, p)
+    if len(cache) * (arr.rank + 1) > RANK_CACHE_ENTRIES:
+        cache.clear()
+    cache.update(zip(miss, map(tuple, got[:, 1:].tolist())))
+    vecs = [(0,) + (cache[key] if hit is None else hit) for key, hit in zip(keys, hits)]
+    return np.array(vecs, dtype=np.int64).reshape(-1, arr.rank + 2)
 
 
 def modN_cohomology_ranks(arr, k: Sequence[int], N: int) -> CohomologyReport:

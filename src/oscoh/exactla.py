@@ -11,11 +11,10 @@ Each arithmetic has one elimination:
   Z/p^e it pivots on entries of least p-adic valuation, which divide the
   rest of their column, so it gives the local Smith form with entries
   that never grow past p^e (H. Cohen, GTM 138, 2.4; Hafner-McCurley
-  1991).  With e = 1 it is the rank mod p of one matrix (``rank_mod_p``);
-  stacks take ``_rank_mod_p_numpy``, described under Stacks below.
+  1991).  With e = 1 it is the rank mod p of a stack of one (Stacks below).
 * Z and Q: the certified multi-modular loop over those ranks mod p.
-  ``rank_stack`` ranks a stack over Q or over one Z_p, and
-  ``rank_over_Q`` ranks one matrix as a stack of one, whatever its size.
+  ``rank_stack`` ranks a stack over Q or over one Z_p; ``rank_over_Q``
+  and ``rank_mod_p`` rank one matrix as a stack of one, whatever its size.
   Callers scale rational rows to integers, which keeps ranks.
 * Fields given by their entries (Fraction or NFElement): Gaussian
   elimination with exact pivot division (``pivot_columns``), whose pivot
@@ -251,6 +250,20 @@ def _absmax(a: np.ndarray) -> int:
     return int(np.abs(a).max(initial=0))
 
 
+def _primitive(a: np.ndarray, axis: int) -> np.ndarray:
+    """Divide every vector along ``axis`` by the gcd of its entries."""
+    return a // np.maximum(np.gcd.reduce(a, axis=axis, keepdims=True), 1)
+
+
+def _row_keys(a: np.ndarray) -> list:
+    """Keys of the rows of a 2-D integer array, equal exactly when the rows
+    are, whatever the array's dtype: the int64 bytes of a row whose entries
+    fit, the decimal text of one whose entries do not.  Python hashes both
+    with SipHash, unlike an int, whose hash is its value mod 2**61 - 1."""
+    rows = map(_exact_ints, a) if a.dtype == object else a
+    return [r.tobytes() if r.dtype != object else str(r.tolist()) for r in rows]
+
+
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination.
 
@@ -405,13 +418,16 @@ def _rank_mod_p_stack(m: np.ndarray, p: int) -> np.ndarray:
     return ranks
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix over the prime field Z_p."""
-    p = _exact_int(p)
-    if not is_prime(p):
-        raise NotPrimeError(f"modulus {p} is not prime")
+def _stack_of_one(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """An integer matrix as a (1, rows, cols) stack."""
     m = _exact_ints(rows)
-    return _local_smith(m, p)[0] if m.size else 0
+    return m.reshape(1, len(m), m.shape[1] if m.ndim == 2 else 0)
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix over the prime field Z_p, as a stack of one."""
+    m = _stack_of_one(rows)
+    return int(rank_stack(m, [min(m.shape[1:])], p)[0])
 
 
 # 31-bit primes for the certified multi-modular rank.  Generated on first use.
@@ -442,10 +458,8 @@ def rank_over_Q(rows: Sequence[Sequence[int]], upper: int | None = None) -> int:
     min(rows, columns, upper), since that rank is also a lower bound.  A
     rank above ``upper`` shows the bound false and raises ValueError.
     """
-    m = _exact_ints(rows)
-    nr, nc = len(m), m.shape[1] if m.ndim == 2 else 0
-    bound = min(nr, nc) if upper is None else upper
-    return int(rank_stack(m.reshape(1, nr, nc), [bound])[0])
+    m = _stack_of_one(rows)
+    return int(rank_stack(m, [min(m.shape[1:]) if upper is None else upper])[0])
 
 
 def _hadamard_proves(norms2: Sequence[int], r: int, prod: int) -> bool:
@@ -787,14 +801,14 @@ class NumberField:
     """Q[x]/(p(x)) for a monic irreducible integer polynomial p.
 
     Coefficient lists are ascending: [1, 1, 1] is x^2 + x + 1.  Elements are
-    immutable coefficient vectors of length deg(p).  A reducible p, which
-    would make the quotient a ring with zero divisors, raises ValueError.
+    immutable coefficient vectors of length deg(p).  A reducible p (the
+    quotient has zero divisors) or a non-integer coefficient raises ValueError.
     Irreducibility is proved modulo a small prime where p stays irreducible
     (Rabin's test), and otherwise by Kronecker's search over Z.
     """
 
     def __init__(self, min_poly: Iterable[int], gen_name: str = "w"):
-        mp = [int(c) for c in min_poly]
+        mp = [_exact_int(c) for c in min_poly]
         if len(mp) < 3:
             raise ValueError("minimal polynomial must have degree >= 2")
         if mp[-1] != 1:

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactla import NFElement, _absmax, _exact_ints, _widen
+from .exactla import NFElement, _absmax, _exact_ints, _primitive, _widen
 
 __all__ = ["Matroid", "LinearMatroid", "vector_matroid", "parallel_connection", "add_coloop"]
 
@@ -278,13 +278,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b exactly: no entry exceeds max|a| max|b| times the inner size."""
     bound = _absmax(a) * _absmax(b) * a.shape[-1]
     return np.matmul(_widen(a, bound), _widen(b, bound))
-
-
-def _primitive(a: np.ndarray, axis: int) -> np.ndarray:
-    """Divide every vector along ``axis`` by the gcd of its entries."""
-    g = np.gcd.reduce(a, axis=axis, keepdims=True)
-    g[g == 0] = 1
-    return a // g
 
 
 def _echelon(blocks: np.ndarray):

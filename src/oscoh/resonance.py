@@ -315,7 +315,7 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
     or a complex with a boundary matrix above the cell budget of
     ``osalg.check_complex_size``, raises ValueError before any work.
     """
-    wv = WeightVector(lam)
+    wv, box = WeightVector(lam), _exact_int(box)
     if len(wv) != arr.n:
         raise ValueError(f"expected {arr.n} weights, got {len(wv)}")
     if box < 0:

@@ -54,8 +54,9 @@ def random_weight_vector(rng: random.Random, n: int, denominators=(2, 3, 5, 7)):
 
 
 def empty_rank_cache(*arrs):
-    """Empty the rank family of each arrangement's cache (the ranks over Q
-    and mod p of ``cohom._ranks``), so the next call ranks afresh."""
+    """Empty the rank family of each arrangement's cache (the rank vector
+    of each field and weight row that ``cohom._ranks`` ranked), so the next
+    call ranks afresh."""
     for a in arrs:
         a._cache.get("ranks", {}).clear()
 

@@ -20,7 +20,7 @@ from oscoh.cohom import (
     poincare_str,
     scaling_equivalence_check,
 )
-from oscoh.exactla import bareiss_rank, rank_mod_p, rank_over_Q, rank_stack, smith_normal_form
+from oscoh.exactla import NumberField, bareiss_rank, rank_mod_p, rank_over_Q, rank_stack, smith_normal_form
 from oscoh.osalg import aomoto_matrix
 from oscoh.resonance import betti_bounds, yuzvinsky_vanishing
 
@@ -470,7 +470,39 @@ def test_the_rank_cache_keys_ranks_by_their_field():
         ]
         for call in calls if mod_2_first else calls[::-1]:
             assert call(), mod_2_first
-        assert sec._cache["ranks"]
+        row = exactla._row_keys(np.array([k]))[0]
+        assert sec._cache["ranks"] == {(2, row): (1, 7, 0), (None, row): (1, 8, 0)}
+
+
+def test_translate_keys_hash_apart_at_the_mersenne_prime_2_61():
+    # Python hashes an int mod 2**61 - 1, so a tuple of the translate
+    # k + N*m at N = 2**61 - 1 hashes like k; a row's key hashes its bytes
+    sec = catalog.get("ceva3-section")
+    N = 2**61 - 1
+    empty_rank_cache(sec)
+    betti_bounds(sec, [Fraction(x, N) for x in (1, 2, 3, 4, 5, 6, 7, 8, -9)], box=1)
+    keys = sec._cache["ranks"]
+    assert len(keys) > 3**9 and len(set(map(hash, keys))) == len(keys)
+
+
+def test_a_row_from_int64_and_from_python_integer_stacks_is_ranked_once(monkeypatch):
+    sec = catalog.get("ceva3-section")
+    k = [1, 1, 1, 1, 1, 1, -2, -2, 5]
+    past = k[:-1] + [2**64 + 5]  # its stack holds Python integers
+    ranked = []  # the stack size of each rank_stack call
+    real = cohom.rank_stack
+
+    def counted(stack, upper, p):
+        ranked.append(len(stack))
+        return real(stack, upper, p)
+
+    monkeypatch.setattr(cohom, "rank_stack", counted)
+    empty_rank_cache(sec)
+    want = os_cohomology_dims_stack(sec, [k])
+    first = len(ranked)
+    got = os_cohomology_dims_stack(sec, [past, k])
+    assert (got[1] == want[0]).all()
+    assert first and ranked == [1] * (2 * first) and len(sec._cache["ranks"]) == 2
 
 
 @pytest.mark.parametrize("p", [2**89 - 1, 2**127 - 1])
@@ -534,10 +566,12 @@ NON_INTEGER_CALLS = {
     "rank_stack prime": lambda sec, bad: rank_stack([_m(4)], [2], 7 + bad),
     "bareiss_rank": lambda sec, bad: bareiss_rank(_m(bad)),
     "smith_normal_form": lambda sec, bad: smith_normal_form(_m(bad)),
+    "NumberField": lambda sec, bad: NumberField([1, bad, 1]),
+    "bounds box": lambda sec, bad: betti_bounds(sec, CEVA_WEIGHTS, bad),
 }
 
 
-@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), 1.0], ids=["float", "fraction", "integral-float"])
 @pytest.mark.parametrize("entry", list(NON_INTEGER_CALLS))
 def test_non_integers_are_refused_rather_than_truncated(entry, bad):
     with pytest.raises(ValueError, match="expected an integer"):

@@ -344,7 +344,7 @@ def test_a_bounded_rank_cache_keeps_the_box_answers(monkeypatch):
     # A bound below one box's ranks empties the rank family between the
     # chunks of the box; the options and witnesses stay those of the
     # unbounded cache, and after each call the family holds at most the
-    # bound plus the entries that call wrote.
+    # bound plus the ranks that call wrote (rank + 1 per entry).
     from oscoh import cohom
 
     arr = catalog.get("maclane-section")
@@ -357,7 +357,7 @@ def test_a_bounded_rank_cache_keeps_the_box_answers(monkeypatch):
 
     def recorded(a, K, p):
         out = real(a, K, p)
-        sizes.append((len(a._cache["ranks"]), len(K) * (a.rank + 1)))
+        sizes.append((len(a._cache["ranks"]) * (a.rank + 1), len(K) * (a.rank + 1)))
         return out
 
     monkeypatch.setattr(cohom, "RANK_CACHE_ENTRIES", 500)
