@@ -255,7 +255,12 @@ class Arrangement:
     def projective_closure(self) -> tuple["Arrangement", int]:
         """Central arrangement of this plus the hyperplane at infinity.
 
-        Returns the closure and the (0-based) index of infinity in it.
+        Returns the closure and the (0-based) index of infinity in it.  A
+        decone's closure is the central arrangement it came from, with its
+        forms and labels: infinity there is the H_n the decone was taken
+        at and carries that label, not ``H_inf``.  Indices, codimensions
+        and so dense-edge weights are those of the closure built from the
+        decone's own forms.
         """
         if "closure" not in self._cache:
             n1 = self.n + 1
@@ -281,7 +286,9 @@ class Arrangement:
         hyperplanes, so a realized arrangement's decone keeps its vectors.
         Its covers are this lattice's covers of the flats without H_n, and
         its Poincare polynomial is this one's divided by 1 + t: no second
-        lattice is built.  A rank-1 central arrangement has no decone.
+        lattice is built.  Its projective closure is this arrangement,
+        with H_n at infinity, so its dense edges are read from this lattice
+        too.  A rank-1 central arrangement has no decone.
         """
         if not self.central or self.rank < 2:
             raise ValueError("the decone needs a central arrangement of rank >= 2")
@@ -301,6 +308,7 @@ class Arrangement:
             for b in self.betti_numbers()[1:-1]:
                 betti.append(b - betti[-1])
             d._cache["betti"] = betti
+            d._cache["closure"] = self
             self._cache["decone"] = d
         return self._cache["decone"]
 
@@ -310,6 +318,16 @@ class Arrangement:
         if not self.central:
             raise ValueError("dense edges are defined for central arrangements")
         return [f for level in self.intersection_lattice().levels[1:] for f in level if f.beta]
+
+    def closure_dense_edges(self) -> list[Flat]:
+        """Proper dense edges of the projective closure: its dense edges of
+        codimension at most the rank, which leaves out only its center."""
+        if "closure_dense_edges" not in self._cache:
+            closure, _ = self.projective_closure()
+            self._cache["closure_dense_edges"] = [
+                f for f in closure.dense_edges() if f.codim <= self.rank
+            ]
+        return self._cache["closure_dense_edges"]
 
 
 def _check_atoms(cone: Matroid, n: int) -> None:

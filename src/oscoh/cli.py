@@ -26,8 +26,7 @@ from .fileio import read_arrangement
 from .resonance import (
     betti_bounds,
     edge_weights,
-    in_V,
-    in_W,
+    in_W_and_V,
     resonance_membership,
     yuzvinsky_vanishing,
 )
@@ -203,7 +202,7 @@ def _cmd_bounds(arr: Arrangement, args) -> int:
 def _cmd_nonres(arr: Arrangement, args) -> int:
     lam = _weights_for(arr, args.weights)
     edges = edge_weights(arr, lam)
-    w_ok, v_ok = in_W(arr, lam), in_V(arr, lam)
+    w_ok, v_ok = in_W_and_V(edges)
     top = abs(arr.euler_characteristic())
     doc = {
         "in_W": w_ok,

@@ -11,7 +11,13 @@ Before anything is ranked, each weight vector is reduced to the smallest
 complex with the same cohomology (``_reduced_dims``): a product goes to its
 factors (Kunneth), and on a central arrangement the weight sum decides.  If
 it is a unit the complex is exact; if it is zero the dims are the decone's
-plus the same dims one degree up.  What is left goes to the one rank
+plus the same dims one degree up.  Over Q an affine complex is then tested
+for non-resonance on the dense edges of its projective closure (Yuzvinsky,
+Comm. Algebra 23, 1995; Cohen-Dimca-Orlik, Ann. Inst. Fourier 53, 2003):
+if the proper dense edges in some hyperplane of the closure all have
+non-zero weight, the cohomology is |chi| in the top degree and 0 below.
+Neither source proves that test in characteristic p, so at a prime nothing
+is certified.  What is left goes to the one rank
 driver, ``_ranks``, over Q or at a prime: it evaluates degree by degree in
 stacks and hands each stack to ``exactla.rank_stack`` with the bound
 d^2 = 0 gives (the one-prime certificate target over Q, a check at p).  It
@@ -201,6 +207,13 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
       decone at H_n at the weights without k_n (a = sum over i < n of
       k_i (e_i - e_n)), so h_q = h_q(dA) + h_(q-1)(dA).  At rank 1 the
       zero-sum differential is 0 and the dims are the Betti numbers.
+    * Over Q only, a row of an affine arrangement (a decone included) is
+      non-resonant when some hyperplane H_j of the projective closure has
+      non-zero weight on every proper dense edge in it, H_inf weighing
+      -sum k (``_nonresonant_hyperplane``).  Its dims are then 0 below the
+      rank and |chi| at the top (Yuzvinsky 1995; Cohen-Dimca-Orlik 2003,
+      who reduce the test on every dense edge to those in one hyperplane).
+      Neither proves it in characteristic p, so at p it is not applied.
     * Any other row is ranked.
 
     With ``notes`` (one row), the reductions taken are appended to it.
@@ -218,8 +231,20 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
             notes.extend(f"factor {i}: {x}" for i, s in enumerate(sub, 1) for x in s)
         return dims
     if not arr.central:
-        ranks = _ranks(arr, K, p)
-        return np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]
+        j = _nonresonant_hyperplane(arr, K) if p is None else np.full(len(K), -1)
+        rest = j < 0
+        dims = np.zeros((len(K), arr.rank + 1), dtype=np.int64)
+        dims[~rest, -1] = abs(arr.euler_characteristic())
+        if notes is not None and not rest[0]:
+            label = arr.projective_closure()[0].labels[j[0]]
+            notes.append(
+                f"non-resonant: the dense edges in H_{j[0] + 1} ({label}) "
+                "of the closure have non-zero weight (Yuzvinsky)"
+            )
+        if rest.any():
+            ranks = _ranks(arr, K[rest], p)
+            dims[rest] = np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]
+        return dims
     sums = _widen(K, 2 * _absmax(K) * arr.n).sum(axis=1)  # |sum| <= n max|k|, doubled for margin
     zero = sums == 0 if p is None else _widen(sums, p) % p == 0
     dims = np.zeros((len(K), arr.rank + 1), dtype=np.int64)
@@ -240,6 +265,30 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
     dims[zero, :-1] += d
     dims[zero, 1:] += d
     return dims
+
+
+def _nonresonant_hyperplane(arr, K: np.ndarray) -> np.ndarray:
+    """Per row of K, the first hyperplane j of the projective closure whose
+    proper dense edges all have non-zero weight, H_inf weighing -sum k, or
+    -1 when there is none.
+
+    The closure's proper dense edges (``Arrangement.closure_dense_edges``)
+    are cached as a 0/1 incidence matrix E (edges x (n + 1)); the edge
+    weights are [K, -sum K] E^T, and the zero ones counted through each
+    hyperplane are (weights == 0) E.
+    """
+    inc = arr._cache.get("dense_incidence")
+    if inc is None:
+        edges = arr.closure_dense_edges()
+        inc = np.zeros((len(edges), arr.n + 1), dtype=np.int64)
+        for e, f in enumerate(edges):
+            inc[e, f.sorted_hyperplanes] = 1
+        arr._cache["dense_incidence"] = inc
+    # |an edge weight| <= (n + 1) n max|k|, doubled for margin
+    K = _widen(K, 2 * _absmax(K) * arr.n * (arr.n + 1))
+    weights = np.concatenate([K, -K.sum(axis=1, keepdims=True)], axis=1) @ inc.T
+    free = ((weights == 0).astype(np.int64) @ inc) == 0
+    return np.where(free.any(axis=1), free.argmax(axis=1), -1)
 
 
 # Most ranks the rank family of an arrangement's cache holds (entries

@@ -259,9 +259,15 @@ def _row_keys(a: np.ndarray) -> list:
     """Keys of the rows of a 2-D integer array, equal exactly when the rows
     are, whatever the array's dtype: the int64 bytes of a row whose entries
     fit, the decimal text of one whose entries do not.  Python hashes both
-    with SipHash, unlike an int, whose hash is its value mod 2**61 - 1."""
-    rows = map(_exact_ints, a) if a.dtype == object else a
-    return [r.tobytes() if r.dtype != object else str(r.tolist()) for r in rows]
+    with SipHash, unlike an int, whose hash is its value mod 2**61 - 1.
+    Which rows of an object array fit is found in one pass over it."""
+    if a.dtype != object:
+        return [r.tobytes() for r in a]
+    fits = ((a >= -(2**63)) & (a < 2**63)).all(axis=1)
+    keys = np.empty(len(a), dtype=object)
+    keys[fits] = [r.tobytes() for r in a[fits].astype(np.int64)]
+    keys[~fits] = [str(r.tolist()) for r in a[~fits]]
+    return keys.tolist()
 
 
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -42,6 +42,7 @@ __all__ = [
     "edge_weights",
     "in_W",
     "in_V",
+    "in_W_and_V",
     "VanishingReport",
     "yuzvinsky_vanishing",
     "resonance_membership",
@@ -81,15 +82,14 @@ def _closure_weights(arr, lam) -> tuple:
 def edge_weights(arr, lam) -> list[EdgeWeight]:
     """Weights of the dense edges of the projective closure.
 
-    Only proper edges are reported: flats of the closure of codimension at
-    most the rank of the original arrangement.
+    Only proper edges are reported (``Arrangement.closure_dense_edges``):
+    flats of the closure of codimension at most the rank of the original
+    arrangement.
     """
     full = _closure_weights(arr, lam)
     closure, _ = arr.projective_closure()
     out = []
-    for f in closure.dense_edges():
-        if f.codim > arr.rank:
-            continue
+    for f in arr.closure_dense_edges():
         hs = f.sorted_hyperplanes
         w = sum(full[i] for i in hs)
         out.append(
@@ -103,6 +103,14 @@ def edge_weights(arr, lam) -> list[EdgeWeight]:
     return out
 
 
+def in_W_and_V(edges) -> tuple[bool, bool]:
+    """Membership in W and in V, read off one list of ``edge_weights``."""
+    return (
+        all(not e.is_nonnegative_integer for e in edges),
+        all(not e.is_positive_integer for e in edges),
+    )
+
+
 def in_W(arr, lam) -> bool:
     """No dense edge of the closure has weight in {0, 1, 2, ...}.
 
@@ -110,12 +118,12 @@ def in_W(arr, lam) -> bool:
     weighted cohomology is concentrated in the top degree and computes the
     local-system Betti numbers there.
     """
-    return all(not e.is_nonnegative_integer for e in edge_weights(arr, lam))
+    return in_W_and_V(edge_weights(arr, lam))[0]
 
 
 def in_V(arr, lam) -> bool:
     """No dense edge of the closure has weight in {1, 2, 3, ...}."""
-    return all(not e.is_positive_integer for e in edge_weights(arr, lam))
+    return in_W_and_V(edge_weights(arr, lam))[1]
 
 
 @dataclass

@@ -42,6 +42,14 @@ def next_prime(m: int) -> int:
     return p
 
 
+def braid_rows(l):
+    """Forms of the essential braid arrangement A_l: x_i and x_i - x_j."""
+    unit = [[int(c == i) for c in range(l)] for i in range(l)]
+    rows = [u + [0] for u in unit]
+    rows += [[a - b for a, b in zip(unit[i], unit[j])] + [0] for i in range(l) for j in range(i + 1, l)]
+    return rows
+
+
 def random_weight_vector(rng: random.Random, n: int, denominators=(2, 3, 5, 7)):
     """Random nonzero rational weight vector with prime denominators."""
     while True:

@@ -24,19 +24,11 @@ from oscoh.exactla import NumberField, bareiss_rank, rank_mod_p, rank_over_Q, ra
 from oscoh.osalg import aomoto_matrix
 from oscoh.resonance import betti_bounds, yuzvinsky_vanishing
 
-from conftest import CATALOG_NAMES, empty_rank_cache, random_weight_vector
+from conftest import CATALOG_NAMES, braid_rows, empty_rank_cache, random_weight_vector
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
 MACLANE_SECTION_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 0, -1, 1, -1, -1, 1, 0))
-
-
-def braid_rows(l):
-    """Forms of the essential braid arrangement A_l: x_i and x_i - x_j."""
-    unit = [[int(c == i) for c in range(l)] for i in range(l)]
-    rows = [u + [0] for u in unit]
-    rows += [[a - b for a, b in zip(unit[i], unit[j])] + [0] for i in range(l) for j in range(i + 1, l)]
-    return rows
 
 
 def full_ranks(arr, k, p=None):
@@ -235,7 +227,8 @@ def test_matrices_above_the_stack_budget_are_ranked_one_at_a_time(monkeypatch):
     # With the budget below mu^1 (9 x 24) of ceva3-section, each of its
     # matrices is evaluated and ranked on its own, while mu^0 (1 x 9) is
     # still stacked; the dims agree with Bareiss ranks of each matrix.
-    from oscoh import cohom
+    # cohom._ranks is called directly: the non-resonance certificate answers
+    # most of these rows before it.
     from oscoh.osalg import AomotoMatrix
 
     arr = catalog.get("ceva3-section")
@@ -250,7 +243,8 @@ def test_matrices_above_the_stack_budget_are_ranked_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(AomotoMatrix, "evaluate_stack", recorded)
     K = [[1, 1, 1, 1, 1, 1, -2, -2, -2], [1, 2, -1, 3, 1, 0, 2, 1, 1], [2, 1, -3, 1, 1, 1, 4, 1, 2], [1, 0, 0, 0, 1, 0, 0, 0, 1]]
-    got = os_cohomology_dims_stack(arr, K)
+    ranks = cohom._ranks(arr, exactla._exact_ints(K), None)
+    got = np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]
     mu1 = aomoto_matrix(arr, 1).shape
     assert mu1[0] * mu1[1] > 100 and sizes[mu1] == [1, 1, 1, 1]
     assert sizes[aomoto_matrix(arr, 0).shape] == [4]
@@ -272,9 +266,11 @@ def test_weights_at_minus_two_to_the_63_are_not_wrapped():
 def test_exact_degrees_are_proved_by_one_prime_each(monkeypatch):
     # Away from resonance every degree reaches its d**2 = 0 bound
     # b_q - rank mu^(q-1) modulo the first prime.  On the decone of A_4 at
-    # generic weights each of the three boundaries takes one modular
-    # elimination.  boolean(8) at weights whose sum is non-zero takes none:
-    # its complex is exact, so no matrix is ranked.
+    # generic weights cohom._ranks (called directly: the non-resonance
+    # certificate answers these weights before it) takes one modular
+    # elimination for each of the three boundaries.  boolean(8) at weights
+    # whose sum is non-zero takes none: its complex is exact, so no matrix
+    # is ranked.
     calls = []
     real = exactla._rank_mod_p_numpy
 
@@ -284,8 +280,9 @@ def test_exact_degrees_are_proved_by_one_prime_each(monkeypatch):
 
     monkeypatch.setattr(exactla, "_rank_mod_p_numpy", counted)
     decone = build_arrangement(braid_rows(4)).decone()
-    rep = os_cohomology_dims(decone, [Fraction(x, 11) for x in (1, 2, 3, -1, 5, 4, -3, 7, 2)])
-    assert rep.dims == (0, 0, 0, abs(decone.euler_characteristic())) and rep.notes == []
+    ranks = cohom._ranks(decone, exactla._exact_ints([(1, 2, 3, -1, 5, 4, -3, 7, 2)]), None)[0]
+    dims = [b - ranks[q + 1] - ranks[q] for q, b in enumerate(decone.betti_numbers())]
+    assert dims == [0, 0, 0, abs(decone.euler_characteristic())]
     assert len(calls) == 3
     calls.clear()
     arr = build_arrangement([[int(i == j) for j in range(9)] for i in range(8)])
@@ -459,14 +456,16 @@ def test_moduli_past_2_64_are_factored_or_refused():
 
 def test_the_rank_cache_keys_ranks_by_their_field():
     # k normalizes to itself over Q and reduces to itself mod 2, so only the
-    # field tells the two cached ranks apart; both orders must hold
+    # field tells the two cached ranks apart; both orders must hold.  Over Q
+    # cohom._ranks is called directly: the non-resonance certificate answers
+    # k before it.
     sec = catalog.get("ceva3-section")
     k = (0, 0, 0, 1, 0, 0, 1, 0, 0)
     for mod_2_first in (True, False):
         empty_rank_cache(sec)
         calls = [
             lambda: modN_cohomology_ranks(sec, k, 2).dims == (0, 1, 17),
-            lambda: os_cohomology_dims(sec, k).dims == (0, 0, 16),
+            lambda: cohom._ranks(sec, exactla._exact_ints([k]), None)[0].tolist() == [0, 1, 8, 0],
         ]
         for call in calls if mod_2_first else calls[::-1]:
             assert call(), mod_2_first
@@ -476,16 +475,27 @@ def test_the_rank_cache_keys_ranks_by_their_field():
 
 def test_translate_keys_hash_apart_at_the_mersenne_prime_2_61():
     # Python hashes an int mod 2**61 - 1, so a tuple of the translate
-    # k + N*m at N = 2**61 - 1 hashes like k; a row's key hashes its bytes
+    # k + N*m at N = 2**61 - 1 hashes like k; a row's key hashes its bytes.
+    # The box-1 translates of betti_bounds go to cohom._ranks directly
+    # (the non-resonance certificate answers most of them before it), and
+    # the upper bound mod N adds its own key.
+    from oscoh.resonance import _translate_chunks
+
     sec = catalog.get("ceva3-section")
     N = 2**61 - 1
+    lam = [Fraction(x, N) for x in (1, 2, 3, 4, 5, 6, 7, 8, -9)]
+    k = np.array(WeightVector(lam).k, dtype=np.int64)
     empty_rank_cache(sec)
-    betti_bounds(sec, [Fraction(x, N) for x in (1, 2, 3, 4, 5, 6, 7, 8, -9)], box=1)
+    for m in _translate_chunks(tuple(lam), 1):
+        cohom._ranks(sec, k + N * m, None)
+    modN_cohomology_ranks(sec, k, N)
     keys = sec._cache["ranks"]
     assert len(keys) > 3**9 and len(set(map(hash, keys))) == len(keys)
 
 
 def test_a_row_from_int64_and_from_python_integer_stacks_is_ranked_once(monkeypatch):
+    # cohom._ranks is called directly: the non-resonance certificate answers
+    # these rows before it
     sec = catalog.get("ceva3-section")
     k = [1, 1, 1, 1, 1, 1, -2, -2, 5]
     past = k[:-1] + [2**64 + 5]  # its stack holds Python integers
@@ -498,9 +508,9 @@ def test_a_row_from_int64_and_from_python_integer_stacks_is_ranked_once(monkeypa
 
     monkeypatch.setattr(cohom, "rank_stack", counted)
     empty_rank_cache(sec)
-    want = os_cohomology_dims_stack(sec, [k])
+    want = cohom._ranks(sec, exactla._exact_ints([k]), None)
     first = len(ranked)
-    got = os_cohomology_dims_stack(sec, [past, k])
+    got = cohom._ranks(sec, exactla._exact_ints([past, k]), None)
     assert (got[1] == want[0]).all()
     assert first and ranked == [1] * (2 * first) and len(sec._cache["ranks"]) == 2
 
@@ -754,3 +764,210 @@ def test_notes_name_the_reduction():
     ]
     assert rep.dims == (0,) * 5
     assert os_cohomology_dims(catalog.get("ceva3-section"), CEVA_WEIGHTS).notes == []
+
+
+# ---------------------------------------------------------------------------
+# the non-resonance certificate over Q, against the full complex
+
+CERTIFIED = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+AFFINE_COMPLEXES = {
+    "A3 decone": lambda: build_arrangement(braid_rows(3)).decone(),
+    "A4 decone": lambda: build_arrangement(braid_rows(4)).decone(),
+    "A5 decone": lambda: build_arrangement(braid_rows(5)).decone(),
+    "ceva3-section": lambda: catalog.get("ceva3-section"),
+    "maclane-section": lambda: catalog.get("maclane-section"),
+    "ceva3 decone": lambda: catalog.get("ceva3").decone(),
+    "example-lstrict decone": lambda: catalog.get("example-lstrict").decone(),
+    "maclane decone": lambda: catalog.get("maclane").decone(),
+}
+_BUILT: dict = {}
+
+
+@st.composite
+def affine_complexes(draw):
+    """A decone of A_3-A_5 or of a central catalog entry, an affine catalog
+    entry, or an affine arrangement of 3-6 random lines in the plane."""
+    name = draw(st.sampled_from([*AFFINE_COMPLEXES, "random lines"]))
+    if name in AFFINE_COMPLEXES:
+        return _BUILT.setdefault(name, AFFINE_COMPLEXES[name]())
+    n = draw(st.integers(3, 6))
+    rows = [[draw(st.integers(-2, 2)) for _ in range(3)] for _ in range(n)]
+    try:
+        arr = build_arrangement(rows)
+    except ValueError:
+        assume(False)
+    assume(not arr.central)
+    return arr
+
+
+def edge_sum(k, hs, n):
+    """Weight of the closure edge through the hyperplanes hs, where H_inf
+    (index n) weighs -sum k."""
+    return sum(k[i] for i in hs if i < n) - (sum(k) if n in hs else 0)
+
+
+def forced(k, hs, n, target, c):
+    """k with entry c changed so that the edge hs weighs target; c is in hs
+    when H_inf is not, and outside hs when it is."""
+    k = list(k)
+    k[c] += (target - edge_sum(k, hs, n)) * (-1 if n in hs else 1)
+    return k
+
+
+def adjustable(hs, n):
+    """The entries whose change moves the weight of the edge hs."""
+    return sorted(i for i in range(n) if (i in hs) != (n in hs))
+
+
+def proper_dense_edges(arr):
+    """The dense edges of the projective closure other than its center,
+    read from the closure's lattice, by codimension."""
+    closure, _ = arr.projective_closure()
+    return [f for f in closure.dense_edges() if f.codim < closure.rank]
+
+
+def local_row(X, n):
+    """Weights supported on the closure edge X and weighing 0 there, with
+    no other zero edge through a hyperplane of X except those containing
+    X: distinct powers of 2 on X, the last one replaced by minus the sum of
+    the others when H_inf (index n) is not in X."""
+    row = [0] * n
+    for t, i in enumerate(sorted(X - {n})):
+        row[i] = 2**t
+    if n not in X:
+        row[max(X)] -= edge_sum(row, X, n)
+    return row
+
+
+def certificate_rows(draw, arr, p):
+    """Weight rows of three kinds, over Q and for the prime p:
+    * generic rows;
+    * near misses: one dense edge through each of up to three tried
+      hyperplanes of the closure forced to weigh 0, or p times +-1;
+    * local rows, supported on one dense edge X (with H_inf weighing
+      -sum k) and weighing 0 there: at any X, and at an X of the highest
+      codimension, which no other proper edge lies in; the first also plus
+      p times a generic row, so that p divides the edge sums while none of
+      them is 0."""
+    n = arr.n
+    flats = proper_dense_edges(arr)
+    edges = [f.hyperplanes for f in flats]
+    highest = [f.hyperplanes for f in flats if f.codim == flats[-1].codim]
+    small = st.integers(-6, 6)
+    generic = [draw(small) for _ in range(n)]
+    near = {None: generic, p: generic}
+    for j in draw(st.lists(st.integers(0, n), min_size=1, max_size=3, unique=True)):
+        hs = draw(st.sampled_from([e for e in edges if j in e]))
+        c = draw(st.sampled_from(adjustable(hs, n)))
+        near[None] = forced(near[None], hs, n, 0, c)
+        near[p] = forced(near[p], hs, n, p * draw(st.sampled_from([-1, 1])), c)
+    local = []
+    for X in (draw(st.sampled_from(edges)), draw(st.sampled_from(highest))):
+        row = [draw(st.integers(1, 4)) * draw(st.sampled_from([-1, 1])) if i in X else 0 for i in range(n)]
+        if n not in X:
+            row = forced(row, X, n, 0, draw(st.sampled_from(adjustable(X, n))))
+        local.append(row)
+    lifted = [x + p * draw(small) for x in local[0]]
+    return [generic, near[None], *local], [near[p], lifted]
+
+
+@CERTIFIED
+@given(affine_complexes(), st.sampled_from([2, 3, 5]), st.data())
+def test_certified_rows_match_the_full_complex(arr, p, data):
+    # A row is certified at the first hyperplane H_j of the closure whose
+    # proper dense edges all have non-zero weight; its dims are then
+    # (0, ..., 0, |chi|), those of the full complex over Q ranked by
+    # cohom._ranks, as the dims of every row are; Bareiss ranks confirm the
+    # first certified row of each draw.  A row with no zero edge weight at
+    # all is certified at H_1.  Over Z_p nothing is certified: rows whose
+    # edge weights p divides, none of them 0, rank as the full complex does
+    # mod p.
+    K, K_p = certificate_rows(data.draw, arr, p)
+    edges = [f.hyperplanes for f in proper_dense_edges(arr)]
+    # a local row has a zero edge through every hyperplane: X through those
+    # in X, and each other hyperplane itself
+    local = [local_row(X, arr.n) for X in edges]
+    assert (cohom._nonresonant_hyperplane(arr, exactla._exact_ints(local)) < 0).all()
+    top = (0,) * arr.rank + (abs(arr.euler_characteristic()),)
+    certified = cohom._nonresonant_hyperplane(arr, exactla._exact_ints(K)).tolist()
+    stacked = os_cohomology_dims_stack(arr, K).tolist()
+    ranks = cohom._ranks(arr, exactla._exact_ints(K), None)
+    full = (np.array(arr.betti_numbers()) - ranks[:, 1:] - ranks[:, :-1]).tolist()
+    confirmed = False
+    for k, j, got, want in zip(K, certified, stacked, full):
+        assert got == want, (k, j)
+        weights = [(hs, edge_sum(k, hs, arr.n)) for hs in edges]
+        if j >= 0:
+            assert tuple(want) == top and all(w for hs, w in weights if j in hs), (k, j)
+            if not confirmed:
+                assert bareiss_dims(arr, k) == top, (k, j)
+                confirmed = True
+        if all(w for _, w in weights):
+            assert j == 0, k
+    for k in K_p:
+        assert modN_cohomology_ranks(arr, k, p).dims == bareiss_dims(arr, k, p), k
+
+
+def test_the_certificate_answers_generic_rows_and_names_its_hyperplane():
+    # at least 15 of 20 random rows (|k| <= 9, no zero entry) of every
+    # complex above are certified, and a single vector's notes name the
+    # certificate (with the decone's prefix)
+    rng = random.Random(5)
+    for name, build in AFFINE_COMPLEXES.items():
+        arr = _BUILT.setdefault(name, build())
+        K = [[rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(arr.n)] for _ in range(20)]
+        assert (cohom._nonresonant_hyperplane(arr, exactla._exact_ints(K)) >= 0).sum() >= 15, name
+    ceva = catalog.get("ceva3")
+    rep = os_cohomology_dims(ceva, [Fraction(x, 5) for x in (1, 2, 3, -1, 4, 2, -3, 1, -9)])
+    assert rep.dims == (0, 0, 9, 9)
+    assert rep.notes == [
+        "central, weight sum zero: decone at H_9 (y-w2z)",
+        "decone: non-resonant: the dense edges in H_1 (x-y) of the closure have non-zero weight (Yuzvinsky)",
+    ]
+
+
+def test_primes_rank_as_before_the_certificate(monkeypatch):
+    # At a prime N, a composite N and in yuzvinsky_vanishing every boundary
+    # is ranked, one rank_stack call per degree and prime, even where the
+    # certificate answers the same weights over Q with none.
+    sec = catalog.get("ceva3-section")
+    k = [1, 2, -1, 3, 1, 5, 2, 1, 1]
+    ranked = []
+    real = cohom.rank_stack
+
+    def counted(stack, upper, p):
+        ranked.append(p)
+        return real(stack, upper, p)
+
+    monkeypatch.setattr(cohom, "rank_stack", counted)
+    for call, want in [
+        (lambda: os_cohomology_dims(sec, k), []),
+        (lambda: modN_cohomology_ranks(sec, k, 7), [7, 7]),
+        (lambda: modN_cohomology_ranks(sec, k, 6), [2, 2, 3, 3]),
+        (lambda: modN_cohomology_ranks(sec, k, 12), [2, 2, 3, 3]),
+        (lambda: yuzvinsky_vanishing(sec, k, 5), [5, 5]),
+    ]:
+        empty_rank_cache(sec)
+        ranked.clear()
+        call()
+        assert ranked == want
+
+
+def test_a7_zero_sum_weights_are_certified_before_the_cell_budget():
+    # The decone of A_7 has a degree-3 Aomoto matrix above CELL_BUDGET.  A
+    # generic zero-sum weight needs none of its matrices; one the
+    # certificate rejects (a local weight at a triple point) still raises.
+    a7 = build_arrangement(braid_rows(7))
+    rng = random.Random(7)
+    k = [rng.choice([-1, 1]) * rng.randint(1, 40) for _ in range(a7.n - 1)]
+    rep = os_cohomology_dims(a7, k + [-sum(k)])
+    assert rep.dims == (0,) * 6 + (720, 720)
+    assert rep.notes[1].startswith("decone: non-resonant: the dense edges in H_")
+    local = [0] * a7.n
+    local[0], local[1], local[7] = 1, 1, -2  # on x_1, x_2 and x_1 - x_2
+    with pytest.raises(ValueError, match="cell budget"):
+        os_cohomology_dims(a7, local)

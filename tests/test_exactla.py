@@ -729,3 +729,17 @@ def test_local_smith_matches_the_integer_smith_form(p, e, data):
     got = exactla._local_smith(exactla._exact_ints(m), p, e)
     assert got == local_oracle(m, p, e)
     assert got[0] == gf_rank(m, p)
+
+
+def test_row_keys_depend_on_the_rows_not_on_the_dtype():
+    # The fitting rows of an object array are found in one pass and keyed by
+    # their int64 bytes, as the same rows of an int64 array are; a row past
+    # int64 is keyed by its decimal text.  -2**63 fits an int64 row.
+    rows = [[1, -2, 3], [0, 0, 0], [2**63 - 1, -(2**63), 5], [7, 8, -9]]
+    small = np.array(rows, dtype=np.int64)
+    assert exactla._row_keys(small.astype(object)) == exactla._row_keys(small)
+    mixed = np.array(rows[:2] + [[1, 2**63, 3]] + rows[3:], dtype=object)
+    keys = exactla._row_keys(mixed)
+    assert keys[2] == str([1, 2**63, 3])
+    assert [keys[i] for i in (0, 1, 3)] == [exactla._row_keys(small)[i] for i in (0, 1, 3)]
+    assert exactla._row_keys(np.zeros((0, 3), dtype=object)) == []

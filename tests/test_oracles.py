@@ -133,7 +133,10 @@ def test_forms_through_a_common_point_are_central():
     ]
     rep = os_cohomology_dims(arr, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)])
     assert rep.dims == (0, 1, 1)
-    assert rep.notes == ["central, weight sum zero: decone at H_3 (H3)"]
+    assert rep.notes == [
+        "central, weight sum zero: decone at H_3 (H3)",
+        "decone: non-resonant: the dense edges in H_1 (H1) of the closure have non-zero weight (Yuzvinsky)",
+    ]
 
 
 @RANDOM

@@ -21,11 +21,12 @@ from oscoh.resonance import (
     edge_weights,
     in_V,
     in_W,
+    in_W_and_V,
     resonance_membership,
     yuzvinsky_vanishing,
 )
 
-from conftest import empty_rank_cache, random_weight_vector
+from conftest import braid_rows, empty_rank_cache, random_weight_vector
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
@@ -54,6 +55,36 @@ def test_edge_weights_of_central_pencil():
     assert all(e.codim <= arr.rank for e in edges)
 
 
+# edge_weights of the decone of A_3 at H_6, as they were before a decone's
+# closure became the arrangement it came from: {hyperplanes: (codim, weight)}
+A3_DECONE_EDGES = {
+    (1, 2, 3, 4, 5): {
+        (0,): (1, "1"), (1,): (1, "2"), (2,): (1, "3"), (3,): (1, "4"), (4,): (1, "5"),
+        (5,): (1, "-15"), (0, 1, 3): (2, "7"), (0, 2, 4): (2, "9"),
+        (1, 2, 5): (2, "-10"), (3, 4, 5): (2, "-6"),
+    },
+    ("1/2", "-1/3", 0, 1, "5/7"): {
+        (0,): (1, "1/2"), (1,): (1, "-1/3"), (2,): (1, "0"), (3,): (1, "1"), (4,): (1, "5/7"),
+        (5,): (1, "-79/42"), (0, 1, 3): (2, "7/6"), (0, 2, 4): (2, "17/14"),
+        (1, 2, 5): (2, "-31/14"), (3, 4, 5): (2, "-1/6"),
+    },
+}
+
+
+@pytest.mark.parametrize("lam", sorted(A3_DECONE_EDGES, key=str))
+def test_edge_weights_of_a_decone_read_the_arrangement_it_came_from(lam):
+    a3 = build_arrangement(braid_rows(3))
+    d = a3.decone()
+    assert d.projective_closure() == (a3, d.n)
+    edges = edge_weights(d, tuple(Fraction(x) for x in lam))
+    got = {tuple(sorted(e.hyperplanes)): (e.codim, str(e.weight)) for e in edges}
+    assert got == A3_DECONE_EDGES[lam]
+    # infinity is H_n of A_3 and carries its label, not H_inf
+    for e in edges:
+        assert e.labels == tuple(a3.labels[i] for i in sorted(e.hyperplanes))
+    assert ("H6",) in {e.labels for e in edges}
+
+
 def test_edge_weight_integer_predicates():
     arr = three_concurrent_lines()
     edges = edge_weights(arr, (1, 1, -2))
@@ -74,6 +105,8 @@ def test_in_W_and_in_V_on_pencil():
     # positive integer weight on a hyperplane: excluded from both
     assert not in_W(arr, (1, 1, -2))
     assert not in_V(arr, (1, 1, -2))
+    for lam in (generic, balanced, (1, 1, -2)):
+        assert in_W_and_V(edge_weights(arr, lam)) == (in_W(arr, lam), in_V(arr, lam))
 
 
 def test_W_is_contained_in_V():
@@ -344,7 +377,9 @@ def test_a_bounded_rank_cache_keeps_the_box_answers(monkeypatch):
     # A bound below one box's ranks empties the rank family between the
     # chunks of the box; the options and witnesses stay those of the
     # unbounded cache, and after each call the family holds at most the
-    # bound plus the ranks that call wrote (rank + 1 per entry).
+    # bound plus the ranks that call wrote (rank + 1 per entry).  The
+    # non-resonance certificate answers all but about 170 of the box's
+    # 6,561 translates, so the bound is 60 ranks (20 rows).
     from oscoh import cohom
 
     arr = catalog.get("maclane-section")
@@ -360,11 +395,11 @@ def test_a_bounded_rank_cache_keeps_the_box_answers(monkeypatch):
         sizes.append((len(a._cache["ranks"]) * (a.rank + 1), len(K) * (a.rank + 1)))
         return out
 
-    monkeypatch.setattr(cohom, "RANK_CACHE_ENTRIES", 500)
+    monkeypatch.setattr(cohom, "RANK_CACHE_ENTRIES", 60)
     monkeypatch.setattr(cohom, "_ranks", recorded)
     empty_rank_cache(arr)
     assert _lower_dims_options(arr, lam, 1) == want
-    assert len(sizes) > 1 and all(held <= 500 + wrote for held, wrote in sizes)
+    assert len(sizes) > 1 and all(held <= 60 + wrote for held, wrote in sizes)
     assert any(b[0] < a[0] for a, b in zip(sizes, sizes[1:]))  # it was emptied
 
 
