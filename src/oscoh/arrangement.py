@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import NumberField, pivot_columns
+from .exactla import NumberField, _absmax, _widen, pivot_columns, poincare_product
 from .matroid import Matroid, _unmask, add_coloop, parallel_connection, vector_matroid
 
 __all__ = [
@@ -43,16 +43,6 @@ __all__ = [
     "product_arrangement",
     "essentialize",
 ]
-
-
-def poincare_product(a: Sequence[int], b: Sequence[int]) -> tuple:
-    """Coefficients of the product of two polynomials, lowest degree first:
-    the Poincare polynomial (or Kunneth dimensions) of a product."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 class ZeroFormError(ValueError):
@@ -328,6 +318,27 @@ class Arrangement:
                 f for f in closure.dense_edges() if f.codim <= self.rank
             ]
         return self._cache["closure_dense_edges"]
+
+    def closure_incidence(self) -> np.ndarray:
+        """The 0/1 incidence matrix of ``closure_dense_edges`` (rows) and
+        the n + 1 hyperplanes of the closure (columns, H_inf last)."""
+        if "dense_incidence" not in self._cache:
+            edges = self.closure_dense_edges()
+            inc = np.zeros((len(edges), self.n + 1), dtype=np.int64)
+            for e, f in enumerate(edges):
+                inc[e, f.sorted_hyperplanes] = 1
+            self._cache["dense_incidence"] = inc
+        return self._cache["dense_incidence"]
+
+    def closure_edge_weights(self, K: np.ndarray) -> np.ndarray:
+        """Weights of ``closure_dense_edges`` at every row k of the integer
+        array K, as a (rows x edges) integer array: an edge weighs the sum
+        of k over its hyperplanes, H_inf weighing -sum k.  That is one
+        product [K, -sum K] E^T with the ``closure_incidence`` E."""
+        # |an edge weight| <= (n + 1) n max|k|, doubled for margin
+        K = _widen(K, 2 * _absmax(K) * self.n * (self.n + 1))
+        full = np.concatenate([K, -K.sum(axis=1, keepdims=True)], axis=1)
+        return full @ self.closure_incidence().T
 
 
 def _check_atoms(cone: Matroid, n: int) -> None:

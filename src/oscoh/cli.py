@@ -102,8 +102,7 @@ def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
 
 def _cmd_lattice(arr: Arrangement, args) -> int:
     lat = arr.intersection_lattice()
-    closure, _ = arr.projective_closure()
-    dense_sets = {f.hyperplanes for f in closure.dense_edges()}
+    dense_sets = {f.hyperplanes for f in arr.closure_dense_edges()}
     rows = []
     for level in lat.levels:
         for f in level:

@@ -15,15 +15,16 @@ plus the same dims one degree up.  Over Q an affine complex is then tested
 for non-resonance on the dense edges of its projective closure (Yuzvinsky,
 Comm. Algebra 23, 1995; Cohen-Dimca-Orlik, Ann. Inst. Fourier 53, 2003):
 if the proper dense edges in some hyperplane of the closure all have
-non-zero weight, the cohomology is |chi| in the top degree and 0 below.
-Neither source proves that test in characteristic p, so at a prime nothing
-is certified.  What is left goes to the one rank
-driver, ``_ranks``, over Q or at a prime: it evaluates degree by degree in
-stacks and hands each stack to ``exactla.rank_stack`` with the bound
-d^2 = 0 gives (the one-prime certificate target over Q, a check at p).  It
-shares ranks through one cache on the arrangement: one entry per field and
-weight row (normalized over Q, reduced mod p), under ``exactla._row_keys``,
-holds its ranks in all degrees; it is emptied past RANK_CACHE_ENTRIES ranks.
+non-zero weight (``Arrangement.closure_edge_weights``), the cohomology is
+|chi| in the top degree and 0 below.  Neither source proves that test in
+characteristic p, so at a prime nothing is certified.  What is left goes
+to the one rank driver, ``_ranks``, over Q or at a prime: it evaluates
+degree by degree in stacks and hands each stack to ``exactla.rank_stack``
+with the bound d^2 = 0 gives (the one-prime certificate target over Q, a
+check at p).  It shares ranks through one cache on the arrangement: one
+entry per field and weight row (normalized over Q, reduced mod p), under
+``exactla._row_keys``, holds its ranks in all degrees; it is emptied past
+RANK_CACHE_ENTRIES ranks.
 
 Mod N there is one loop over the primes p | N, each through the prime path
 above with its reductions; prime N is the case of one prime.  For
@@ -45,9 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import STACK_CELLS, _absmax, _exact_int, _exact_ints, _factorize, _local_smith
-from .exactla import _primitive, _row_keys, _widen, rank_stack
-from .arrangement import poincare_product
+from .exactla import STACK_CELLS, _absmax, _exact_int, _exact_ints, _exact_rational, _factorize
+from .exactla import _local_smith, _primitive, _row_keys, _widen, poincare_product, rank_stack
 from .osalg import aomoto_matrix
 
 __all__ = [
@@ -75,7 +75,7 @@ class WeightVector:
             self.lam = lam.lam
             self.reduced_from = lam.reduced_from
         else:
-            self.lam = tuple(Fraction(x) for x in lam)
+            self.lam = tuple(map(_exact_rational, lam))
             self.reduced_from = None
         self.N = lcm(*(f.denominator for f in self.lam)) if self.lam else 1
         self.k = tuple(int(f * self.N) for f in self.lam)
@@ -209,10 +209,11 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
       zero-sum differential is 0 and the dims are the Betti numbers.
     * Over Q only, a row of an affine arrangement (a decone included) is
       non-resonant when some hyperplane H_j of the projective closure has
-      non-zero weight on every proper dense edge in it, H_inf weighing
-      -sum k (``_nonresonant_hyperplane``).  Its dims are then 0 below the
-      rank and |chi| at the top (Yuzvinsky 1995; Cohen-Dimca-Orlik 2003,
-      who reduce the test on every dense edge to those in one hyperplane).
+      non-zero weight on every proper dense edge in it
+      (``_nonresonant_hyperplane`` on ``Arrangement.closure_edge_weights``,
+      H_inf weighing -sum k).  Its dims are then 0 below the rank and |chi|
+      at the top (Yuzvinsky 1995; Cohen-Dimca-Orlik 2003, who reduce the
+      test on every dense edge to those in one hyperplane).
       Neither proves it in characteristic p, so at p it is not applied.
     * Any other row is ranked.
 
@@ -269,25 +270,10 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
 
 def _nonresonant_hyperplane(arr, K: np.ndarray) -> np.ndarray:
     """Per row of K, the first hyperplane j of the projective closure whose
-    proper dense edges all have non-zero weight, H_inf weighing -sum k, or
-    -1 when there is none.
-
-    The closure's proper dense edges (``Arrangement.closure_dense_edges``)
-    are cached as a 0/1 incidence matrix E (edges x (n + 1)); the edge
-    weights are [K, -sum K] E^T, and the zero ones counted through each
-    hyperplane are (weights == 0) E.
-    """
-    inc = arr._cache.get("dense_incidence")
-    if inc is None:
-        edges = arr.closure_dense_edges()
-        inc = np.zeros((len(edges), arr.n + 1), dtype=np.int64)
-        for e, f in enumerate(edges):
-            inc[e, f.sorted_hyperplanes] = 1
-        arr._cache["dense_incidence"] = inc
-    # |an edge weight| <= (n + 1) n max|k|, doubled for margin
-    K = _widen(K, 2 * _absmax(K) * arr.n * (arr.n + 1))
-    weights = np.concatenate([K, -K.sum(axis=1, keepdims=True)], axis=1) @ inc.T
-    free = ((weights == 0).astype(np.int64) @ inc) == 0
+    proper dense edges all have non-zero weight, or -1 when there is none:
+    the zero weights of ``Arrangement.closure_edge_weights`` counted
+    through each hyperplane by its ``closure_incidence``."""
+    free = ((arr.closure_edge_weights(K) == 0).astype(np.int64) @ arr.closure_incidence()) == 0
     return np.where(free.any(axis=1), free.argmax(axis=1), -1)
 
 
@@ -429,10 +415,10 @@ def kunneth_product(r1: CohomologyReport, r2: CohomologyReport) -> CohomologyRep
 
 def scaling_equivalence_check(arr, lam, c) -> bool:
     """Dimensions at lam and at c*lam agree (c nonzero rational)."""
-    c = Fraction(c)
+    c = _exact_rational(c)
     if not c:
         raise ValueError("scale factor must be nonzero")
-    lam = [Fraction(x) for x in lam]
+    lam = [_exact_rational(x) for x in lam]
     a = os_cohomology_dims(arr, lam)
     b = os_cohomology_dims(arr, [c * x for x in lam])
     return a.dims == b.dims

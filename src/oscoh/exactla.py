@@ -222,6 +222,16 @@ def _exact_int(x) -> int:
     raise ValueError(f"expected an integer, got {x!r}")
 
 
+def _exact_rational(x) -> Fraction:
+    """A rational from a caller (an int, a Fraction or a string like "2/3")
+    as a Fraction; a float, whose binary value is no weight, raises ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, np.floating)):
+        raise ValueError(f"expected an exact rational, got {x!r}")
+    return Fraction(x)
+
+
 def _exact_ints(a) -> np.ndarray:
     """Integers from a caller as an array: int64 when all fit (-2**63 does
     not: its negation wraps), Python integers otherwise.  Entries other than
@@ -666,6 +676,19 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
 # number fields
 
 
+def poincare_product(a: Sequence, b: Sequence) -> tuple:
+    """Coefficients of the product of two polynomials, lowest degree first,
+    of the type of a's, skipping zeros: the Poincare polynomial (or Kunneth
+    dimensions) of a product, and the product of number-field elements."""
+    out = [type(a[0])()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return tuple(out)
+
+
 def _poly_trim(c: list[Fraction]) -> list[Fraction]:
     while c and not c[-1]:
         c.pop()
@@ -745,11 +768,7 @@ def _irreducible_mod_p(f: list[int], p: int) -> bool:
     f = [c % p for c in f]
 
     def mulmod(a, b):  # residues of degree < d, reduced modulo f
-        out = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
+        out = list(poincare_product(a, b))
         for k in range(2 * d - 2, d - 1, -1):
             c = out[k] % p
             if c:
@@ -911,12 +930,7 @@ class NFElement:
     def __mul__(self, other):
         other = self.field.coerce(other)
         n = self.field.degree
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
+        prod = list(poincare_product(self.coeffs, other.coeffs))
         mp = self.field.min_poly
         # monic reduction: x^n = -(mp[0] + ... + mp[n-1] x^(n-1))
         for k in range(2 * n - 2, n - 1, -1):
@@ -940,11 +954,7 @@ class NFElement:
             q, r = _poly_divmod(a, b)
             a, b = b, r
             # s_{k+1} = s_{k-1} - q * s_k
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs[i + j] += x * y
+            qs = poincare_product(q, s1) if q and s1 else ()
             s0, s1 = s1, _poly_trim(
                 [(s0[i] if i < len(s0) else Fraction(0)) - (qs[i] if i < len(qs) else Fraction(0))
                  for i in range(max(len(s0), len(qs), 1))]

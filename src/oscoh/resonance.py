@@ -5,7 +5,7 @@ closure: flats whose localization is irreducible (does not decompose as a
 product).  Summing a weight vector over the hyperplanes through an edge
 -- with the hyperplane at infinity carrying minus the total weight --
 gives the edge weights whose integrality properties control vanishing
-theorems and resonance.
+theorems and resonance; ``Arrangement.closure_edge_weights`` computes them.
 
 `betti_bounds` sandwiches the Betti numbers of a rank-one local system
 between a lower bound (the best weighted Orlik-Solomon dimensions over a
@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrangement import poincare_product
 from .cohom import (
     CohomologyReport,
     WeightVector,
@@ -35,6 +34,7 @@ from .cohom import (
     os_cohomology_dims_stack,
 )
 from .exactla import STACK_CELLS, NotPrimeError, _exact_int, _exact_ints, _widen, is_prime
+from .exactla import poincare_product
 from .osalg import check_complex_size
 
 __all__ = [
@@ -72,35 +72,24 @@ class EdgeWeight:
         return f"EdgeWeight({{{', '.join(self.labels)}}}, weight={self.weight})"
 
 
-def _closure_weights(arr, lam) -> tuple:
-    lam = tuple(Fraction(x) for x in lam)
-    if len(lam) != arr.n:
-        raise ValueError(f"expected {arr.n} weights, got {len(lam)}")
-    return lam + (-sum(lam),)
-
-
 def edge_weights(arr, lam) -> list[EdgeWeight]:
     """Weights of the dense edges of the projective closure.
 
     Only proper edges are reported (``Arrangement.closure_dense_edges``):
     flats of the closure of codimension at most the rank of the original
-    arrangement.
+    arrangement.  They are ``Arrangement.closure_edge_weights`` at
+    k = N*lam, divided by N.
     """
-    full = _closure_weights(arr, lam)
-    closure, _ = arr.projective_closure()
-    out = []
-    for f in arr.closure_dense_edges():
-        hs = f.sorted_hyperplanes
-        w = sum(full[i] for i in hs)
-        out.append(
-            EdgeWeight(
-                frozenset(hs),
-                f.codim,
-                Fraction(w),
-                tuple(closure.labels[i] for i in hs),
-            )
-        )
-    return out
+    wv = WeightVector(lam)
+    if len(wv) != arr.n:
+        raise ValueError(f"expected {arr.n} weights, got {len(wv)}")
+    weights = arr.closure_edge_weights(_exact_ints([wv.k]))[0].tolist()
+    labels = arr.projective_closure()[0].labels
+    return [
+        EdgeWeight(f.hyperplanes, f.codim, Fraction(w, wv.N),
+                   tuple(labels[i] for i in f.sorted_hyperplanes))
+        for f, w in zip(arr.closure_dense_edges(), weights)
+    ]
 
 
 def in_W_and_V(edges) -> tuple[bool, bool]:

@@ -8,7 +8,10 @@ rank caches are then shared across the whole pytest run.
 import random
 from fractions import Fraction
 
-from oscoh import catalog
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from oscoh import build_arrangement, catalog
 
 # Every catalog entry, with the parametrized family pinned to one size.
 CATALOG_NAMES = [
@@ -72,3 +75,15 @@ def empty_rank_cache(*arrs):
 def catalog_arrangements():
     """(name, arrangement) pairs for every catalog entry."""
     return [(name, catalog.get(name)) for name in CATALOG_NAMES]
+
+
+@st.composite
+def affine_lines(draw):
+    """An affine arrangement of 3-6 random lines in the plane."""
+    rows = [[draw(st.integers(-2, 2)) for _ in range(3)] for _ in range(draw(st.integers(3, 6)))]
+    try:
+        arr = build_arrangement(rows)
+    except ValueError:
+        assume(False)
+    assume(not arr.central)
+    return arr

@@ -22,9 +22,9 @@ from oscoh.cohom import (
 )
 from oscoh.exactla import NumberField, bareiss_rank, rank_mod_p, rank_over_Q, rank_stack, smith_normal_form
 from oscoh.osalg import aomoto_matrix
-from oscoh.resonance import betti_bounds, yuzvinsky_vanishing
+from oscoh.resonance import betti_bounds, edge_weights, in_V, in_W, resonance_membership, yuzvinsky_vanishing
 
-from conftest import CATALOG_NAMES, braid_rows, empty_rank_cache, random_weight_vector
+from conftest import CATALOG_NAMES, affine_lines, braid_rows, empty_rank_cache, random_weight_vector
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
@@ -588,6 +588,31 @@ def test_non_integers_are_refused_rather_than_truncated(entry, bad):
         NON_INTEGER_CALLS[entry](catalog.get("ceva3-section"), bad)
 
 
+def _lam(bad):
+    return (bad,) + CEVA_WEIGHTS[1:]
+
+
+# Entries that take rational weights: a float's binary value is no weight.
+NON_RATIONAL_CALLS = {
+    "WeightVector": lambda sec, bad: WeightVector(_lam(bad)),
+    "os_cohomology_dims": lambda sec, bad: os_cohomology_dims(sec, _lam(bad)),
+    "betti_bounds": lambda sec, bad: betti_bounds(sec, _lam(bad)),
+    "edge_weights": lambda sec, bad: edge_weights(sec, _lam(bad)),
+    "in_W": lambda sec, bad: in_W(sec, _lam(bad)),
+    "in_V": lambda sec, bad: in_V(sec, _lam(bad)),
+    "resonance_membership": lambda sec, bad: resonance_membership(sec, _lam(bad), 1),
+    "scaling weights": lambda sec, bad: scaling_equivalence_check(sec, _lam(bad), 2),
+    "scaling factor": lambda sec, bad: scaling_equivalence_check(sec, CEVA_WEIGHTS, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, np.float64(0.5), 1.0], ids=["float", "numpy-float", "integral-float"])
+@pytest.mark.parametrize("entry", list(NON_RATIONAL_CALLS))
+def test_floats_are_refused_as_rational_weights(entry, bad):
+    with pytest.raises(ValueError, match="expected an exact rational"):
+        NON_RATIONAL_CALLS[entry](catalog.get("ceva3-section"), bad)
+
+
 def test_a_mod_p_rank_above_the_complex_bound_is_refused(monkeypatch):
     # rank mu^q <= b_q - rank mu^(q-1) holds mod p as well; a kernel that
     # overstates the rank of mu^1 breaks it and the driver refuses
@@ -794,14 +819,7 @@ def affine_complexes(draw):
     name = draw(st.sampled_from([*AFFINE_COMPLEXES, "random lines"]))
     if name in AFFINE_COMPLEXES:
         return _BUILT.setdefault(name, AFFINE_COMPLEXES[name]())
-    n = draw(st.integers(3, 6))
-    rows = [[draw(st.integers(-2, 2)) for _ in range(3)] for _ in range(n)]
-    try:
-        arr = build_arrangement(rows)
-    except ValueError:
-        assume(False)
-    assume(not arr.central)
-    return arr
+    return draw(affine_lines())
 
 
 def edge_sum(k, hs, n):

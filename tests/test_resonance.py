@@ -26,7 +26,7 @@ from oscoh.resonance import (
     yuzvinsky_vanishing,
 )
 
-from conftest import braid_rows, empty_rank_cache, random_weight_vector
+from conftest import CATALOG_NAMES, affine_lines, braid_rows, empty_rank_cache, random_weight_vector
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
@@ -83,6 +83,57 @@ def test_edge_weights_of_a_decone_read_the_arrangement_it_came_from(lam):
     for e in edges:
         assert e.labels == tuple(a3.labels[i] for i in sorted(e.hyperplanes))
     assert ("H6",) in {e.labels for e in edges}
+
+
+EDGE_ARRANGEMENTS = {
+    **{name: (lambda name=name: catalog.get(name)) for name in CATALOG_NAMES},
+    **{f"A{l} decone": (lambda l=l: build_arrangement(braid_rows(l)).decone()) for l in (3, 4, 5)},
+}
+_EDGE_BUILT: dict = {}
+
+
+@st.composite
+def edge_arrangements(draw):
+    """A catalog entry, a decone of A_3-A_5, or 3-6 random affine lines."""
+    name = draw(st.sampled_from([*EDGE_ARRANGEMENTS, "random lines"]))
+    if name in EDGE_ARRANGEMENTS:
+        return _EDGE_BUILT.setdefault(name, EDGE_ARRANGEMENTS[name]())
+    return draw(affine_lines())
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    edge_arrangements(),
+    st.sampled_from([3, 50, 2**63 - 1, 2**70]),
+    st.sampled_from([1, 2, 7, 2**61 - 1]),
+    st.sampled_from([2, 5, 2**31 - 1]),
+    st.data(),
+)
+def test_edge_weights_are_the_sums_over_each_edge(arr, size, N, p, data):
+    # An edge of the closure weighs the sum of lam = k/N over its
+    # hyperplanes, H_inf weighing -sum lam; at |k| near 2**63 most such
+    # sums leave int64.  The mod-p edge test of yuzvinsky_vanishing at k
+    # fails exactly at the edges whose integer weight p divides.
+    k = data.draw(st.lists(st.integers(-size, size), min_size=arr.n, max_size=arr.n))
+    closure = arr.projective_closure()[0]
+    flats = [f for f in closure.dense_edges() if f.codim <= arr.rank]
+
+    def reference(w):
+        full = list(w) + [-sum(w)]
+        return [sum((full[i] for i in f.hyperplanes), Fraction(0)) for f in flats]
+
+    lam = [Fraction(x, N) for x in k]
+    labels = [tuple(closure.labels[i] for i in f.sorted_hyperplanes) for f in flats]
+    got = [(e.hyperplanes, e.codim, e.weight, e.labels) for e in edge_weights(arr, lam)]
+    assert got == [(f.hyperplanes, f.codim, w, ls) for f, w, ls in zip(flats, reference(lam), labels)]
+    failures = yuzvinsky_vanishing(arr, k, p).failures
+    assert [e.hyperplanes for e in failures] == [
+        f.hyperplanes for f, w in zip(flats, reference(k)) if w % p == 0
+    ]
 
 
 def test_edge_weight_integer_predicates():
