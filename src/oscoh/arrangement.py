@@ -430,9 +430,7 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
     )
 
 
-def arrangement_from_circuits(
-    n, circuits, labels=None, validate=True, rank=None
-) -> Arrangement:
+def arrangement_from_circuits(n, circuits, labels=None, rank=None) -> Arrangement:
     """Central arrangement from abstract matroid data (0-based circuits).
 
     With ``rank`` given, the listed circuits need only generate the
@@ -442,7 +440,7 @@ def arrangement_from_circuits(
     triples and pass rank=3.
     """
     if rank is None:
-        m = Matroid(n, circuits, validate=validate)
+        m = Matroid(n, circuits, validate=True)
     else:
         gen = Matroid(n, circuits, validate=False)
         if rank > gen.full_rank:
@@ -451,21 +449,20 @@ def arrangement_from_circuits(
                 "by the circuits"
             )
         m = gen.truncate(rank)
-        if validate:
-            Matroid(n, m.circuits(), validate=True)
+        Matroid(n, m.circuits(), validate=True)
     cone = add_coloop(m)
     _check_atoms(cone, n)
     return Arrangement(n, m.full_rank, True, cone, labels=labels)
 
 
-def arrangement_from_cone_circuits(n, cone_circuits, labels=None, validate=True):
+def arrangement_from_cone_circuits(n, cone_circuits, labels=None):
     """Arrangement (possibly affine) from the circuits of its cone matroid.
 
     The cone matroid lives on n+1 elements with the hyperplane at infinity
     as element n (0-based).  This is the general abstract form: central
     arrangements are the special case where n is a coloop.
     """
-    m = Matroid(n + 1, cone_circuits, validate=validate)
+    m = Matroid(n + 1, cone_circuits, validate=True)
     if m.full_rank < 2:
         raise ValueError("cone matroid must have rank at least 2")
     _check_atoms(m, n)

@@ -81,13 +81,6 @@ def _load(name_or_path: str, want_essentialize: bool) -> Arrangement:
     return arr
 
 
-def _weights_for(arr: Arrangement, text: str) -> list[Fraction]:
-    lam = _parse_rationals(text, "weight")
-    if len(lam) != arr.n:
-        raise CliError(f"expected {arr.n} weights, got {len(lam)}")
-    return lam
-
-
 def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, indent=1, sort_keys=True))
@@ -158,26 +151,19 @@ def _report_lines(rep) -> list[str]:
 
 
 def _cmd_oscohom(arr: Arrangement, args) -> int:
-    lam = _weights_for(arr, args.weights)
-    rep = os_cohomology_dims(arr, lam)
+    rep = os_cohomology_dims(arr, _parse_rationals(args.weights, "weight"))
     _emit(rep.to_dict(), _report_lines(rep), args.format)
     return 0
 
 
 def _cmd_modn(arr: Arrangement, args) -> int:
-    k = _parse_ints(args.k, "k")
-    if len(k) != arr.n:
-        raise CliError(f"expected {arr.n} integer weights, got {len(k)}")
-    rep = modN_cohomology_ranks(arr, k, args.N)
+    rep = modN_cohomology_ranks(arr, _parse_ints(args.k, "k"), args.N)
     _emit(rep.to_dict(), _report_lines(rep), args.format)
     return 0
 
 
 def _cmd_bounds(arr: Arrangement, args) -> int:
-    lam = _weights_for(arr, args.weights)
-    if args.box < 0:
-        raise CliError("--box must be nonnegative")
-    rep = betti_bounds(arr, lam, box=args.box)
+    rep = betti_bounds(arr, _parse_rationals(args.weights, "weight"), box=args.box)
     doc = rep.to_dict()
     lines = [
         f"weights: ({', '.join(str(w) for w in rep.weights)})",
@@ -199,7 +185,7 @@ def _cmd_bounds(arr: Arrangement, args) -> int:
 
 
 def _cmd_nonres(arr: Arrangement, args) -> int:
-    lam = _weights_for(arr, args.weights)
+    lam = _parse_rationals(args.weights, "weight")
     edges = edge_weights(arr, lam)
     w_ok, v_ok = in_W_and_V(edges)
     top = abs(arr.euler_characteristic())
@@ -265,7 +251,7 @@ def _cmd_nonres(arr: Arrangement, args) -> int:
 
 
 def _cmd_resonance(arr: Arrangement, args) -> int:
-    lam = _weights_for(arr, args.weights)
+    lam = _parse_rationals(args.weights, "weight")
     member, dim = resonance_membership(arr, lam, args.q, args.m)
     doc = {
         "degree": args.q,

@@ -22,7 +22,7 @@ to the one rank driver, ``_ranks``, over Q or at a prime: it evaluates
 degree by degree in stacks and hands each stack to ``exactla.rank_stack``
 with the bound d^2 = 0 gives (the one-prime certificate target over Q, a
 check at p).  It shares ranks through one cache on the arrangement: one
-entry per field and weight row (normalized over Q, reduced mod p), under
+entry per field and weight row (as given over Q, reduced mod p), under
 ``exactla._row_keys``, holds its ranks in all degrees; it is emptied past
 RANK_CACHE_ENTRIES ranks.
 
@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactla import STACK_CELLS, _absmax, _exact_int, _exact_ints, _exact_rational, _factorize
-from .exactla import _local_smith, _primitive, _row_keys, _widen, poincare_product, rank_stack
+from .exactla import _local_smith, _row_keys, _widen, poincare_product, rank_stack
 from .osalg import aomoto_matrix
 
 __all__ = [
@@ -78,7 +78,7 @@ class WeightVector:
             self.lam = tuple(map(_exact_rational, lam))
             self.reduced_from = None
         self.N = lcm(*(f.denominator for f in self.lam)) if self.lam else 1
-        self.k = tuple(int(f * self.N) for f in self.lam)
+        self.k = tuple(f.numerator * (self.N // f.denominator) for f in self.lam)
 
     @classmethod
     def from_modular(cls, k: Sequence[int], N: int) -> "WeightVector":
@@ -144,14 +144,6 @@ class CohomologyReport:
         if self.invariant_factors is not None:
             out["invariant_factors"] = [list(f) for f in self.invariant_factors]
         return out
-
-
-def _normalized_rows(K: np.ndarray) -> np.ndarray:
-    """Projective normal form of every row of an integer array (primitive,
-    first nonzero entry positive), under which ranks over Q are cached."""
-    v = _primitive(K, 1)
-    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
-    return v * np.where(lead < 0, -1, 1)[:, None]
 
 
 def os_cohomology_dims(arr, lam) -> CohomologyReport:
@@ -288,7 +280,7 @@ def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
     is rank mu^(-1) = 0).
 
     The arrangement's rank family maps (p, key) to a row's ranks of
-    mu^0..mu^rank, the row normalized over Q or reduced mod p and keyed by
+    mu^0..mu^rank, the row as given over Q or reduced mod p and keyed by
     ``exactla._row_keys``.  The misses, each once, are ranked degree by
     degree upward, in stacks of at most STACK_CELLS entries (one matrix
     when it is larger), under the bound b_q - rank mu^(q-1) that
@@ -298,7 +290,7 @@ def _ranks(arr, K: np.ndarray, p: int | None) -> np.ndarray:
     is emptied before the misses are stored when it holds more than
     RANK_CACHE_ENTRIES ranks.
     """
-    v = _normalized_rows(K) if p is None else _widen(K, p) % p
+    v = K if p is None else _widen(K, p) % p
     cache = arr._cache.setdefault("ranks", {})
     keys = [(p, row) for row in _row_keys(v)]
     hits = [cache.get(key) for key in keys]

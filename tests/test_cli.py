@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -280,10 +281,24 @@ def test_resonance_non_member(capsys):
 # error handling
 
 
-def test_wrong_weight_count(capsys):
-    code, _, err = run(capsys, ["oscohom", "ceva3", "--weights", "1/3,1/3"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oscohom", "ceva3", "--weights", "1/3,1/3"], "expected 9 weights, got 2"),
+        (["bounds", "ceva3", "--weights", "1/3,1/3"], "expected 9 weights, got 2"),
+        (["nonres", "ceva3", "--weights", "1/3,1/3"], "expected 9 weights, got 2"),
+        (["resonance", "ceva3", "--weights", "1/3,1/3", "--q", "1"], "expected 9 weights, got 2"),
+        (["modn", "ceva3", "--k", "1,1", "--N", "3"], "expected 9 weights, got 2"),
+        (["bounds", "ceva3", "--weights", CEVA_W, "--box", "-1"], "box radius must be nonnegative"),
+    ],
+    ids=["oscohom", "bounds", "nonres", "resonance", "modn", "bounds-box"],
+)
+def test_wrong_weight_count(capsys, argv, message):
+    # the library checks its input; the CLI prints its ValueError
+    code, out, err = run(capsys, argv)
     assert code == 1
-    assert "expected 9 weights, got 2" in err
+    assert out == ""
+    assert err == f"oscoh: error: {message}\n"
 
 
 def test_bounds_refuses_a_translate_box_over_budget(capsys):
@@ -332,6 +347,31 @@ def test_missing_required_weights_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["nonres", "ceva3"])
     assert exc.value.code == 1
+
+
+def readme_examples():
+    """The ``oscoh`` lines of README's "Command line" example block, each as
+    (argv, the ``#   `` lines under it with that prefix removed)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("oscoh "):
+            examples.append((shlex.split(line)[1:], []))
+        elif line.startswith("#   "):
+            examples[-1][1].append(line[4:])
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES, ids=[a[0] for a, _ in README_EXAMPLES])
+def test_the_readme_examples_print_what_readme_shows(capsys, argv, shown):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    for line in shown:
+        assert line in out
 
 
 def test_module_entry_point():

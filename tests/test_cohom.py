@@ -253,7 +253,7 @@ def test_matrices_above_the_stack_budget_are_ranked_one_at_a_time(monkeypatch):
 
 def test_weights_at_minus_two_to_the_63_are_not_wrapped():
     # -2**63 fits in int64, but its negation does not: mu^1 has an entry
-    # -k_2, which must read 2**63, and the normalized cache key flips signs
+    # -k_2, which must read 2**63, and the cache keys the row as given
     arr = build_arrangement([[0, 1, 0], [1, 0, 0], [1, 1, 1]])
     k = (1 - 2**62, -(2**63), -(2**62))
     assert 2**63 in aomoto_matrix(arr, 1).evaluate(k)[0]
@@ -455,7 +455,7 @@ def test_moduli_past_2_64_are_factored_or_refused():
 
 
 def test_the_rank_cache_keys_ranks_by_their_field():
-    # k normalizes to itself over Q and reduces to itself mod 2, so only the
+    # k is keyed as given over Q and reduces to itself mod 2, so only the
     # field tells the two cached ranks apart; both orders must hold.  Over Q
     # cohom._ranks is called directly: the non-resonance certificate answers
     # k before it.
@@ -670,6 +670,26 @@ def test_scaling_equivalence():
         assert scaling_equivalence_check(arr, CEVA_WEIGHTS, c)
     with pytest.raises(ValueError):
         scaling_equivalence_check(arr, CEVA_WEIGHTS, 0)
+
+
+def test_a_scaled_weight_is_ranked_afresh_and_agrees(monkeypatch):
+    # The rank cache keys a row as given, so the dims at -2*lam are ranked
+    # again rather than read back from lam's entry, and the paper's scaling
+    # invariance is checked by two computations.  At the README weights
+    # ceva3-section is resonant: no certificate answers before the ranks.
+    sec = catalog.get("ceva3-section")
+    empty_rank_cache(sec)
+    want = os_cohomology_dims(sec, CEVA_WEIGHTS).dims
+    calls = []
+    real = cohom.rank_stack
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cohom, "rank_stack", counted)
+    assert os_cohomology_dims(sec, [-2 * x for x in CEVA_WEIGHTS]).dims == want == (0, 1, 17)
+    assert calls
 
 
 # ---------------------------------------------------------------------------

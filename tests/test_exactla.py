@@ -556,10 +556,10 @@ def matmul(u, v):
 
 
 @st.composite
-def int_matrices(draw, entries, size=7):
-    """Dense integer matrices, half of them a product through a thin middle."""
-    nr = draw(st.integers(1, size))
-    nc = draw(st.integers(1, size))
+def int_matrices(draw, entries, size=7, shape=None):
+    """Dense integer matrices, half of them a product through a thin middle;
+    of the given (rows, columns) shape, else of a random one up to size."""
+    nr, nc = shape or (draw(st.integers(1, size)), draw(st.integers(1, size)))
     if draw(st.booleans()):
         k = draw(st.integers(0, min(nr, nc) - 1))
         u = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=nr, max_size=nr))
@@ -576,7 +576,7 @@ def int_stacks(draw, entries):
     """Stacks of 1-4 integer matrices of one shape, as from int_matrices."""
     first = draw(int_matrices(entries))
     nr, nc = len(first), len(first[0])
-    shaped = int_matrices(entries).filter(lambda m: len(m) == nr and len(m[0]) == nc)
+    shaped = int_matrices(entries, shape=(nr, nc))
     rest = draw(st.lists(st.one_of(shaped, st.just([[0] * nc] * nr)), max_size=3))
     return [first] + rest
 
