@@ -16,7 +16,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 from . import catalog
 from .arrangement import Arrangement, essentialize
@@ -24,11 +26,11 @@ from .cohom import WeightVector, modN_cohomology_ranks, os_cohomology_dims
 from .exactla import is_prime
 from .fileio import read_arrangement
 from .resonance import (
+    _vanishing,
     betti_bounds,
     edge_weights,
     in_W_and_V,
     resonance_membership,
-    yuzvinsky_vanishing,
 )
 
 __all__ = ["main"]
@@ -226,7 +228,8 @@ def _cmd_nonres(arr: Arrangement, args) -> int:
     wv = WeightVector(lam)
     verified = None
     if wv.N >= 2 and is_prime(wv.N):
-        cert = yuzvinsky_vanishing(arr, wv.k, wv.N)
+        scaled = [replace(e, weight=e.weight * wv.N) for e in edges]
+        cert = _vanishing(arr, list(wv.k), wv.N, scaled)
         verified = cert.holds and cert.confirmed
         doc["mod_p_certificate"] = cert.to_dict()
         lines.append(
@@ -271,6 +274,7 @@ def _cmd_resonance(arr: Arrangement, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> _Parser:
     p = _Parser(
         prog="oscoh",

@@ -149,13 +149,17 @@ def yuzvinsky_vanishing(arr, k: Sequence[int], p: int) -> VanishingReport:
     if not is_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
     k = _exact_ints(k).tolist()
-    edges = edge_weights(arr, k)
+    return _vanishing(arr, k, p, edge_weights(arr, k))
+
+
+def _vanishing(arr, k: list, p: int, edges: list) -> VanishingReport:
+    """``yuzvinsky_vanishing`` at the prime p, given the integer dense-edge
+    weights at k (``edge_weights`` at k, or at k/N scaled by N)."""
     failures = [e for e in edges if int(e.weight) % p == 0]
-    holds = not failures
     rep = modN_cohomology_ranks(arr, k, p)
     top = abs(arr.euler_characteristic())
     expected = tuple([0] * arr.rank + [top])
-    return VanishingReport(p, holds, failures, top, rep, rep.dims == expected)
+    return VanishingReport(p, not failures, failures, top, rep, rep.dims == expected)
 
 
 def resonance_membership(arr, lam, q: int, m: int = 1):

@@ -289,6 +289,27 @@ def test_arrangement_from_circuits_rank_too_large():
         arrangement_from_circuits(3, [(0, 1, 2)], rank=3)
 
 
+# Not a matroid: eliminating 3 from {0,1,3} and {0,2,3} leaves {0,1,2}, which
+# holds no circuit.  Before, it was accepted with Betti numbers (1, 4, 9, 6),
+# above C(4, 2) = 6 in degree 2.
+BROKEN_ELIMINATION = [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: arrangement_from_circuits(4, BROKEN_ELIMINATION),
+        lambda: arrangement_from_cone_circuits(3, BROKEN_ELIMINATION),
+        # the same family with its common element at infinity, on 5 elements
+        lambda: arrangement_from_cone_circuits(4, [(0, 1, 4), (0, 2, 4), (1, 2, 4)]),
+    ],
+    ids=["circuits", "cone-circuits", "cone-circuits-at-infinity"],
+)
+def test_non_matroid_circuits_are_refused(build):
+    with pytest.raises(ValueError, match="circuit elimination axiom fails"):
+        build()
+
+
 def test_arrangement_from_cone_circuits_affine():
     # cone of three generic lines: infinity is element 3
     cone = projective_closure(three_generic_lines())[0]

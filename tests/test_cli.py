@@ -13,7 +13,8 @@ import pytest
 
 import oscoh
 from oscoh import catalog, exactla
-from oscoh.cli import main
+from oscoh.arrangement import Arrangement
+from oscoh.cli import _build_parser, main
 from oscoh.cohom import os_cohomology_dims
 from oscoh.fileio import write_arrangement
 
@@ -249,6 +250,23 @@ def test_nonres_at_a_prime_past_2_63_answers(capsys):
     assert "non-resonance certified: no" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_nonres_builds_the_dense_edge_weights_once(capsys, monkeypatch, fmt):
+    # at the prime denominator 3 the mod-3 certificate reads the same list
+    calls = []
+    product = Arrangement.closure_edge_weights
+
+    def counted(self, K):
+        calls.append(K)
+        return product(self, K)
+
+    monkeypatch.setattr(Arrangement, "closure_edge_weights", counted)
+    code, out, _ = run(capsys, ["nonres", "ceva3", "--weights", CEVA_W, "--format", fmt])
+    assert code == 2
+    assert "mod_p_certificate" in out or "mod-3 certificate" in out
+    assert len(calls) == 1
+
+
 def test_nonres_infinity_edge_listed(capsys):
     lam = ",".join(["1/11"] * 9)
     code, out, _ = run(capsys, ["nonres", "ceva3", "--weights", lam])
@@ -337,6 +355,12 @@ def test_unknown_input_name(capsys):
     assert "neither a catalog name" in err
 
 
+def test_the_parser_is_built_once():
+    # every in-process call of main, including those after an argparse
+    # error, parses with this one parser
+    assert _build_parser() is _build_parser()
+
+
 def test_unknown_subcommand_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "ceva3"])
@@ -409,6 +433,16 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "betti: [1, 2, 1]" in proc.stdout
+
+
+def test_non_matroid_circuits_exit_1(capsys, tmp_path):
+    # eliminating 4 from {1,2,4} and {1,3,4} leaves {1,2,3}: no circuit
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 4, "circuits": [[1, 2, 4], [1, 3, 4], [2, 3, 4]]}\n')
+    code, out, err = run(capsys, ["lattice", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "oscoh: error: circuit elimination axiom fails\n"
 
 
 @pytest.mark.parametrize(

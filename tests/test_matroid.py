@@ -1,11 +1,15 @@
 """Circuit-based matroids: rank, closure, flats, truncation, gluing."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oscoh import matroid
 from oscoh.exactla import field_rank
-from oscoh.matroid import Matroid, parallel_connection, vector_matroid
+from oscoh.matroid import Matroid, _bits, _mask, parallel_connection, vector_matroid
 
 
 def uniform_line():
@@ -53,6 +57,87 @@ def test_validation_rejects_broken_elimination():
     # {1,2,3} = ({0,1,2} u {0,1,3}) - {0} contains no declared circuit
     with pytest.raises(ValueError, match="elimination"):
         Matroid(4, [(0, 1, 2), (0, 1, 3)], validate=True)
+
+
+def test_validation_eliminates_every_common_element():
+    # at the lowest common element 0, ({0,1,3} u {0,2,3}) - {0} = {1,2,3} is a
+    # circuit; at 3, {0,1,2} contains none.  Betti numbers (1, 4, 9, 6) came
+    # out of this family when only the lowest element was eliminated.
+    with pytest.raises(ValueError, match="circuit elimination axiom fails"):
+        Matroid(4, [(0, 1, 3), (0, 2, 3), (1, 2, 3)], validate=True)
+
+
+def satisfies_circuit_axioms(family: set) -> bool:
+    """C1-C3 by brute force over masks: no empty circuit, none properly
+    inside another, and for distinct a, b and every e in both, a circuit
+    inside (a | b) - e."""
+    if 0 in family:
+        return False
+    for a in family:
+        for b in family - {a}:
+            if a & b == a:
+                return False
+            for e in _bits(a & b):
+                union = (a | b) & ~(1 << e)
+                if not any(c & ~union == 0 for c in family):
+                    return False
+    return True
+
+
+@st.composite
+def near_matroids(draw):
+    """(n, masks) on n <= 7 elements: the circuits of a uniform matroid or
+    of vectors in {-1, 0, 1}^d, less one circuit or plus up to two
+    arbitrary subsets."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        family = {_mask(c) for c in combinations(range(n), r + 1)}
+    else:
+        d = draw(st.integers(1, 3))
+        vectors = draw(st.lists(st.lists(st.integers(-1, 1), min_size=d, max_size=d), min_size=n, max_size=n))
+        family = {_mask(c) for c in vector_matroid(vectors).circuits()}
+    if family and draw(st.booleans()):
+        return n, family - {draw(st.sampled_from(sorted(family)))}
+    return n, family | draw(st.sets(st.integers(1, 2**n - 1), max_size=2))
+
+
+@given(near_matroids())
+@settings(max_examples=300, deadline=None)
+@example((4, {0b1011, 0b1101, 0b1110}))  # C3 fails at the second common element only
+@example((3, {0b011, 0b101, 0b110, 0b111}))  # C3 holds, C2 fails
+@example((2, {0b01, 0b10}))  # two loops: disjoint circuits
+def test_validation_accepts_exactly_the_circuit_axioms(case):
+    n, family = case
+    try:
+        Matroid(n, [_bits(c) for c in family], validate=True)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == satisfies_circuit_axioms(family)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**16])
+def test_validation_in_blocks_of_any_size(monkeypatch, cells):
+    monkeypatch.setattr(matroid, "STACK_CELLS", cells)
+    line = list(combinations(range(6), 3))  # U(2,6): 20 circuits
+    assert Matroid(6, line, validate=True).full_rank == 2
+    with pytest.raises(ValueError, match="elimination"):
+        Matroid(6, line[1:], validate=True)  # less {0,1,2}
+    with pytest.raises(ValueError, match="properly contains"):
+        Matroid(6, line + [(2, 3, 4, 5)], validate=True)
+
+
+def test_validation_past_63_elements():
+    # a direct sum of 22 rank-one triangles on 66 elements: each triangle is
+    # three parallel elements, its circuits the three edges, and the last
+    # triangle's masks pass 2**63
+    circuits = [(3 * t + i, 3 * t + j) for t in range(22) for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert max(_mask(c) for c in circuits) >= 2**63
+    assert Matroid(66, circuits, validate=True).full_rank == 22
+    # without the edge {64, 65}, ({63,64} u {63,65}) - {63} holds no circuit
+    with pytest.raises(ValueError, match="elimination"):
+        Matroid(66, circuits[:-1], validate=True)
 
 
 def test_validation_accepts_completed_elimination():
