@@ -141,7 +141,7 @@ class Arrangement:
 
     def intersection_lattice(self) -> IntersectionLattice:
         if "lattice" not in self._cache:
-            self._cache["lattice"] = self._build_lattice()
+            self._cache["lattice"] = self._build_lattice(self._flat_masks())
         return self._cache["lattice"]
 
     def covers(self) -> dict:
@@ -171,8 +171,8 @@ class Arrangement:
             self._cache.setdefault("covers", covers)
         return self._cache["flat_masks"]
 
-    def _build_lattice(self) -> IntersectionLattice:
-        levels_masks = self._flat_masks()
+    def _build_lattice(self, levels_masks: list[list[int]]) -> IntersectionLattice:
+        """Moebius and beta values of flats given as cone masks by rank."""
         bottom = levels_masks[0][0]
 
         # Moebius recursion from the bottom within the poset of central
@@ -250,7 +250,9 @@ class Arrangement:
         forms and labels: infinity there is the H_n the decone was taken
         at and carries that label, not ``H_inf``.  Indices, codimensions
         and so dense-edge weights are those of the closure built from the
-        decone's own forms.
+        decone's own forms.  Hot paths build no lattice of it: its dense
+        edges (``closure_dense_edges``) are this lattice's plus H_inf when
+        central, one cone walk when affine, the parent's for a decone.
         """
         if "closure" not in self._cache:
             n1 = self.n + 1
@@ -307,16 +309,29 @@ class Arrangement:
         those with a non-zero beta invariant."""
         if not self.central:
             raise ValueError("dense edges are defined for central arrangements")
-        return [f for level in self.intersection_lattice().levels[1:] for f in level if f.beta]
+        return _dense(self.intersection_lattice())
 
     def closure_dense_edges(self) -> list[Flat]:
         """Proper dense edges of the projective closure: its dense edges of
-        codimension at most the rank, which leaves out only its center."""
+        codimension at most the rank, which leaves out only its center.
+
+        No closure lattice is built for them.  A decone reads them from the
+        lattice it came from, which is its closure.  A central closure is
+        this times {H_inf}, where X + H_inf splits for X above the bottom:
+        its edges are this lattice's with H_inf after the n atoms.  An
+        affine closure's lattice is the cone's, walked once to codimension
+        rank on the cover cache this lattice's walk fills."""
         if "closure_dense_edges" not in self._cache:
-            closure, _ = self.projective_closure()
-            self._cache["closure_dense_edges"] = [
-                f for f in closure.dense_edges() if f.codim <= self.rank
-            ]
+            parent = self._cache.get("closure")
+            if parent is not None and parent._cache.get("decone") is self:
+                edges = parent.dense_edges()
+            elif self.central:
+                edges = self.dense_edges()
+                edges.insert(self.n, Flat(frozenset({self.n}), 1, -1, 1))
+            else:
+                levels, _ = self.cone_matroid.flat_levels(None, self.rank)
+                edges = _dense(self._build_lattice(levels))
+            self._cache["closure_dense_edges"] = [f for f in edges if f.codim <= self.rank]
         return self._cache["closure_dense_edges"]
 
     def closure_incidence(self) -> np.ndarray:
@@ -339,6 +354,10 @@ class Arrangement:
         K = _widen(K, 2 * _absmax(K) * self.n * (self.n + 1))
         full = np.concatenate([K, -K.sum(axis=1, keepdims=True)], axis=1)
         return full @ self.closure_incidence().T
+
+
+def _dense(lattice: IntersectionLattice) -> list[Flat]:
+    return [f for level in lattice.levels[1:] for f in level if f.beta]
 
 
 def _check_atoms(cone: Matroid, n: int) -> None:

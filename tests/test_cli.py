@@ -1,5 +1,6 @@
 """Command line interface: output, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -12,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import oscoh
-from oscoh import catalog, exactla
+from oscoh import build_arrangement, catalog, exactla
 from oscoh.arrangement import Arrangement
 from oscoh.cli import _build_parser, main
 from oscoh.cohom import os_cohomology_dims
-from oscoh.fileio import write_arrangement
+from oscoh.fileio import read_arrangement, write_arrangement
 
 CEVA_W = "1/3,1/3,1/3,1/3,1/3,1/3,-2/3,-2/3,-2/3"
 MACLANE_SEC_W = "1/3,0,-1/3,1/3,-1/3,-1/3,1/3,0"
@@ -468,3 +469,93 @@ def test_loops_and_parallel_pairs_exit_1(capsys, tmp_path, doc, command):
     assert code == 1
     assert out == ""
     assert "coincide" in err or "zero coefficient part" in err or "infinity" in err
+
+
+# ---------------------------------------------------------------------------
+# the projective closure's dense edges
+
+
+def test_no_command_builds_the_closure_lattice(capsys, monkeypatch, tmp_path):
+    # The closure's dense edges come from the input's own lattice (central)
+    # or one walk of its cone (affine); the closure's lattice stays unbuilt.
+    fresh = {"planes": build_arrangement([[1, 0, 0], [0, 1, 0], [1, 1, -1], [1, -1, 2]])}
+    for name in ("ceva3", "maclane-section"):
+        write_arrangement(catalog.get(name), tmp_path / f"{name}.json")
+        fresh[name] = read_arrangement(tmp_path / f"{name}.json")
+    monkeypatch.setattr(catalog, "get", fresh.__getitem__)
+    for name, arr in fresh.items():
+        lam = [Fraction(i + 1, 101) for i in range(arr.n)]
+        assert run(capsys, ["lattice", name])[0] == 0
+        assert run(capsys, ["nonres", name, "--weights", ",".join(map(str, lam))])[0] == 0
+        if arr.central:
+            lam[-1] -= sum(lam)  # zero sum: the certificate runs on the decone
+        report = os_cohomology_dims(arr, lam)
+        assert any("non-resonant" in note for note in report.notes)
+        assert "lattice" not in arr.projective_closure()[0]._cache
+
+
+def golden_argvs(tmp_path):
+    """{key: argv} of `lattice` and `nonres`, in text and JSON, on every
+    fixed catalog entry and on both sections read back from their JSON."""
+    inputs = {name: name for name in catalog.names() if name != "boolean(n)"}
+    for name in ("ceva3-section", "maclane-section"):
+        path = tmp_path / f"{name}.json"
+        write_arrangement(catalog.get(name), path)
+        inputs[f"{name} read back"] = str(path)
+    argvs = {}
+    for key, source in inputs.items():
+        weights = ",".join(f"{i % 5 + 1}/7" for i in range(catalog.get(key.split()[0]).n))
+        for fmt in ("text", "json"):
+            argvs[f"lattice {key} {fmt}"] = ["lattice", source, "--format", fmt]
+            argvs[f"nonres {key} {fmt}"] = ["nonres", source, "--weights", weights, "--format", fmt]
+    return argvs
+
+
+# sha256 of the stdout of each of golden_argvs, recorded before the
+# closure's dense edges stopped coming from a lattice of the closure
+GOLDEN_DIGESTS = {
+    "lattice ceva3 text": "fd6362320c16cc94dc19d07bcb9fc684beda0753acceae835c410b5cdb060032",
+    "nonres ceva3 text": "a6303081f0513acb9c1af06590b635ce28c516ba70d304a12395bcfce2b987f9",
+    "lattice ceva3 json": "4f914632f0ae3cfc32280b099292ccc478721125ddaf34220d127e99004630d1",
+    "nonres ceva3 json": "09f30c64aa980aa1d171754bcbe51c2ce5ff449b713b36a71e09933d941d1902",
+    "lattice ceva3-section text": "3436960050345c487093f17c2b819bca543bb0b9cc9a12ceb3266994f18472fb",
+    "nonres ceva3-section text": "730308cba34b2f558fe6da6dc533373da06c22f1e57b56bd41805d77390208d0",
+    "lattice ceva3-section json": "6ffcb9992134d9d2897258edc2a51dc26699ae72490d58a2f9a7a673b4c4bdc7",
+    "nonres ceva3-section json": "5e6445027fce9f63e41da54807de50b5ce01390f839b8d8daa6a0247c235bf9a",
+    "lattice example-lstrict text": "96a9a228348e19be3921f42e71344a7994377b31ac1f3e414dfafe0f73b46350",
+    "nonres example-lstrict text": "7bdc3567ec3a5365734000a914f9d66c734624a18af64e850210511eaa4d9888",
+    "lattice example-lstrict json": "8960231e28a95d26c355dba5c2698757b5d32aab71ffd1e64131234c132e007e",
+    "nonres example-lstrict json": "2b6a8d9c820e8863257657a71b3783e757c3df7712327d55633348737e381835",
+    "lattice maclane text": "9534b5d17736a5350188f0a065f920ac0fe2ae42b680815bcb1c185c554890b2",
+    "nonres maclane text": "2e2ed572bb30c5f0b9e40a82c752b7ab67291fb50ccda679e44935e17fbbcfff",
+    "lattice maclane json": "be49db9294486b1a7d3534e4ae7bb2743e7aef3e177105deb067c43341114a50",
+    "nonres maclane json": "2960f20a3ee80154e48e8150a9bbae6952a3e53f93850fb5b20e7d7953640eec",
+    "lattice maclane-matroid text": "9534b5d17736a5350188f0a065f920ac0fe2ae42b680815bcb1c185c554890b2",
+    "nonres maclane-matroid text": "7a4db36944803dabb6b0bc678e17e1d2461f74fefcb2eeef34f67df29b90666b",
+    "lattice maclane-matroid json": "79f0a122163c0ec8e5591d9ebaf86db4fb7d89c693747b258e8989c6114da3d7",
+    "nonres maclane-matroid json": "4d91949911d1d04a9e43a9125d986876458ea58ba7b3a49ef6c26147abcd6df8",
+    "lattice maclane-section text": "394d8a272326982cf04c310d41c6cc97c14943cc19d0c224be2f8a19356223bf",
+    "nonres maclane-section text": "7b88df325fbe31471df48a2d29bce95b3617302f7cdc5c5da4f5840332062774",
+    "lattice maclane-section json": "df77240ecaa21053f1f32209b28d509a7252d6ceca6d96319e65dbe1c3b96b70",
+    "nonres maclane-section json": "c451e2f73e3f1a62d79dfcbf5fad33c241869c9f94e308c1188f4a8abc60caf0",
+    "lattice product-example text": "1daadf1a0f824a74469310b72af86972586e0d0d685301d07b16fbbe6813a0e6",
+    "nonres product-example text": "ad5f3986474ec75d1398f48b0411df50f8a0d735aa44bd0f36fa9238c42f609c",
+    "lattice product-example json": "bbae887fc9c55ad23503bbb121e03ab5ad97124f9462b5dc79eac794e1e1ad3b",
+    "nonres product-example json": "c9134da564671b18f803f90cb2af11ab7b031070c0c2e17ce684846d67b84570",
+    "lattice ceva3-section read back text": "3436960050345c487093f17c2b819bca543bb0b9cc9a12ceb3266994f18472fb",
+    "nonres ceva3-section read back text": "730308cba34b2f558fe6da6dc533373da06c22f1e57b56bd41805d77390208d0",
+    "lattice ceva3-section read back json": "6ffcb9992134d9d2897258edc2a51dc26699ae72490d58a2f9a7a673b4c4bdc7",
+    "nonres ceva3-section read back json": "5e6445027fce9f63e41da54807de50b5ce01390f839b8d8daa6a0247c235bf9a",
+    "lattice maclane-section read back text": "394d8a272326982cf04c310d41c6cc97c14943cc19d0c224be2f8a19356223bf",
+    "nonres maclane-section read back text": "7b88df325fbe31471df48a2d29bce95b3617302f7cdc5c5da4f5840332062774",
+    "lattice maclane-section read back json": "df77240ecaa21053f1f32209b28d509a7252d6ceca6d96319e65dbe1c3b96b70",
+    "nonres maclane-section read back json": "c451e2f73e3f1a62d79dfcbf5fad33c241869c9f94e308c1188f4a8abc60caf0",
+}
+
+
+def test_lattice_and_nonres_outputs_match_their_recorded_digests(capsys, tmp_path):
+    got = {}
+    for key, argv in golden_argvs(tmp_path).items():
+        _, out, _ = run(capsys, argv)
+        got[key] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == GOLDEN_DIGESTS

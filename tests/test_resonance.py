@@ -10,9 +10,19 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oscoh import build_arrangement, catalog, product_arrangement, resonance
+from oscoh import (
+    arrangement_from_circuits,
+    build_arrangement,
+    catalog,
+    generic_section,
+    product_arrangement,
+    resonance,
+)
+from oscoh.arrangement import Arrangement
 from oscoh.cohom import WeightVector, modN_cohomology_ranks, os_cohomology_dims
 from oscoh.exactla import STACK_CELLS, NotPrimeError, bareiss_rank
+from oscoh.fileio import read_arrangement, write_arrangement
+from oscoh.matroid import add_coloop
 from oscoh.osalg import CELL_BUDGET, aomoto_matrix
 from oscoh.resonance import (
     _lower_dims_options,
@@ -134,6 +144,65 @@ def test_edge_weights_are_the_sums_over_each_edge(arr, size, N, p, data):
     assert [e.hyperplanes for e in failures] == [
         f.hyperplanes for f, w in zip(flats, reference(k)) if w % p == 0
     ]
+
+
+def built_closure_edges(arr):
+    """Proper dense edges of the projective closure from a closure lattice
+    built in full: the cone matroid plus a coloop, walked to its center."""
+    closure = Arrangement(arr.n + 1, arr.rank + 1, True, add_coloop(arr.cone_matroid))
+    return [f for f in closure.dense_edges() if f.codim <= arr.rank]
+
+
+def read_back(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    write_arrangement(catalog.get(name), path)
+    return read_arrangement(path)
+
+
+def from_rows(rows):
+    return lambda tmp_path: build_arrangement(rows)
+
+
+def from_catalog(name):
+    return lambda tmp_path: catalog.get(name)
+
+
+CLOSURE_EDGE_INPUTS = {
+    **{name: from_catalog(name) for name in CATALOG_NAMES},
+    **{f"boolean({n})": from_catalog(f"boolean({n})") for n in range(1, 6)},
+    **{f"A{l}": from_rows(braid_rows(l)) for l in (2, 3, 4, 5)},
+    **{f"A{l} decone": (lambda tmp_path, l=l: build_arrangement(braid_rows(l)).decone()) for l in (2, 3, 4, 5)},
+    "boolean(4) decone, central": lambda tmp_path: catalog.get("boolean(4)").decone(),
+    "rank 1 central": from_rows([[1, 0]]),
+    "rank 1 affine": from_rows([[1, 0], [1, -1]]),
+    "central product": lambda tmp_path: product_arrangement(three_concurrent_lines(), catalog.get("boolean(2)")),
+    "affine product": lambda tmp_path: product_arrangement(
+        build_arrangement([[1, 0, 0], [0, 1, 0], [1, 1, -1]]), catalog.get("ceva3-section")
+    ),
+    "abstract central product": lambda tmp_path: product_arrangement(
+        catalog.get("maclane-matroid"), catalog.get("boolean(1)")
+    ),
+    "generic section of A4": lambda tmp_path: generic_section(build_arrangement(braid_rows(4)), 2),
+    "circuits with rank 3": lambda tmp_path: arrangement_from_circuits(
+        6, [[0, 1, 2], [2, 3, 4], [4, 5, 0]], rank=3
+    ),
+    "ceva3-section read back": lambda tmp_path: read_back("ceva3-section", tmp_path),
+    "maclane-section read back": lambda tmp_path: read_back("maclane-section", tmp_path),
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_EDGE_INPUTS)
+def test_closure_dense_edges_match_the_built_closure_lattice(name, tmp_path):
+    # the edges come from this lattice plus H_inf, one cone walk, or the
+    # lattice a decone came from; compared as whole Flats, in order
+    arr = CLOSURE_EDGE_INPUTS[name](tmp_path)
+    assert arr.closure_dense_edges() == built_closure_edges(arr)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(affine_lines())
+def test_closure_dense_edges_of_random_affine_lines(arr):
+    assert arr.closure_dense_edges() == built_closure_edges(arr)
 
 
 def test_edge_weight_integer_predicates():
