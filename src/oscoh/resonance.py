@@ -13,12 +13,15 @@ box of integer translates of the weights, which leave the local system
 unchanged) and an upper bound (cohomology ranks modulo N, the common
 denominator of the weights).  When the two meet, the Betti number is
 certified exactly.  Each lower bound names its witness, the first translate
-reaching it.  A box is enumerated and ranked in numpy chunks: every chunk of
-translates goes through ``os_cohomology_dims_stack`` at once.
+reaching it.  A box is answered from its integral dense edges: a wholly
+non-resonant box from its first translate, without enumerating it, and any
+other by ranking only the translates the certificate cannot answer, in
+numpy chunks.  Witnesses keep their meaning.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -222,63 +225,91 @@ class BettiBoundsReport:
         }
 
 
-def _translate_chunks(lam: tuple, box: int, sum_target=None):
-    """Integer offsets m with |m_i| <= box, as (T, n) int64 arrays.
-
-    Offsets come in itertools.product order over the coordinates, in
-    chunks of about STACK_CELLS entries.  With ``sum_target``, only offsets
-    with sum(lam + m) == sum_target are kept: the last coordinate is then
-    fixed by the others, and none exist when the target is off the lattice
-    or more than n*box away from sum(lam).
-    """
-    n = len(lam)
-    free = n
-    if sum_target is not None:
-        shift = sum_target - sum(lam)
-        if shift.denominator != 1 or abs(shift) > n * box:
-            return
-        free = n - 1
-    base = 2 * box + 1
-    total = base**free
-    powers = base ** np.arange(free - 1, -1, -1, dtype=np.int64)
-    step = max(1, STACK_CELLS // n)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        m = idx[:, None] // powers % base - box
-        if sum_target is not None:
-            last = int(shift) - m.sum(axis=1)
+def _translate_chunks(n: int, box: int, shift: int | None = None, forms=None):
+    """Offsets m in {-box..box}^n in itertools.product order, in chunks of
+    at most max(STACK_CELLS // n, 2*box + 1) rows: m, then each row of
+    ``forms`` at its free coordinates.  With ``shift``, only those with
+    sum(m) == shift, the last coordinate fixed by the n - 1 free ones.  A
+    chunk is a point of the leading axes plus the trailing axes' grid."""
+    free = n if shift is None else n - 1
+    if shift is not None and abs(shift) > n * box:
+        return
+    L = np.concatenate([np.eye(free, dtype=np.int64)] + ([] if forms is None else [forms]))
+    values = np.arange(-box, box + 1, dtype=np.int64)
+    cap = STACK_CELLS // n
+    lead = next((a for a in range(free) if len(values) ** (free - a) <= cap), max(free - 1, 0))
+    tail = np.zeros((len(L), 1), dtype=np.int64)
+    for col in L[:, lead:].T[::-1]:  # from the last axis: each step runs along the points built
+        tail = (col[:, None, None] * values[:, None] + tail[:, None]).reshape(len(L), -1)
+    for head in itertools.product(values, repeat=lead):
+        v = tail + (L[:, :lead] @ np.array(head, dtype=np.int64))[:, None]
+        if shift is not None:
+            last = shift - v[:free].sum(axis=0)
             keep = np.abs(last) <= box
-            m = np.concatenate([m[keep], last[keep, None]], axis=1)
-        if len(m):
-            yield m
+            v = np.concatenate([v[:free, keep], last[None, keep], v[free:, keep]])
+        if v.shape[1]:
+            yield v.T
+
+
+def _first_offset(n: int, box: int, shift: int | None) -> list:
+    """The first offset ``_translate_chunks`` yields, if any: each free
+    coordinate as low as the ones after it can still make up."""
+    if shift is None:
+        return [-box] * n
+    m: list = []
+    for i in range(n - 1):
+        m.append(max(-box, shift - sum(m) - (n - 1 - i) * box))
+    return m + [shift - sum(m)]
 
 
 # Most translates betti_bounds enumerates before it refuses the box.
 TRANSLATE_BUDGET = 10**6
 
 
-def _translate_count(arr, lam: tuple, box: int) -> int:
+def _translate_count(arr, k: tuple, N: int, box: int) -> int:
     """Translates _lower_dims_options enumerates: per factor for products."""
     if arr.product_factors is not None:
         a1, a2 = arr.product_factors
-        return _translate_count(a1, lam[: a1.n], box) + _translate_count(
-            a2, lam[a1.n :], box
-        )
+        return _translate_count(a1, k[: a1.n], N, box) + _translate_count(a2, k[a1.n :], N, box)
     if arr.central:
-        return (2 * box + 1) ** (arr.n - 1) if sum(lam).denominator == 1 else 0
+        return (2 * box + 1) ** (arr.n - 1) if sum(k) % N == 0 else 0
     return (2 * box + 1) ** arr.n
 
 
-def _lower_dims_options(arr, lam: tuple, box: int) -> dict:
+def _integral_edges(arr, k: tuple, N: int, box: int):
+    """The closure's dense edges that weigh 0 at some translate k + N*m in
+    the box, as (forms, targets, incidence), or None when a hyperplane of
+    the closure is on none.  The closure is the arrangement's, or its
+    decone's when central, over the free coordinates m'.  Edge X weighs
+    w_X + N*f_X(m'), f_X summing m' over X less sum(m') if X is on H_inf:
+    it vanishes only if integral (w_X = 0 mod N), where f_X = -w_X / N."""
+    if arr.central and arr.rank < 2:
+        return None  # one hyperplane and one translate
+    cert, k = (arr.decone(), k[:-1]) if arr.central else (arr, k)
+    W = _widen(cert.closure_edge_weights(_exact_ints([k]))[0], N)
+    E = cert.closure_incidence()
+    forms, target = E[:, :-1] - E[:, -1:], -(W // N)
+    live = (W % N == 0) & (np.abs(target) <= np.count_nonzero(forms, axis=1) * box)
+    inc = E[live].astype(bool)
+    return (forms[live], target[live].astype(np.int64), inc) if inc.any(axis=0).all() else None
+
+
+def _lower_dims_options(arr, lam, box: int) -> dict:
     """Distinct weighted-cohomology dimension vectors of the integer
-    translates of lam inside the box, each mapped to the first translate
-    giving it, in enumeration order.  The zero vector is always an option
-    (its witness None unless some translate gives it)."""
+    translates of lam (weights or a ``WeightVector``) inside the box, each
+    mapped to the first translate giving it, in enumeration order.  The
+    zero vector is always an option (its witness None unless some
+    translate gives it).  The box is answered from its integral dense
+    edges: if a hyperplane of the closure is on none, its first translate
+    stands for it, unenumerated; otherwise only translates with a zero edge
+    through every hyperplane are ranked, with the first other one for the
+    rest, so witnesses keep their meaning."""
+    wv = lam if isinstance(lam, WeightVector) else WeightVector(lam)
     zero = tuple([0] * (arr.rank + 1))
     if arr.product_factors is not None:
         a1, a2 = arr.product_factors
-        o1 = _lower_dims_options(a1, lam[: a1.n], box)
-        o2 = _lower_dims_options(a2, lam[a1.n :], box)
+        o1 = _lower_dims_options(a1, wv.lam[: a1.n], box)
+        o2 = _lower_dims_options(a2, wv.lam[a1.n :], box)
         out = {}
         for d1, w1 in o1.items():
             for d2, w2 in o2.items():
@@ -286,19 +317,42 @@ def _lower_dims_options(arr, lam: tuple, box: int) -> dict:
                 out.setdefault(poincare_product(d1, d2), w)
         out.setdefault(zero, None)
         return out
+    n, k, N = arr.n, wv.k, wv.N
     # Nonzero weights on a central arrangement give exact complexes unless
     # they sum to zero; only the zero-sum slice can contribute.
-    sum_target = Fraction(0) if arr.central else None
-    wv = WeightVector(lam)
+    shift = -sum(k) // N if arr.central else None
+    if arr.central and (sum(k) % N or abs(shift) > n * box):
+        return {zero: None}
     # |k + N*m| <= max|k| + N*box, doubled for margin; N*m needs N itself
-    bound = 2 * (max(map(abs, wv.k)) + wv.N * max(box, 1))
-    k0 = _widen(_exact_ints(wv.k), bound)
+    bound = 2 * (max(map(abs, k)) + N * max(box, 1))
+    k0 = _widen(_exact_ints(k), bound)
+    edges = _integral_edges(arr, k, N, box)
+    if edges is None:
+        chunks = [np.array([_first_offset(n, box, shift)], dtype=np.int64)]
+        target, inc = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=bool)
+    else:
+        chunks, (_, target, inc) = _translate_chunks(n, box, shift, edges[0]), edges
     out: dict = {}
-    for m in _translate_chunks(lam, box, sum_target):
-        dims = os_cohomology_dims_stack(arr, k0 + wv.N * _widen(m, bound))
-        for i, d in enumerate(map(tuple, dims.tolist())):
-            if d not in out:
-                out[d] = tuple(l + x for l, x in zip(lam, m[i].tolist()))
+    first = True  # no certified translate ranked yet
+    for chunk in chunks:
+        vanish = chunk.T[n:] == target[:, None]
+        suspect = np.flatnonzero(vanish.any(axis=0))
+        vanish, hit = vanish[:, suspect], np.ones(len(suspect), dtype=bool)
+        for through in inc.T:
+            hit &= vanish[through].any(axis=0)
+        pick = suspect[hit]
+        if first and len(pick) < len(chunk):
+            c = np.count_nonzero(pick == np.arange(len(pick)))  # the first row not picked
+            pick, first = np.insert(pick, c, c), False
+        if not len(pick):
+            continue
+        m = chunk[pick, :n]
+        dims = os_cohomology_dims_stack(arr, k0 + N * _widen(m, bound))
+        order = np.lexsort(dims.T)  # stable: a dims vector's first row leads its run
+        new = np.r_[True, (np.diff(dims[order], axis=0) != 0).any(axis=1)]
+        for i in np.sort(order[new]).tolist():
+            witness = tuple(l + x for l, x in zip(wv.lam, m[i].tolist()))
+            out.setdefault(tuple(dims[i].tolist()), witness)
     out.setdefault(zero, None)
     return out
 
@@ -310,11 +364,14 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
     over all integer translates of lam in {-box..box}^n (translation does
     not change the local system), each with the first translate reaching
     it as its witness.  They are the best values found in the box, not a
-    certified supremum.  Upper bounds: cohomology ranks modulo N, the least
-    common denominator of the weights.  Degrees where the two meet are
-    exact.  A box with more than TRANSLATE_BUDGET translates to enumerate,
-    or a complex with a boundary matrix above the cell budget of
-    ``osalg.check_complex_size``, raises ValueError before any work.
+    certified supremum.  The box is answered from its integral dense edges
+    (``_lower_dims_options``), a wholly certified one without enumerating
+    it; witnesses keep their meaning.  Upper bounds: cohomology ranks
+    modulo N, the least common denominator of the weights.  Degrees where
+    the two meet are exact.  A box with more than TRANSLATE_BUDGET
+    translates to enumerate, or a complex with a boundary matrix above the
+    cell budget of ``osalg.check_complex_size``, raises ValueError before
+    any work.
     """
     wv, box = WeightVector(lam), _exact_int(box)
     if len(wv) != arr.n:
@@ -334,14 +391,14 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         origin = tuple(Fraction(0) for _ in range(arr.n))
         witness = tuple(origin if x else None for x in b)
         return BettiBoundsReport(wv.lam, 1, box, b, b, witness, notes)
-    count = _translate_count(arr, wv.lam, box)
+    count = _translate_count(arr, wv.k, wv.N, box)
     if count > TRANSLATE_BUDGET:
         raise ValueError(
             f"translate box {box} has {count} candidate translates, above "
             f"the budget of {TRANSLATE_BUDGET}; use a smaller box"
         )
     check_complex_size(arr)
-    options = _lower_dims_options(arr, wv.lam, box)
+    options = _lower_dims_options(arr, wv, box)
     lower = tuple(max(d[q] for d in options) for q in range(arr.rank + 1))
     witness = tuple(
         next(w for d, w in options.items() if d[q] == lower[q]) if lower[q] else None

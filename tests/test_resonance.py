@@ -6,8 +6,9 @@ import time
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscoh import (
@@ -19,14 +20,15 @@ from oscoh import (
     resonance,
 )
 from oscoh.arrangement import Arrangement
-from oscoh.cohom import WeightVector, modN_cohomology_ranks, os_cohomology_dims
-from oscoh.exactla import STACK_CELLS, NotPrimeError, bareiss_rank
+from oscoh.cohom import WeightVector, modN_cohomology_ranks, os_cohomology_dims, os_cohomology_dims_stack
+from oscoh.exactla import STACK_CELLS, NotPrimeError, bareiss_rank, poincare_product
 from oscoh.fileio import read_arrangement, write_arrangement
 from oscoh.matroid import add_coloop
 from oscoh.osalg import CELL_BUDGET, aomoto_matrix
 from oscoh.resonance import (
     _lower_dims_options,
     _translate_chunks,
+    _translate_count,
     betti_bounds,
     edge_weights,
     in_V,
@@ -303,11 +305,12 @@ def test_resonance_membership_trivial_for_boolean():
 # translate enumeration
 
 
-def translates(lam, box, sum_target=None):
-    """The enumerated translates lam + m, in order, as tuples."""
+def translates(lam, box, shift=None):
+    """The enumerated translates lam + m, in order, as tuples (with
+    ``shift``, those with sum(m) == shift)."""
     return [
         tuple(l + x for l, x in zip(lam, m))
-        for chunk in _translate_chunks(lam, box, sum_target)
+        for chunk in _translate_chunks(len(lam), box, shift)
         for m in chunk.tolist()
     ]
 
@@ -326,19 +329,28 @@ def test_translates_cover_the_box():
 
 def test_translates_with_sum_constraint():
     lam = (Fraction(1, 3),) * 3
-    sliced = translates(lam, 1, Fraction(0))
+    sliced = translates(lam, 1, -1)
     assert len(sliced) == 6
     assert all(sum(t) == 0 for t in sliced)
     assert all(all(abs(mu - l) <= 1 for mu, l in zip(t, lam)) for t in sliced)
-    assert translates(lam, 1, Fraction(1, 2)) == []  # off the lattice
+    # off the lattice: no translate of weights summing to 1/2 sums to zero
+    arr = three_concurrent_lines()
+    half = (Fraction(1, 2), 0, 0)
+    assert _translate_count(arr, WeightVector(half).k, 2, 1) == 0
+    assert _lower_dims_options(arr, half, 1) == {(0, 0, 0): None}
 
 
 def test_translate_chunks_are_capped():
-    lam = (Fraction(1, 2),) * 9
-    chunks = list(_translate_chunks(lam, 1))
+    chunks = list(_translate_chunks(9, 1))
     assert len(chunks) > 1
     assert all(c.size <= STACK_CELLS for c in chunks)
     assert sum(len(c) for c in chunks) == 3**9
+    # forms over the free coordinates are evaluated at every offset kept
+    forms = np.array([[1, -1, 0, 2], [0, 0, 1, 1]])
+    for shift in (None, 2):
+        for c in _translate_chunks(5 if shift else 4, 2, shift, forms):
+            assert (c[:, -2:] == c[:, :4] @ forms.T).all()
+            assert shift is None or (c[:, :5].sum(axis=1) == shift).all()
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +489,7 @@ def test_bounds_skip_a_zero_sum_slice_out_of_reach():
     rep = betti_bounds(arr, lam, box=1)
     assert rep.lower == (0,) * 5 and rep.witness == (None,) * 5
     assert rep.upper == modN_cohomology_ranks(arr, (2**71 + 1, 1, 0, 0), 2).dims
-    assert list(_translate_chunks(lam, 1, Fraction(0))) == []
+    assert list(_translate_chunks(4, 1, -(2**70 + 1))) == []
 
 
 def test_bounds_refuse_a_complex_over_the_cell_budget():
@@ -621,3 +633,112 @@ def test_box_dims_with_entries_past_int64_take_the_exact_wide_path(rows, data):
         got = stacked_options(rows, lam, 1)
     assert seen and all(dt == object for dt in seen)
     assert got == per_translate_options(rows, lam, 1)
+
+
+# ---------------------------------------------------------------------------
+# the box answered from its integral dense edges, against every translate
+
+
+def brute_options(arr, lam, box):
+    """Reference for ``_lower_dims_options``: every translate in the box, in
+    itertools.product order (on a central arrangement only those summing to
+    zero), through ``os_cohomology_dims_stack``, keeping the first of each
+    dims vector; a product per factor, its options paired in order."""
+    out = {}
+    if arr.product_factors is not None:
+        a1, a2 = arr.product_factors
+        o1, o2 = brute_options(a1, lam[: a1.n], box), brute_options(a2, lam[a1.n :], box)
+        for (d1, w1), (d2, w2) in itertools.product(o1.items(), o2.items()):
+            out.setdefault(poincare_product(d1, d2), None if w1 is None or w2 is None else w1 + w2)
+    else:
+        wv = WeightVector(lam)
+        m = np.array(list(itertools.product(range(-box, box + 1), repeat=arr.n)), dtype=object)
+        if arr.central:
+            m = m[m.sum(axis=1) == -sum(lam)]
+        if len(m):
+            dims = os_cohomology_dims_stack(arr, np.array(wv.k, dtype=object) + wv.N * m)
+            for mi, d in zip(m.tolist(), map(tuple, dims.tolist())):
+                if d not in out:
+                    out[d] = tuple(l + x for l, x in zip(lam, mi))
+    out.setdefault((0,) * (arr.rank + 1), None)
+    return out
+
+
+BOX_INPUTS = CATALOG_NAMES + [f"boolean({n})" for n in (1, 2, 3, 5, 6)] + ["lines", "product", "coloop"]
+
+
+@st.composite
+def box_cases(draw):
+    """An arrangement (the catalog, boolean(1-6), random affine lines, a
+    small product, a central plane arrangement whose last plane is a
+    coloop), a box and weights: box 2 only up to 6 hyperplanes, and a
+    common denominator past 2**63 only at box 0.  Central weights mostly
+    get an integral sum, so that the zero-sum slice is not empty."""
+    name = draw(st.sampled_from(BOX_INPUTS))
+    if name == "lines":
+        arr = draw(affine_lines())
+    elif name == "product":
+        arr = product_arrangement(build_arrangement([[1, 0, 0], [0, 1, 0], [1, 1, -1]]), catalog.get("boolean(2)"))
+    elif name == "coloop":
+        arr = build_arrangement([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]])
+    else:
+        arr = catalog.get(name)
+    box = draw(st.integers(0, 2 if arr.n <= 6 else 1))
+    d = draw(st.sampled_from([2, 2, 3, 3, 4, 5, 6] + ([2**64 + 13] if box == 0 else [])))
+    lam = [Fraction(draw(st.integers(-2 * d, 2 * d)), d) for _ in range(arr.n)]
+    if arr.central and draw(st.integers(0, 3)):
+        lam[-1] += draw(st.integers(-1, 1)) - sum(lam)
+    return arr, tuple(lam), box
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much]
+)
+@given(box_cases())
+# two pairs of parallel lines: their dense edges lie on H_inf
+@example((build_arrangement([[1, 0, 0], [1, 0, -1], [0, 1, 0], [0, 1, -1]]), (-1, -1, -1, Fraction(1, 2)), 1))
+# weights summing to -2: the last offset is 1 - m_1 on the slice, at most the box
+@example((catalog.get("boolean(2)"), (Fraction(-1, 2), Fraction(-3, 2)), 1))
+# a common denominator past 2**63: integrality is tested in Python integers
+@example((catalog.get("example-lstrict"), (Fraction(1, 2**89 - 1),) + (0,) * 5 + (Fraction(-1, 2**89 - 1),), 0))
+def test_box_options_match_every_translate_ranked(case):
+    # options, witnesses and their order: the order picks betti_bounds'
+    # witness among options reaching the same lower bound
+    arr, lam, box = case
+    assert list(_lower_dims_options(arr, lam, box).items()) == list(brute_options(arr, lam, box).items())
+
+
+@pytest.mark.parametrize(
+    "name, lam",
+    [
+        ("boolean(6)", tuple(Fraction(x, 5) for x in (1, 2, -1, 3, -2, -3))),
+        ("example-lstrict", tuple(Fraction(x, 3) for x in (1, 1, 1, -1, -1, -1, 0))),
+    ],
+)
+def test_a_wholly_certified_box_ranks_one_translate_and_nothing_over_Q(name, lam, monkeypatch):
+    # every hyperplane of the closure of boolean(6)'s decone lies on no
+    # integral edge at these weights, and one such hyperplane does for
+    # example-lstrict: the first translate stands for the box
+    from oscoh import cohom
+
+    arr = catalog.get(name)
+    want = brute_options(arr, lam, 1)
+    stacks, fields = [], []
+    real_stack, real_ranks = resonance.os_cohomology_dims_stack, cohom._ranks
+
+    def stack(a, K):
+        stacks.append(len(K))
+        return real_stack(a, K)
+
+    def ranks(a, K, p):
+        fields.append(p)
+        return real_ranks(a, K, p)
+
+    monkeypatch.setattr(resonance, "os_cohomology_dims_stack", stack)
+    monkeypatch.setattr(cohom, "_ranks", ranks)
+    empty_rank_cache(arr)
+    rep = betti_bounds(arr, lam, box=1)
+    assert stacks == [1]
+    assert None not in fields  # the upper bound ranks mod N only
+    assert rep.lower == tuple(max(d[q] for d in want) for q in range(arr.rank + 1))
+    assert list(_lower_dims_options(arr, lam, 1).items()) == list(want.items())
