@@ -5,11 +5,14 @@ This backs the combinatorics of arrangements.  Ground sets are
 bitmasks inside.  Every matroid answers rank and closure queries and
 builds its lattice of flats level by level (``flat_levels``), recording
 the cover map (F, e) -> cl(F + e) that the arrangement's lattice, NBC
-basis and Orlik-Solomon rewriting all walk.  Implementations:
+basis and Orlik-Solomon rewriting all walk.  The circuit and linear
+oracles answer rank and closure by one walk through those covers from
+the bottom (``_walk``).  Implementations:
 
-* ``Matroid(n, circuits)``, the circuit oracle for abstract input: the
-  rank of a set is the size of a greedy basis, and e lies in cl(S) when a
-  circuit through e lies in S + e.
+* ``Matroid(n, circuits)``, the circuit oracle for abstract input: cl(S)
+  is S plus C - S for every circuit C with |C - S| <= 1 (Oxley, Matroid
+  Theory, 2nd ed., 1.4.11), tested for a whole lattice level's covers at
+  a time against one array of circuit masks in numpy.
 * ``LinearMatroid``, the linear oracle for realized input, on integer
   vectors (``vector_matroid`` clears denominators).  A vector over a
   number field of degree d enters as the d integer rows of its regular
@@ -75,9 +78,9 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 class Matroid:
     """Matroid on range(n) as a rank/closure oracle.
 
-    Constructed from the full list of circuits it is the circuit oracle.
-    Subclasses answer ``_rank_mask`` and ``_closure_mask`` their own way
-    and find circuits only when asked.
+    Constructed from the full list of circuits it is the circuit oracle,
+    whose covers come from its circuit array (``_expand``).  Subclasses
+    find circuits only when asked.
     """
 
     def __init__(self, n: int, circuits: Iterable[Iterable[int]], validate: bool = False):
@@ -85,18 +88,16 @@ class Matroid:
         seen = set()
         for c in circuits:
             cm = _mask(c)
-            if cm == 0 or cm >> self.n:
+            if cm == 0:
+                raise ValueError("the empty set is not a circuit")
+            if cm >> self.n:
                 raise ValueError("circuit out of range")
             seen.add(cm)
         self._circuits = sorted(seen)
-        # per-element index of circuits through that element
-        self._through = [[] for _ in range(self.n)]
-        for cm in self._circuits:
-            for e in range(self.n):
-                if cm >> e & 1:
-                    self._through[e].append(cm)
+        self._cs = _exact_ints(self._circuits)  # int64, or Python integers past 2**63
         if validate:
             self._validate()
+        self._bottom = sum(cm for cm in self._circuits if not cm & (cm - 1))  # the loops
         self._rank_cache: dict[int, int] = {}
         self._cover_cache: dict[int, dict] = {}
 
@@ -105,12 +106,11 @@ class Matroid:
         no circuit properly contains another, and for distinct circuits a
         and b and every e in both, some circuit lies in (a | b) - e.
 
-        The masks go into one array (int64 below 2**63, Python integers
-        past it).  For each element e, the pairs of circuits through e are
-        taken in blocks of about STACK_CELLS cells; a pair sharing several
-        elements is met once for each.  The distinct unions (a | b) - e are
-        kept, and each is then tested once against every circuit."""
-        cs = _exact_ints(self._circuits)
+        For each element e, the pairs of circuits through e are taken in
+        blocks of about STACK_CELLS cells; a pair sharing several elements
+        is met once for each.  The distinct unions (a | b) - e are kept, and
+        each is then tested once against every circuit."""
+        cs = self._cs
         unions = cs[:0]
         for e in range(self.n):
             through = cs[(cs >> e & 1) == 1]
@@ -152,34 +152,28 @@ class Matroid:
     def closure(self, s: Iterable[int]) -> frozenset:
         return _unmask(self._closure_mask(_mask(s)))
 
-    # -- the circuit oracle ----------------------------------------------------
+    # -- rank and closure: a walk through covers -------------------------------
 
-    def _dependent_with(self, e: int, mask: int) -> bool:
-        """Is some circuit through e contained in mask | {e}?"""
-        m = mask | (1 << e)
-        return any(c & ~m == 0 for c in self._through[e])
+    def _walk(self, sm: int) -> tuple[int, int]:
+        """cl(S) and rank(S), through covers from the bottom."""
+        fm, r = self._bottom, 0
+        for e in _bits(sm & ~fm):
+            if not fm >> e & 1:
+                fm = self._covers_of(fm)[e]
+                r += 1
+        return fm, r
 
-    def _basis_of(self, sm: int) -> int:
-        """Mask of a maximal independent subset of the masked set."""
-        b = 0
-        for e in _bits(sm):
-            if not self._dependent_with(e, b):
-                b |= 1 << e
-        return b
+    def _rank_of(self, sm: int) -> int:
+        return self._walk(sm)[1]
+
+    def _closure_mask(self, sm: int) -> int:
+        return self._walk(sm)[0]
 
     def _rank_mask(self, sm: int) -> int:
         hit = self._rank_cache.get(sm)
         if hit is None:
-            hit = self._rank_cache[sm] = self._basis_of(sm).bit_count()
+            hit = self._rank_cache[sm] = self._rank_of(sm)
         return hit
-
-    def _closure_mask(self, sm: int) -> int:
-        b = self._basis_of(sm)
-        out = sm
-        for e in range(self.n):
-            if not (out >> e & 1) and self._dependent_with(e, b):
-                out |= 1 << e
-        return out
 
     # -- lattice of flats ------------------------------------------------------
 
@@ -201,22 +195,30 @@ class Matroid:
         return levels, covers
 
     def _expand(self, flats: list[int]) -> None:
-        """Hook to compute the covers of many flats of one rank at once."""
+        """The covers cl(F + e) of many flats F at once, for every e
+        outside F.  Each S = F + e meets the circuit array in blocks of
+        about STACK_CELLS cells: C - S is m = C & ~S, it has at most one
+        element when m & (m - 1) == 0, and cl(S) is S | OR of those m."""
+        todo = [fm for fm in flats if fm not in self._cover_cache]
+        pairs = [(fm, e) for fm in todo for e in range(self.n) if not fm >> e & 1]
+        sets = _exact_ints([fm | 1 << e for fm, e in pairs])
+        rows = max(1, STACK_CELLS // max(len(self._cs), 1))
+        closed = []
+        for s in range(0, len(sets), rows):
+            block = sets[s : s + rows, None]
+            m = self._cs & ~block
+            near = np.where(m & (m - 1) == 0, m, 0)
+            closed += (block[:, 0] | np.bitwise_or.reduce(near, axis=1)).tolist()
+        for fm in todo:
+            self._cover_cache[fm] = {}
+        for (fm, e), child in zip(pairs, closed):
+            self._cover_cache[fm][e] = child
 
     def _covers_of(self, fm: int) -> dict:
-        """{e: cl(F + e)} for the flat F and every e outside it, by one
-        closure per cover (the other elements of a cover share it)."""
-        hit = self._cover_cache.get(fm)
-        if hit is None:
-            hit = {}
-            for e in range(self.n):
-                if fm >> e & 1 or e in hit:
-                    continue
-                child = self._closure_mask(fm | 1 << e)
-                for x in _bits(child & ~fm):
-                    hit[x] = child
-            self._cover_cache[fm] = hit
-        return hit
+        """{e: cl(F + e)} for the flat F and every e outside it."""
+        if fm not in self._cover_cache:
+            self._expand([fm])
+        return self._cover_cache[fm]
 
     # -- connectivity ----------------------------------------------------------
 
@@ -286,11 +288,19 @@ class _Oracle(Matroid):
             self._found = sorted(found)
         return self._found
 
-    def _rank_mask(self, sm: int) -> int:
-        hit = self._rank_cache.get(sm)
-        if hit is None:
-            hit = self._rank_cache[sm] = self._rank_of(sm)
-        return hit
+    def _expand(self, flats: list[int]) -> None:
+        """Covers asked of ``_closure_mask``, for the wrappers that answer
+        closure themselves: one closure per cover of each flat (the other
+        elements of a cover share it)."""
+        for fm in flats:
+            if fm not in self._cover_cache:
+                hit = {}
+                for e in range(self.n):
+                    if not (fm >> e & 1 or e in hit):
+                        child = self._closure_mask(fm | 1 << e)
+                        for x in _bits(child & ~fm):
+                            hit[x] = child
+                self._cover_cache[fm] = hit
 
 
 # ---------------------------------------------------------------------------
@@ -374,32 +384,12 @@ class LinearMatroid(_Oracle):
         self._bottom = loops
         self._kernel = {loops: np.eye(rows.shape[2], dtype=rows.dtype)}
 
-    def _walk(self, sm: int) -> tuple[int, int]:
-        """cl(S) and rank(S), through covers from the bottom."""
-        fm, r = self._bottom, 0
-        for e in _bits(sm & ~fm):
-            if not fm >> e & 1:
-                fm = self._covers_of(fm)[e]
-                r += 1
-        return fm, r
-
-    def _rank_of(self, sm: int) -> int:
-        return self._walk(sm)[1]
-
-    def _closure_mask(self, sm: int) -> int:
-        return self._walk(sm)[0]
-
-    def _covers_of(self, fm: int) -> dict:
-        if fm not in self._cover_cache:
-            if fm not in self._kernel:
-                self._walk(fm)
-            self._expand([fm])
-        return self._cover_cache[fm]
-
     def _expand(self, flats: list[int]) -> None:
         by_width: dict[int, list[int]] = {}
         for fm in flats:
             if fm not in self._cover_cache:
+                if fm not in self._kernel:  # a flat no walk has reached yet
+                    self._walk(fm)
                 by_width.setdefault(self._kernel[fm].shape[1], []).append(fm)
         d = self.degree
         for group in by_width.values():

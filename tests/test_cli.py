@@ -496,9 +496,10 @@ def test_no_command_builds_the_closure_lattice(capsys, monkeypatch, tmp_path):
 
 def golden_argvs(tmp_path):
     """{key: argv} of `lattice` and `nonres`, in text and JSON, on every
-    fixed catalog entry and on both sections read back from their JSON."""
+    fixed catalog entry and on the plain circuit file and both sections
+    read back from their JSON."""
     inputs = {name: name for name in catalog.names() if name != "boolean(n)"}
-    for name in ("ceva3-section", "maclane-section"):
+    for name in ("maclane-matroid", "ceva3-section", "maclane-section"):
         path = tmp_path / f"{name}.json"
         write_arrangement(catalog.get(name), path)
         inputs[f"{name} read back"] = str(path)
@@ -512,7 +513,9 @@ def golden_argvs(tmp_path):
 
 
 # sha256 of the stdout of each of golden_argvs, recorded before the
-# closure's dense edges stopped coming from a lattice of the closure
+# closure's dense edges stopped coming from a lattice of the closure (the
+# maclane-matroid read-back ones before the circuit oracle's closure
+# became a walk through covers)
 GOLDEN_DIGESTS = {
     "lattice ceva3 text": "fd6362320c16cc94dc19d07bcb9fc684beda0753acceae835c410b5cdb060032",
     "nonres ceva3 text": "a6303081f0513acb9c1af06590b635ce28c516ba70d304a12395bcfce2b987f9",
@@ -542,6 +545,10 @@ GOLDEN_DIGESTS = {
     "nonres product-example text": "ad5f3986474ec75d1398f48b0411df50f8a0d735aa44bd0f36fa9238c42f609c",
     "lattice product-example json": "bbae887fc9c55ad23503bbb121e03ab5ad97124f9462b5dc79eac794e1e1ad3b",
     "nonres product-example json": "c9134da564671b18f803f90cb2af11ab7b031070c0c2e17ce684846d67b84570",
+    "lattice maclane-matroid read back text": "9534b5d17736a5350188f0a065f920ac0fe2ae42b680815bcb1c185c554890b2",
+    "nonres maclane-matroid read back text": "7a4db36944803dabb6b0bc678e17e1d2461f74fefcb2eeef34f67df29b90666b",
+    "lattice maclane-matroid read back json": "79f0a122163c0ec8e5591d9ebaf86db4fb7d89c693747b258e8989c6114da3d7",
+    "nonres maclane-matroid read back json": "4d91949911d1d04a9e43a9125d986876458ea58ba7b3a49ef6c26147abcd6df8",
     "lattice ceva3-section read back text": "3436960050345c487093f17c2b819bca543bb0b9cc9a12ceb3266994f18472fb",
     "nonres ceva3-section read back text": "730308cba34b2f558fe6da6dc533373da06c22f1e57b56bd41805d77390208d0",
     "lattice ceva3-section read back json": "6ffcb9992134d9d2897258edc2a51dc26699ae72490d58a2f9a7a673b4c4bdc7",

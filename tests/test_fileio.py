@@ -222,11 +222,13 @@ def test_written_file_is_plain_json(tmp_path):
         ({"hyperplanes": [[1, 0, 0], [0, 1, 0], [2, 0, 0]]}, "hyperplanes 1 and 3 coincide"),
         ({"hyperplanes": [[1, 0, 0], [0, 0, 3], [0, 1, 0]]}, "hyperplane 2 has zero"),
         ({"hyperplanes": [[1, 0, 0], [0, 0, 0], [0, 1, 0]]}, "hyperplane 2 has zero"),
+        ({"n": 3, "circuits": [[]]}, "the empty set is not a circuit"),
+        ({"n": 3, "cone_circuits": [[1, 2, 3], []]}, "the empty set is not a circuit"),
     ],
 )
 def test_loops_and_parallel_pairs_are_refused_for_every_input_kind(doc, message):
     # one atom check on the cone matroid: a loop is a zero hyperplane, an
     # element parallel to infinity a hyperplane at infinity, and a parallel
-    # pair two hyperplanes that coincide
+    # pair two hyperplanes that coincide; an empty circuit is refused first
     with pytest.raises(ArrangementFileError, match=message):
         arrangement_from_dict(doc)

@@ -145,6 +145,69 @@ def test_validation_accepts_completed_elimination():
     assert m.full_rank == 2
 
 
+def brute_rank(family: set, sm: int) -> int:
+    """The largest subset of the masked set that contains no circuit."""
+    best, sub = 0, sm
+    while True:  # every submask of sm, sm itself first
+        if sub.bit_count() > best and not any(c & ~sub == 0 for c in family):
+            best = sub.bit_count()
+        if sub == 0:
+            return best
+        sub = (sub - 1) & sm
+
+
+def brute_closure(n: int, family: set, sm: int) -> int:
+    """cl(S) = {e : r(S + e) = r(S)}, with ranks from the definition."""
+    r = brute_rank(family, sm)
+    return _mask(e for e in range(n) if brute_rank(family, sm | 1 << e) == r)
+
+
+@given(near_matroids().filter(lambda case: satisfies_circuit_axioms(case[1])))
+@settings(max_examples=200, deadline=None)
+@example((3, {0b001, 0b110}))  # a loop and a parallel pair
+@example((4, {0b0111, 0b1011, 0b1101, 0b1110}))  # U(2,4)
+def test_circuit_oracle_rank_closure_and_covers_match_the_definition(case):
+    n, family = case
+    full = (1 << n) - 1
+    closure = {sm: brute_closure(n, family, sm) for sm in range(full + 1)}
+    rank = {sm: brute_rank(family, sm) for sm in range(full + 1)}
+    flats = sorted(set(closure.values()))
+    for cells in (1, 7, 2**16):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matroid, "STACK_CELLS", cells)
+            m = Matroid(n, [_bits(c) for c in family])
+            for sm in range(full + 1):
+                assert m.rank(_bits(sm)) == rank[sm]
+                assert m.closure(_bits(sm)) == frozenset(_bits(closure[sm]))
+            m = Matroid(n, [_bits(c) for c in family])  # the levels on fresh caches
+            levels, covers = m.flat_levels(None, rank[full])
+        assert levels == [[f for f in flats if rank[f] == r] for r in range(rank[full] + 1)]
+        assert covers == {
+            f: {e: closure[f | 1 << e] for e in range(n) if not f >> e & 1}
+            for f in flats if rank[f] < rank[full]
+        }
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**16])
+def test_circuit_oracle_closes_past_63_elements(monkeypatch, cells):
+    # the sum of 22 rank-one triangles: cl(S) is every triangle S meets,
+    # and its rank is their count; the masks pass 2**63
+    monkeypatch.setattr(matroid, "STACK_CELLS", cells)
+    circuits = [(3 * t + i, 3 * t + j) for t in range(22) for i, j in ((0, 1), (0, 2), (1, 2))]
+    m = Matroid(66, circuits)
+
+    def triangles(sm):
+        return _mask(x for e in _bits(sm) for x in range(e - e % 3, e - e % 3 + 3))
+
+    for sm in (0, 1, 1 << 65, 0b110 << 60 | 1 << 2, (1 << 66) - 1, sum(1 << 3 * t for t in range(0, 22, 3))):
+        assert m.closure(_bits(sm)) == frozenset(_bits(triangles(sm)))
+        assert m.rank(_bits(sm)) == triangles(sm).bit_count() // 3
+    levels, covers = Matroid(66, circuits).flat_levels(None, 2)
+    assert [len(level) for level in levels] == [1, 22, 231]
+    for f, cov in covers.items():
+        assert cov == {e: f | triangles(1 << e) for e in range(66) if not f >> e & 1}
+
+
 def test_parallel_elements():
     m = Matroid(3, [(0, 1)], validate=True)
     assert m.full_rank == 2
