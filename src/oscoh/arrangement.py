@@ -149,7 +149,8 @@ class Arrangement:
         cl(F + e) in the cone matroid for each flat F of codimension below
         the rank and each e outside F.  A cover that contains the
         hyperplane at infinity (bit n) is no flat of the arrangement.  It
-        comes with the flats, before and without their Moebius values."""
+        comes with the flats, before and without their Moebius values.  A
+        decone shares its parent's map, which holds more than it reads."""
         if "covers" not in self._cache:
             self._flat_masks()
         return self._cache["covers"]
@@ -276,11 +277,11 @@ class Arrangement:
         Its cone matroid is this arrangement's matroid with H_n as the
         hyperplane at infinity: the cone matroid restricted to the
         hyperplanes, so a realized arrangement's decone keeps its vectors.
-        Its covers are this lattice's covers of the flats without H_n, and
-        its Poincare polynomial is this one's divided by 1 + t: no second
-        lattice is built.  Its projective closure is this arrangement,
-        with H_n at infinity, so its dense edges are read from this lattice
-        too.  A rank-1 central arrangement has no decone.
+        It shares this cover map, reading its flats without H_n at elements
+        below H_n, and its Poincare polynomial is this one's divided by
+        1 + t: no second lattice is built.  Its projective closure is this
+        arrangement, with H_n at infinity, so its dense edges are read from
+        this lattice too.  A rank-1 central arrangement has no decone.
         """
         if not self.central or self.rank < 2:
             raise ValueError("the decone needs a central arrangement of rank >= 2")
@@ -291,11 +292,7 @@ class Arrangement:
                 n - 1, self.rank - 1, central, self.cone_matroid.restriction(n),
                 labels=self.labels[:-1],
             )
-            d._cache["covers"] = {
-                fm: {e: child for e, child in cov.items() if e < n}
-                for fm, cov in self.covers().items()
-                if not fm & last
-            }
+            d._cache["covers"] = self.covers()
             betti = [1]
             for b in self.betti_numbers()[1:-1]:
                 betti.append(b - betti[-1])
@@ -354,6 +351,13 @@ class Arrangement:
         K = _widen(K, 2 * _absmax(K) * self.n * (self.n + 1))
         full = np.concatenate([K, -K.sum(axis=1, keepdims=True)], axis=1)
         return full @ self.closure_incidence().T
+
+    def free_hyperplane(self, marked: np.ndarray) -> np.ndarray:
+        """Per row of the boolean (rows x edges) array ``marked`` over
+        ``closure_dense_edges``, the first closure hyperplane on no marked
+        edge (counted through ``closure_incidence``), or -1 if none is."""
+        free = (marked.astype(np.int64) @ self.closure_incidence()) == 0
+        return np.where(free.any(axis=1), free.argmax(axis=1), -1)
 
 
 def _dense(lattice: IntersectionLattice) -> list[Flat]:
@@ -456,19 +460,18 @@ def arrangement_from_circuits(n, circuits, labels=None, rank=None) -> Arrangemen
     dependent sets: the matroid is completed by truncation, so every
     (rank+1)-subset containing no listed circuit becomes a circuit too.
     This is how point-line configurations are entered: list the collinear
-    triples and pass rank=3.
+    triples and pass rank=3.  The validated circuit oracle of the completed
+    list is the matroid under the coloop, as for its written file.
     """
-    if rank is None:
-        m = Matroid(n, circuits, validate=True)
-    else:
-        gen = Matroid(n, circuits, validate=False)
+    if rank is not None:
+        gen = Matroid(n, circuits)
         if rank > gen.full_rank:
             raise ValueError(
                 f"rank {rank} exceeds the rank {gen.full_rank} generated "
                 "by the circuits"
             )
-        m = gen.truncate(rank)
-        Matroid(n, m.circuits(), validate=True)
+        circuits = gen.truncate(rank).circuits()
+    m = Matroid(n, circuits, validate=True)
     cone = add_coloop(m)
     _check_atoms(cone, n)
     return Arrangement(n, m.full_rank, True, cone, labels=labels)

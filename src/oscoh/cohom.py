@@ -202,7 +202,7 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
     * Over Q only, a row of an affine arrangement (a decone included) is
       non-resonant when some hyperplane H_j of the projective closure has
       non-zero weight on every proper dense edge in it
-      (``_nonresonant_hyperplane`` on ``Arrangement.closure_edge_weights``,
+      (``Arrangement.free_hyperplane`` on the zero ``closure_edge_weights``,
       H_inf weighing -sum k).  Its dims are then 0 below the rank and |chi|
       at the top (Yuzvinsky 1995; Cohen-Dimca-Orlik 2003, who reduce the
       test on every dense edge to those in one hyperplane).
@@ -224,7 +224,9 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
             notes.extend(f"factor {i}: {x}" for i, s in enumerate(sub, 1) for x in s)
         return dims
     if not arr.central:
-        j = _nonresonant_hyperplane(arr, K) if p is None else np.full(len(K), -1)
+        j = np.full(len(K), -1)
+        if p is None:
+            j = arr.free_hyperplane(arr.closure_edge_weights(K) == 0)
         rest = j < 0
         dims = np.zeros((len(K), arr.rank + 1), dtype=np.int64)
         dims[~rest, -1] = abs(arr.euler_characteristic())
@@ -258,15 +260,6 @@ def _reduced_dims(arr, K: np.ndarray, p: int | None = None, notes: list | None =
     dims[zero, :-1] += d
     dims[zero, 1:] += d
     return dims
-
-
-def _nonresonant_hyperplane(arr, K: np.ndarray) -> np.ndarray:
-    """Per row of K, the first hyperplane j of the projective closure whose
-    proper dense edges all have non-zero weight, or -1 when there is none:
-    the zero weights of ``Arrangement.closure_edge_weights`` counted
-    through each hyperplane by its ``closure_incidence``."""
-    free = ((arr.closure_edge_weights(K) == 0).astype(np.int64) @ arr.closure_incidence()) == 0
-    return np.where(free.any(axis=1), free.argmax(axis=1), -1)
 
 
 # Most ranks the rank family of an arrangement's cache holds (entries

@@ -108,8 +108,8 @@ class Matroid:
 
         For each element e, the pairs of circuits through e are taken in
         blocks of about STACK_CELLS cells; a pair sharing several elements
-        is met once for each.  The distinct unions (a | b) - e are kept, and
-        each is then tested once against every circuit."""
+        is met once for each.  Each block's distinct unions (a | b) - e join
+        the ones kept, and each is then tested once against every circuit."""
         cs = self._cs
         unions = cs[:0]
         for e in range(self.n):
@@ -123,7 +123,7 @@ class Matroid:
                 both = a & b
                 if ((both == a) | (both == b))[later].any():
                     raise ValueError("circuit properly contains another circuit")
-                found.append(((a | b) & ~(1 << e))[later])
+                found.append(_distinct(((a | b) & ~(1 << e))[later]))
             unions = _distinct(np.concatenate(found))
         rows = max(1, STACK_CELLS // max(len(cs), 1))
         for s in range(0, len(unions), rows):

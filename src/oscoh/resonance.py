@@ -290,8 +290,8 @@ def _integral_edges(arr, k: tuple, N: int, box: int):
     E = cert.closure_incidence()
     forms, target = E[:, :-1] - E[:, -1:], -(W // N)
     live = (W % N == 0) & (np.abs(target) <= np.count_nonzero(forms, axis=1) * box)
-    inc = E[live].astype(bool)
-    return (forms[live], target[live].astype(np.int64), inc) if inc.any(axis=0).all() else None
+    covered = cert.free_hyperplane(live[None])[0] < 0  # every hyperplane is on a live edge
+    return (forms[live], target[live].astype(np.int64), E[live].astype(bool)) if covered else None
 
 
 def _lower_dims_options(arr, lam, box: int) -> dict:

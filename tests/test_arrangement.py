@@ -282,6 +282,13 @@ def test_arrangement_from_circuits_with_rank_completion():
     arr = arrangement_from_circuits(8, triples, rank=3)
     assert betti_numbers(arr) == [1, 8, 20, 13]
     assert arr.central
+    # the completed list, once validated, is the circuit oracle under the
+    # coloop, as a file of those circuits gives when read back
+    assert tuple(triples) == catalog._MACLANE_TRIPLES
+    inner = arr.cone_matroid.inner
+    assert type(inner) is matroid.Matroid
+    want = matroid.Matroid(8, triples).truncate(3).circuits()
+    assert len(inner.circuits()) == len(want) and set(inner.circuits()) == set(want)
 
 
 def test_arrangement_from_circuits_rank_too_large():
@@ -362,10 +369,12 @@ def test_labels_default_and_custom():
 
 
 def test_decone_is_the_matroid_with_the_last_hyperplane_at_infinity():
-    for name in ("ceva3", "maclane", "example-lstrict", "boolean(4)"):
-        arr = catalog.get(name)
+    for arr in [catalog.get(name) for name in CATALOG_NAMES]:
+        if not arr.central:
+            continue
         d = arr.decone()
         assert d is arr.decone()  # built once
+        assert d.covers() is arr.covers()  # shared, not copied
         assert (d.n, d.rank, d.labels) == (arr.n - 1, arr.rank - 1, arr.labels[:-1])
         assert d.cone_matroid.circuits() == arr.cone_matroid.circuits()
         # Betti numbers from P(t) / (1 + t), without a lattice of its own

@@ -227,6 +227,8 @@ def test_decone_of_a_realized_arrangement_needs_no_circuits(monkeypatch):
     twin = arrangement_from_cone_circuits(arr.n - 1, arr.central_circuits())
     for q in range(d.rank + 1):
         assert nbc_basis(d, q) == nbc_basis(twin, q)
+    for q in range(d.rank):
+        assert aomoto_matrix(d, q).entries == aomoto_matrix(twin, q).entries
 
 
 def test_linear_oracle_is_exact_past_int64():
