@@ -10,23 +10,16 @@ from .arrangement import (
     ZeroFormError,
     arrangement_from_circuits,
     arrangement_from_cone_circuits,
-    betti_numbers,
     build_arrangement,
-    dense_edges,
     essentialize,
-    euler_characteristic,
     generic_section,
-    intersection_lattice,
     product_arrangement,
-    projective_closure,
 )
 from .cohom import (
     CohomologyReport,
     WeightVector,
-    kunneth_product,
     modN_cohomology_ranks,
     os_cohomology_dims,
-    scaling_equivalence_check,
 )
 from .exactla import (
     NFElement,
@@ -76,21 +69,14 @@ __all__ = [
     "ZeroFormError",
     "arrangement_from_circuits",
     "arrangement_from_cone_circuits",
-    "betti_numbers",
     "build_arrangement",
-    "dense_edges",
     "essentialize",
-    "euler_characteristic",
     "generic_section",
-    "intersection_lattice",
     "product_arrangement",
-    "projective_closure",
     "CohomologyReport",
     "WeightVector",
-    "kunneth_product",
     "modN_cohomology_ranks",
     "os_cohomology_dims",
-    "scaling_equivalence_check",
     "NFElement",
     "NotPrimeError",
     "NumberField",

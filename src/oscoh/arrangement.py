@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import NumberField, _absmax, _widen, pivot_columns, poincare_product
+from .exactla import NumberField, _absmax, _exact_rational, _widen, pivot_columns, poincare_product
 from .matroid import Matroid, _unmask, add_coloop, parallel_connection, vector_matroid
 
 __all__ = [
@@ -34,11 +34,6 @@ __all__ = [
     "build_arrangement",
     "arrangement_from_circuits",
     "arrangement_from_cone_circuits",
-    "intersection_lattice",
-    "betti_numbers",
-    "euler_characteristic",
-    "projective_closure",
-    "dense_edges",
     "generic_section",
     "product_arrangement",
     "essentialize",
@@ -405,7 +400,8 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
 
     Each row is [a_1, .., a_l, c] for the hyperplane a.z + c = 0, constant
     last.  Entries are ints, Fractions, strings like "2/3", or (over a
-    number field) NFElements / coefficient lists.  The arrangement must be
+    number field) NFElements / coefficient lists; a float raises ValueError
+    rather than being read at its binary value.  The arrangement must be
     essential and free of zero or repeated forms.  With ``essentialize``
     set, a non-essential input is first quotiented by the common center:
     every form keeps only the pivot columns of its normal, a coordinate
@@ -428,7 +424,7 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
         raise ValueError("field must be 'Q' or a NumberField")
 
     def coerce(x):
-        return nf(x) if nf else Fraction(x)
+        return nf(x) if nf else _exact_rational(x)
 
     forms = [(tuple(coerce(x) for x in r[:ell]), coerce(r[ell])) for r in rows]
     cone = _cone_of_forms(forms, nf)
@@ -535,25 +531,3 @@ def essentialize(arr: Arrangement) -> Arrangement:
     nf = arr.field if isinstance(arr.field, NumberField) else "Q"
     return build_arrangement(rows, field=nf, labels=arr.labels, essentialize=True)
 
-
-# functional aliases matching the operation names used throughout
-
-
-def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
-    return arr.intersection_lattice()
-
-
-def betti_numbers(arr: Arrangement) -> list[int]:
-    return arr.betti_numbers()
-
-
-def euler_characteristic(arr: Arrangement) -> int:
-    return arr.euler_characteristic()
-
-
-def projective_closure(arr: Arrangement):
-    return arr.projective_closure()
-
-
-def dense_edges(arr: Arrangement) -> list[Flat]:
-    return arr.dense_edges()

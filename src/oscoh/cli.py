@@ -142,8 +142,7 @@ def _report_lines(rep) -> list[str]:
         f"dims by degree: {list(rep.dims)}",
         f"poincare: {rep.poincare}",
     ]
-    if rep.ranks is not None:
-        lines.append(f"boundary ranks: {list(rep.ranks)}")
+    lines.append(f"boundary ranks: {list(rep.ranks)}")
     if rep.invariant_factors is not None:
         for q, f in enumerate(rep.invariant_factors):
             lines.append(f"invariant factors of boundary {q}: {list(f)}")

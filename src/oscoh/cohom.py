@@ -40,14 +40,13 @@ normal form is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
 import numpy as np
 
 from .exactla import STACK_CELLS, _absmax, _exact_int, _exact_ints, _exact_rational, _factorize
-from .exactla import _local_smith, _row_keys, _widen, poincare_product, rank_stack
+from .exactla import _local_smith, _row_keys, _widen, rank_stack
 from .osalg import aomoto_matrix
 
 __all__ = [
@@ -56,8 +55,6 @@ __all__ = [
     "os_cohomology_dims",
     "os_cohomology_dims_stack",
     "modN_cohomology_ranks",
-    "kunneth_product",
-    "scaling_equivalence_check",
     "poincare_str",
 ]
 
@@ -66,35 +63,16 @@ class WeightVector:
     """Rational weights lam with the minimal modular representation k/N.
 
     N is the lcm of the reduced denominators and k = N*lam; the gcd of the
-    entries of k is then automatically coprime to N.  Constructing from a
-    non-minimal modular pair records that a reduction happened.
+    entries of k is then automatically coprime to N.
     """
 
     def __init__(self, lam: Sequence):
-        if isinstance(lam, WeightVector):
-            self.lam = lam.lam
-            self.reduced_from = lam.reduced_from
-        else:
-            self.lam = tuple(map(_exact_rational, lam))
-            self.reduced_from = None
+        self.lam = lam.lam if isinstance(lam, WeightVector) else tuple(map(_exact_rational, lam))
         self.N = lcm(*(f.denominator for f in self.lam)) if self.lam else 1
         self.k = tuple(f.numerator * (self.N // f.denominator) for f in self.lam)
 
-    @classmethod
-    def from_modular(cls, k: Sequence[int], N: int) -> "WeightVector":
-        k, N = tuple(_exact_ints(k).tolist()), _exact_int(N)
-        if N < 1:
-            raise ValueError("modulus must be positive")
-        wv = cls([Fraction(x, N) for x in k])
-        if wv.N != N:
-            wv.reduced_from = (k, N)
-        return wv
-
     def __len__(self):
         return len(self.lam)
-
-    def translate(self, m: Sequence[int]) -> "WeightVector":
-        return WeightVector([l + x for l, x in zip(self.lam, _exact_ints(m).tolist())])
 
     def __repr__(self):
         return f"WeightVector(({', '.join(str(l) for l in self.lam)}))"
@@ -119,7 +97,7 @@ class CohomologyReport:
 
     ring: tuple  # ("Q",) or ("Z", N)
     dims: tuple
-    ranks: tuple | None = None  # boundary ranks per degree, when computed
+    ranks: tuple  # boundary ranks per degree
     weights: tuple = ()
     notes: list = field(default_factory=list)
     invariant_factors: tuple | None = None  # per degree, composite moduli only
@@ -137,7 +115,7 @@ class CohomologyReport:
             "ring": self.ring_name,
             "weights": [str(w) for w in self.weights],
             "dims": list(self.dims),
-            "boundary_ranks": list(self.ranks) if self.ranks is not None else None,
+            "boundary_ranks": list(self.ranks),
             "poincare": self.poincare,
             "notes": list(self.notes),
         }
@@ -386,24 +364,3 @@ def _invariant_factors(arr, q: int, k: Sequence[int], primes: dict, ranks: list)
         for i in range(length)
     )
 
-
-def kunneth_product(r1: CohomologyReport, r2: CohomologyReport) -> CohomologyReport:
-    """Convolution of two reports over the same coefficient ring."""
-    if r1.ring != r2.ring:
-        raise ValueError(f"ring mismatch: {r1.ring_name} vs {r2.ring_name}")
-    dims = poincare_product(r1.dims, r2.dims)
-    notes = sorted(set(r1.notes) | set(r2.notes))
-    return CohomologyReport(
-        r1.ring, dims, None, tuple(r1.weights) + tuple(r2.weights), notes
-    )
-
-
-def scaling_equivalence_check(arr, lam, c) -> bool:
-    """Dimensions at lam and at c*lam agree (c nonzero rational)."""
-    c = _exact_rational(c)
-    if not c:
-        raise ValueError("scale factor must be nonzero")
-    lam = [_exact_rational(x) for x in lam]
-    a = os_cohomology_dims(arr, lam)
-    b = os_cohomology_dims(arr, [c * x for x in lam])
-    return a.dims == b.dims

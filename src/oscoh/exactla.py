@@ -554,7 +554,8 @@ def rank_stack(stack, upper: Sequence[int], p: int | None = None) -> np.ndarray:
 
 
 def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
-    """Pivot columns of a matrix with Fraction/int or NFElement entries.
+    """Pivot columns of a matrix with Fraction/int or NFElement entries
+    (a float raises ValueError, as in ``_exact_rational``).
 
     The one field elimination: Gaussian elimination with exact pivot
     division, over Q or over the number field of the NFElement entries.
@@ -563,7 +564,7 @@ def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
     field = next(
         (x.field for row in rows for x in row if isinstance(x, NFElement)), None
     )
-    coerce = field.coerce if field else Fraction
+    coerce = field.coerce if field else _exact_rational
     a = [[coerce(x) for x in row] for row in rows]
     nr = len(a)
     nc = len(a[0]) if nr else 0
@@ -826,8 +827,9 @@ class NumberField:
     """Q[x]/(p(x)) for a monic irreducible integer polynomial p.
 
     Coefficient lists are ascending: [1, 1, 1] is x^2 + x + 1.  Elements are
-    immutable coefficient vectors of length deg(p).  A reducible p (the
-    quotient has zero divisors) or a non-integer coefficient raises ValueError.
+    immutable coefficient vectors of length deg(p), with rational
+    coefficients (a float raises ValueError).  A reducible p (the quotient
+    has zero divisors) or a non-integer coefficient of p raises ValueError.
     Irreducibility is proved modulo a small prime where p stays irreducible
     (Rabin's test), and otherwise by Kronecker's search over Z.
     """
@@ -860,9 +862,10 @@ class NumberField:
     def __call__(self, coeffs) -> "NFElement":
         if isinstance(coeffs, NFElement):
             return self.coerce(coeffs)
-        if isinstance(coeffs, (int, Fraction)):
+        # one rational; a string such as "12" is not a list of coefficients
+        if isinstance(coeffs, (int, float, str, Fraction)):
             coeffs = [coeffs]
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact_rational(c) for c in coeffs]
         if len(cs) > self.degree:
             _, cs = _poly_divmod(cs, [Fraction(c) for c in self.min_poly])
         cs += [Fraction(0)] * (self.degree - len(cs))

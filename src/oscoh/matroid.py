@@ -33,13 +33,12 @@ tests; no hot path needs it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactla import STACK_CELLS, NFElement, _absmax, _exact_ints, _primitive, _widen
+from .exactla import STACK_CELLS, NFElement, _absmax, _exact_ints, _exact_rational, _primitive, _widen
 
 __all__ = ["Matroid", "LinearMatroid", "vector_matroid", "parallel_connection", "add_coloop"]
 
@@ -137,10 +136,6 @@ class Matroid:
 
     def _circuit_masks(self) -> list[int]:
         return self._circuits
-
-    def is_independent(self, s: Iterable[int]) -> bool:
-        sm = _mask(s)
-        return self._rank_mask(sm) == sm.bit_count()
 
     def rank(self, s: Iterable[int]) -> int:
         return self._rank_mask(_mask(s))
@@ -437,7 +432,7 @@ def _integer_rows(vectors: Sequence[Sequence]) -> np.ndarray:
     out = []
     for v in vectors:
         if field is None:
-            v = [Fraction(x) for x in v]
+            v = [_exact_rational(x) for x in v]
             scale = lcm(*(x.denominator for x in v))
             out.append([[int(x * scale) for x in v]])
             continue
@@ -471,7 +466,8 @@ class _RankFunction(_Oracle):
 def vector_matroid(vectors: Sequence[Sequence], rank_fn=None) -> Matroid:
     """Matroid of a list of vectors over an exact field.
 
-    Entries are ints, Fractions, or NFElements of one number field.  The
+    Entries are ints, Fractions, or NFElements of one number field (a
+    float raises ValueError rather than being read at its binary value).  The
     result is the linear oracle on their integer rows.  With ``rank_fn``
     (a map from a list of vectors to its rank, such as
     ``exactla.field_rank``) ranks and closures are asked of that function
@@ -534,6 +530,8 @@ class _ParallelConnection(_Oracle):
         self.factors = ((m1, p1, {}), (m2, p2, {}))
 
     def _part(self, i: int, xm: int) -> tuple[int, int]:
+        # memoized: building product-example's lattice and Aomoto matrices
+        # asks 4,924 parts, of which 150 are distinct
         m, _, memo = self.factors[i]
         hit = memo.get(xm)
         if hit is None:

@@ -9,16 +9,11 @@ from oscoh import (
     ZeroFormError,
     arrangement_from_circuits,
     arrangement_from_cone_circuits,
-    betti_numbers,
     build_arrangement,
     catalog,
-    dense_edges,
     essentialize,
-    euler_characteristic,
     generic_section,
-    intersection_lattice,
     product_arrangement,
-    projective_closure,
 )
 from oscoh import matroid
 from oscoh.arrangement import poincare_product
@@ -45,23 +40,23 @@ def test_boolean_arrangement_basics():
     assert arr.n == 3
     assert arr.rank == 3
     assert arr.central
-    assert betti_numbers(arr) == [1, 3, 3, 1]
-    assert euler_characteristic(arr) == 0
+    assert arr.betti_numbers() == [1, 3, 3, 1]
+    assert arr.euler_characteristic() == 0
 
 
 def test_generic_affine_lines():
     arr = three_generic_lines()
     assert not arr.central
     assert arr.rank == 2
-    assert betti_numbers(arr) == [1, 3, 3]
-    assert euler_characteristic(arr) == 1
+    assert arr.betti_numbers() == [1, 3, 3]
+    assert arr.euler_characteristic() == 1
 
 
 def test_concurrent_central_lines():
     arr = three_concurrent_lines()
     assert arr.central
-    assert betti_numbers(arr) == [1, 3, 2]
-    assert euler_characteristic(arr) == 0
+    assert arr.betti_numbers() == [1, 3, 2]
+    assert arr.euler_characteristic() == 0
 
 
 def test_zero_form_rejected():
@@ -87,12 +82,12 @@ def test_essentialize_during_build():
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, -1]]
     arr = build_arrangement(rows, essentialize=True)
     assert arr.rank == 2
-    assert betti_numbers(arr) == betti_numbers(three_generic_lines())
+    assert arr.betti_numbers() == three_generic_lines().betti_numbers()
 
 
 def test_essentialize_function_matches_lattice():
     arr = essentialize(three_concurrent_lines())
-    assert betti_numbers(arr) == [1, 3, 2]
+    assert arr.betti_numbers() == [1, 3, 2]
     with pytest.raises(ValueError, match="realized"):
         essentialize(catalog.get("maclane-matroid"))
 
@@ -102,6 +97,10 @@ def test_fraction_and_string_entries():
     assert arr.n == 3
     assert arr.rank == 2
     assert not arr.central
+    # over a number field a string is one rational, not a coefficient list
+    omega = catalog.omega_field()
+    arr = build_arrangement([[1, 0, "12"], [0, 1, "-1/2"], [1, 1, 0]], field=omega)
+    assert [c for _, c in arr.forms] == [omega(12), omega(Fraction(-1, 2)), omega.zero]
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ def test_fraction_and_string_entries():
 
 
 def test_lattice_of_generic_lines():
-    lat = intersection_lattice(three_generic_lines())
+    lat = three_generic_lines().intersection_lattice()
     assert len(lat.levels) == 3
     assert [len(level) for level in lat.levels] == [1, 3, 3]
     assert all(f.moebius == -1 for f in lat.flats_of_codim(1))
@@ -119,7 +118,7 @@ def test_lattice_of_generic_lines():
 
 
 def test_lattice_of_concurrent_lines():
-    lat = intersection_lattice(three_concurrent_lines())
+    lat = three_concurrent_lines().intersection_lattice()
     assert [len(level) for level in lat.levels] == [1, 3, 1]
     center = lat.flats_of_codim(2)[0]
     assert center.hyperplanes == frozenset({0, 1, 2})
@@ -128,7 +127,7 @@ def test_lattice_of_concurrent_lines():
 
 def test_moebius_alternates_in_sign():
     for name in CATALOG_NAMES:
-        lat = intersection_lattice(catalog.get(name))
+        lat = catalog.get(name).intersection_lattice()
         for q, level in enumerate(lat.levels):
             for f in level:
                 assert f.codim == q
@@ -136,7 +135,7 @@ def test_moebius_alternates_in_sign():
 
 
 def test_flat_sorted_hyperplanes():
-    lat = intersection_lattice(three_concurrent_lines())
+    lat = three_concurrent_lines().intersection_lattice()
     assert lat.flats_of_codim(2)[0].sorted_hyperplanes == (0, 1, 2)
 
 
@@ -152,7 +151,7 @@ def test_betti_numbers_catalog_frozen():
         "product-example": [1, 17, 116, 372, 480],
     }
     for name, want in expected.items():
-        assert betti_numbers(catalog.get(name)) == want, name
+        assert catalog.get(name).betti_numbers() == want, name
 
 
 def test_euler_characteristic_catalog_frozen():
@@ -166,12 +165,12 @@ def test_euler_characteristic_catalog_frozen():
         "product-example": 208,
     }
     for name, want in expected.items():
-        assert euler_characteristic(catalog.get(name)) == want, name
+        assert catalog.get(name).euler_characteristic() == want, name
 
 
 def test_lstrict_triple_points():
     arr = catalog.get("example-lstrict")
-    lat = intersection_lattice(arr)
+    lat = arr.intersection_lattice()
     triples = sorted(
         f.sorted_hyperplanes for f in lat.flats_of_codim(2) if len(f.hyperplanes) == 3
     )
@@ -190,7 +189,7 @@ def test_lstrict_triple_points():
 
 
 def test_ceva_pencil_structure():
-    lat = intersection_lattice(catalog.get("ceva3"))
+    lat = catalog.get("ceva3").intersection_lattice()
     triples = [f for f in lat.flats_of_codim(2) if len(f.hyperplanes) == 3]
     doubles = [f for f in lat.flats_of_codim(2) if len(f.hyperplanes) == 2]
     assert len(triples) == 12
@@ -206,19 +205,19 @@ def test_maclane_realization_matches_abstract_matroid():
 
 
 def test_projective_closure_of_affine_lines():
-    closure, inf = projective_closure(three_generic_lines())
+    closure, inf = three_generic_lines().projective_closure()
     assert closure.central
     assert closure.n == 4
     assert inf == 3
-    assert betti_numbers(closure) == [1, 4, 6, 3]  # four generic planes in C^3
+    assert closure.betti_numbers() == [1, 4, 6, 3]  # four generic planes in C^3
 
 
 def test_projective_closure_of_central_adds_coloop_free_plane():
-    closure, inf = projective_closure(three_concurrent_lines())
+    closure, inf = three_concurrent_lines().projective_closure()
     assert closure.central
     assert closure.n == 4 and closure.rank == 3
     # near-pencil: the three concurrent lines keep their common point
-    lat = intersection_lattice(closure)
+    lat = closure.intersection_lattice()
     sizes = sorted(len(f.hyperplanes) for f in lat.flats_of_codim(2))
     assert sizes == [2, 2, 2, 3]
 
@@ -228,9 +227,9 @@ def test_generic_section_drops_top_of_lattice():
     sec = generic_section(arr, 2)
     assert not sec.central
     assert sec.rank == 2
-    assert betti_numbers(sec) == [1, 9, 24]
-    lat_full = intersection_lattice(arr)
-    lat_sec = intersection_lattice(sec)
+    assert sec.betti_numbers() == [1, 9, 24]
+    lat_full = arr.intersection_lattice()
+    lat_sec = sec.intersection_lattice()
     assert [f.hyperplanes for f in lat_sec.flats_of_codim(1)] == [
         f.hyperplanes for f in lat_full.flats_of_codim(1)
     ]
@@ -247,7 +246,7 @@ def test_generic_section_rank_bounds():
 def test_product_of_boolean_lines_is_boolean_plane():
     b1 = catalog.get("boolean(1)")
     prod = product_arrangement(b1, b1)
-    assert betti_numbers(prod) == [1, 2, 1]
+    assert prod.betti_numbers() == [1, 2, 1]
     assert prod.central
     assert prod.product_factors is not None
 
@@ -256,7 +255,7 @@ def test_product_betti_is_convolution_of_factors():
     a = three_concurrent_lines()
     prod = product_arrangement(a, a)
     # [1,3,2] * [1,3,2] convolved
-    assert betti_numbers(prod) == [1, 6, 13, 12, 4]
+    assert prod.betti_numbers() == [1, 6, 13, 12, 4]
     assert "lattice" not in prod._cache  # read off the factors
     # the product's own lattice agrees
     levels = prod.intersection_lattice().levels
@@ -269,8 +268,8 @@ def test_product_betti_is_convolution_of_factors():
 def test_product_example_is_product_of_sections():
     prod = catalog.get("product-example")
     f1, f2 = prod.product_factors
-    assert betti_numbers(f1) == [1, 9, 24]
-    assert betti_numbers(f2) == [1, 8, 20]
+    assert f1.betti_numbers() == [1, 9, 24]
+    assert f2.betti_numbers() == [1, 8, 20]
     assert not prod.central
 
 
@@ -280,7 +279,7 @@ def test_arrangement_from_circuits_with_rank_completion():
         (1, 4, 6), (2, 4, 5), (2, 6, 7), (3, 4, 7),
     ]
     arr = arrangement_from_circuits(8, triples, rank=3)
-    assert betti_numbers(arr) == [1, 8, 20, 13]
+    assert arr.betti_numbers() == [1, 8, 20, 13]
     assert arr.central
     # the completed list, once validated, is the circuit oracle under the
     # coloop, as a file of those circuits gives when read back
@@ -319,16 +318,16 @@ def test_non_matroid_circuits_are_refused(build):
 
 def test_arrangement_from_cone_circuits_affine():
     # cone of three generic lines: infinity is element 3
-    cone = projective_closure(three_generic_lines())[0]
+    cone = three_generic_lines().projective_closure()[0]
     circuits = [tuple(sorted(c)) for c in cone.cone_matroid.circuits()]
     arr = arrangement_from_cone_circuits(3, circuits)
     assert not arr.central
-    assert betti_numbers(arr) == [1, 3, 3]
+    assert arr.betti_numbers() == [1, 3, 3]
 
 
 def test_dense_edges_of_concurrent_lines():
     arr = three_concurrent_lines()
-    edges = dense_edges(arr)
+    edges = arr.dense_edges()
     by_codim = sorted((f.codim, f.sorted_hyperplanes) for f in edges)
     assert by_codim == [
         (1, (0,)),
@@ -339,13 +338,13 @@ def test_dense_edges_of_concurrent_lines():
 
 
 def test_dense_edges_of_boolean_are_just_hyperplanes():
-    edges = dense_edges(catalog.get("boolean(3)"))
+    edges = catalog.get("boolean(3)").dense_edges()
     assert sorted(f.sorted_hyperplanes for f in edges) == [(0,), (1,), (2,)]
 
 
 def test_dense_edges_require_central():
     with pytest.raises(ValueError, match="central"):
-        dense_edges(three_generic_lines())
+        three_generic_lines().dense_edges()
 
 
 def test_the_decone_of_an_abstract_arrangement_searches_for_no_circuits(monkeypatch):

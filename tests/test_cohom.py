@@ -13,14 +13,13 @@ import oscoh
 from oscoh import build_arrangement, catalog, cohom, exactla, product_arrangement
 from oscoh.cohom import (
     WeightVector,
-    kunneth_product,
     modN_cohomology_ranks,
     os_cohomology_dims,
     os_cohomology_dims_stack,
     poincare_str,
-    scaling_equivalence_check,
 )
-from oscoh.exactla import NumberField, bareiss_rank, rank_mod_p, rank_over_Q, rank_stack, smith_normal_form
+from oscoh.exactla import NumberField, bareiss_rank, field_rank, rank_mod_p, rank_over_Q, rank_stack, smith_normal_form
+from oscoh.matroid import vector_matroid
 from oscoh.osalg import aomoto_matrix
 from oscoh.resonance import betti_bounds, edge_weights, in_V, in_W, resonance_membership, yuzvinsky_vanishing
 
@@ -60,7 +59,6 @@ def test_weight_vector_minimal_modulus():
     wv = WeightVector([Fraction(1, 3), Fraction(-2, 3)])
     assert wv.N == 3
     assert wv.k == (1, -2)
-    assert wv.reduced_from is None
     assert len(wv) == 2
 
 
@@ -71,18 +69,16 @@ def test_weight_vector_integer_weights():
 
 
 def test_from_modular_reduces_common_factors():
-    wv = WeightVector.from_modular((2, 4), 6)
+    # the modular pair k = (2, 4), N = 6 as weights k/N
+    wv = WeightVector([Fraction(x, 6) for x in (2, 4)])
     assert wv.lam == (Fraction(1, 3), Fraction(2, 3))
     assert wv.N == 3
     assert wv.k == (1, 2)
-    assert wv.reduced_from == ((2, 4), 6)
-    minimal = WeightVector.from_modular((1, 2), 3)
-    assert minimal.reduced_from is None
 
 
 def test_translate_shifts_by_integers():
     wv = WeightVector([Fraction(1, 3), Fraction(-2, 3)])
-    shifted = wv.translate((1, -1))
+    shifted = WeightVector([l + m for l, m in zip(wv.lam, (1, -1))])
     assert shifted.lam == (Fraction(4, 3), Fraction(-5, 3))
     assert shifted.N == 3
 
@@ -258,7 +254,7 @@ def test_weights_at_minus_two_to_the_63_are_not_wrapped():
     k = (1 - 2**62, -(2**63), -(2**62))
     assert 2**63 in aomoto_matrix(arr, 1).evaluate(k)[0]
     dims = bareiss_dims(arr, k)
-    assert os_cohomology_dims(arr, WeightVector.from_modular(k, 2**62).lam).dims == dims
+    assert os_cohomology_dims(arr, [Fraction(x, 2**62) for x in k]).dims == dims
     K = np.array([k, (1, 2, 3)], dtype=np.int64)
     assert tuple(os_cohomology_dims_stack(arr, K)[0].tolist()) == dims
 
@@ -565,7 +561,6 @@ NON_INTEGER_CALLS = {
     "modN modulus": lambda sec, bad: modN_cohomology_ranks(sec, _k(1), 7 + bad),
     "vanishing weights": lambda sec, bad: yuzvinsky_vanishing(sec, _k(bad), 7),
     "vanishing prime": lambda sec, bad: yuzvinsky_vanishing(sec, _k(1), 7 + bad),
-    "from_modular": lambda sec, bad: WeightVector.from_modular(_k(bad), 7),
     "evaluate": lambda sec, bad: aomoto_matrix(sec, 1).evaluate(_k(bad)),
     "evaluate_stack": lambda sec, bad: aomoto_matrix(sec, 1).evaluate_stack(np.array([_k(bad)])),
     "dims stack": lambda sec, bad: os_cohomology_dims_stack(sec, [_k(bad)]),
@@ -592,7 +587,8 @@ def _lam(bad):
     return (bad,) + CEVA_WEIGHTS[1:]
 
 
-# Entries that take rational weights: a float's binary value is no weight.
+# Entries that take rational weights or exact entries: a float's binary
+# value is no weight, and 0.1 read at it is not 1/10.
 NON_RATIONAL_CALLS = {
     "WeightVector": lambda sec, bad: WeightVector(_lam(bad)),
     "os_cohomology_dims": lambda sec, bad: os_cohomology_dims(sec, _lam(bad)),
@@ -601,8 +597,12 @@ NON_RATIONAL_CALLS = {
     "in_W": lambda sec, bad: in_W(sec, _lam(bad)),
     "in_V": lambda sec, bad: in_V(sec, _lam(bad)),
     "resonance_membership": lambda sec, bad: resonance_membership(sec, _lam(bad), 1),
-    "scaling weights": lambda sec, bad: scaling_equivalence_check(sec, _lam(bad), 2),
-    "scaling factor": lambda sec, bad: scaling_equivalence_check(sec, CEVA_WEIGHTS, bad),
+    "scaling weights": lambda sec, bad: os_cohomology_dims(sec, [2 * x for x in _lam(bad)]),
+    "scaling factor": lambda sec, bad: os_cohomology_dims(sec, [bad * x for x in CEVA_WEIGHTS]),
+    "build_arrangement form": lambda sec, bad: build_arrangement([[1, 0, bad], [0, 1, 0], [1, 1, 0]]),
+    "NumberField coefficient": lambda sec, bad: NumberField([1, 1, 1])([bad, 1]),
+    "vector_matroid": lambda sec, bad: vector_matroid([[1, 0], [0, bad]]),
+    "field_rank": lambda sec, bad: field_rank(_m(bad)),
 }
 
 
@@ -635,41 +635,30 @@ def test_a_mod_p_rank_above_the_complex_bound_is_refused(monkeypatch):
 # ---------------------------------------------------------------------------
 # products and scaling
 
+KUNNETH_NOTE = "Kunneth over the factors (9 + 8 hyperplanes)"
+
 
 def test_kunneth_convolution_over_q():
-    r1 = os_cohomology_dims(catalog.get("ceva3-section"), CEVA_WEIGHTS)
-    r2 = os_cohomology_dims(catalog.get("maclane-section"), MACLANE_SECTION_WEIGHTS)
-    prod = kunneth_product(r1, r2)
+    # product-example is ceva3-section x maclane-section: the package
+    # convolves its factors' dims rather than rank the product's complex
+    prod = os_cohomology_dims(catalog.get("product-example"), CEVA_WEIGHTS + MACLANE_SECTION_WEIGHTS)
     assert prod.dims == (0, 0, 0, 13, 221)
     assert prod.ring == ("Q",)
+    assert prod.notes[0] == KUNNETH_NOTE
 
 
 def test_kunneth_convolution_mod_3():
-    r1 = modN_cohomology_ranks(
-        catalog.get("ceva3-section"), (1, 1, 1, 1, 1, 1, -2, -2, -2), 3
-    )
-    r2 = modN_cohomology_ranks(
-        catalog.get("maclane-section"), (1, 0, -1, 1, -1, -1, 1, 0), 3
-    )
-    prod = kunneth_product(r1, r2)
+    k = (1, 1, 1, 1, 1, 1, -2, -2, -2) + (1, 0, -1, 1, -1, -1, 1, 0)
+    prod = modN_cohomology_ranks(catalog.get("product-example"), k, 3)
     assert prod.dims == (0, 0, 2, 46, 252)
-
-
-def test_kunneth_rejects_mixed_rings():
-    r1 = os_cohomology_dims(catalog.get("ceva3-section"), CEVA_WEIGHTS)
-    r2 = modN_cohomology_ranks(
-        catalog.get("maclane-section"), (1, 0, -1, 1, -1, -1, 1, 0), 3
-    )
-    with pytest.raises(ValueError):
-        kunneth_product(r1, r2)
+    assert prod.notes[0] == KUNNETH_NOTE
 
 
 def test_scaling_equivalence():
     arr = catalog.get("ceva3-section")
+    dims = os_cohomology_dims(arr, CEVA_WEIGHTS).dims
     for c in (2, -1, 5):
-        assert scaling_equivalence_check(arr, CEVA_WEIGHTS, c)
-    with pytest.raises(ValueError):
-        scaling_equivalence_check(arr, CEVA_WEIGHTS, 0)
+        assert os_cohomology_dims(arr, [c * x for x in CEVA_WEIGHTS]).dims == dims
 
 
 def test_a_scaled_weight_is_ranked_afresh_and_agrees(monkeypatch):

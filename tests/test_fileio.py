@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oscoh import betti_numbers, build_arrangement, catalog
+from oscoh import build_arrangement, catalog
 from oscoh.exactla import NumberField
 from oscoh.fileio import (
     ArrangementFileError,
@@ -31,7 +31,7 @@ def test_round_trip_rational_forms(tmp_path):
     back = round_trip(arr, tmp_path)
     assert back.n == arr.n
     assert back.central == arr.central
-    assert betti_numbers(back) == betti_numbers(arr)
+    assert back.betti_numbers() == arr.betti_numbers()
     assert back.forms == arr.forms
 
 
@@ -55,7 +55,7 @@ def test_round_trip_number_field_forms(tmp_path):
     back = read_arrangement(path)
     assert isinstance(back.field, NumberField)
     assert back.field == arr.field
-    assert betti_numbers(back) == [1, 8, 20, 13]
+    assert back.betti_numbers() == [1, 8, 20, 13]
     assert back.forms == arr.forms
 
 
@@ -69,7 +69,7 @@ def test_round_trip_abstract_central(tmp_path):
     back = read_arrangement(path)
     assert back.central
     assert back.forms is None
-    assert betti_numbers(back) == [1, 8, 20, 13]
+    assert back.betti_numbers() == [1, 8, 20, 13]
 
 
 def test_round_trip_abstract_affine(tmp_path):
@@ -80,7 +80,7 @@ def test_round_trip_abstract_affine(tmp_path):
     assert "cone_circuits" in raw and raw["n"] == 9
     back = read_arrangement(path)
     assert not back.central
-    assert betti_numbers(back) == [1, 9, 24]
+    assert back.betti_numbers() == [1, 9, 24]
 
 
 def test_labels_survive_round_trip(tmp_path):
@@ -99,7 +99,7 @@ def test_dict_with_rank_completion():
         [2, 5, 7], [3, 5, 6], [3, 7, 8], [4, 5, 8],
     ]
     arr = arrangement_from_dict({"n": 8, "circuits": triples, "rank": 3})
-    assert betti_numbers(arr) == [1, 8, 20, 13]
+    assert arr.betti_numbers() == [1, 8, 20, 13]
 
 
 def test_dict_essentialize_flag():
@@ -111,7 +111,7 @@ def test_dict_essentialize_flag():
         arrangement_from_dict(doc)
     arr = arrangement_from_dict(doc, essentialize=True)
     assert arr.rank == 2
-    assert betti_numbers(arr) == [1, 3, 3]
+    assert arr.betti_numbers() == [1, 3, 3]
 
 
 def test_dict_string_rationals():

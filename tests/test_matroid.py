@@ -23,9 +23,8 @@ def test_uniform_line_ranks_and_independence():
     assert m.rank([]) == 0
     assert m.rank([0]) == 1
     assert m.rank([0, 1]) == 2
-    assert m.rank([0, 1, 2]) == 2
-    assert m.is_independent([0, 2])
-    assert not m.is_independent([0, 1, 2])
+    assert m.rank([0, 1, 2]) == 2  # dependent: rank below its size
+    assert m.rank([0, 2]) == 2  # independent
 
 
 def test_uniform_line_closure_and_flats():
@@ -40,7 +39,7 @@ def test_free_matroid_has_no_circuits():
     assert m.circuits() == []
     assert m.full_rank == 4
     assert m.closure([1, 3]) == frozenset({1, 3})
-    assert m.is_independent(range(4))
+    assert m.rank(range(4)) == 4
 
 
 def test_circuit_out_of_range_rejected():
@@ -230,8 +229,8 @@ def test_truncation_preserves_low_rank_structure():
     m = gen.truncate(3)
     assert m.full_rank == 3
     assert m.rank([0, 1, 2]) == 2  # the declared triple stays a circuit
-    assert m.is_independent([0, 1, 3])
-    assert not m.is_independent([0, 1, 3, 4])  # every 4-set is dependent
+    assert m.rank([0, 1, 3]) == 3  # independent
+    assert m.rank([0, 1, 3, 4]) < 4  # every 4-set is dependent
     # the result satisfies the circuit axioms
     Matroid(5, m.circuits(), validate=True)
 
@@ -256,7 +255,7 @@ def test_vector_matroid_finds_dependencies():
     assert m.full_rank == 2
     assert frozenset({2, 3}) in m.circuits()  # parallel vectors
     assert m.rank([0, 1, 2, 3]) == 2
-    assert not m.is_independent([0, 1, 2])
+    assert m.rank([0, 1, 2]) < 3  # dependent
     Matroid(4, m.circuits(), validate=True)
 
 

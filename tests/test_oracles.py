@@ -79,7 +79,7 @@ def nbc_by_definition(arr, q):
     return [
         s
         for s in combinations(range(arr.n), q)
-        if cm.is_independent(s)
+        if cm.rank(s) == len(s)
         and inf not in cm.closure(s)
         and not any(set(b) <= set(s) for b in broken)
     ]
