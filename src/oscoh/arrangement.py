@@ -6,12 +6,13 @@ carries the matroid of its projective cone on elements 0..n, where element
 n plays the hyperplane at infinity; for a central arrangement that element
 is simply a coloop.  The cone matroid is a rank/closure oracle
 (``matroid``): linear on the integer cone vectors of a realized input,
-circuit-based for abstract input, and a wrapper for sections, products
-and projective closures.  Lattice, Betti, density and NBC computations
-run off the cover map it records while building the lattice, so realized
-and abstract inputs share every code path downstream of construction.
-One atom check on the oracle refuses a hyperplane that is zero or at
-infinity and two that coincide, whatever the input kind.
+whose rank and centrality are ranks of those rows; circuit-based for
+abstract input, whose one constructor takes cone circuits; and a wrapper
+for sections, products and projective closures.  Lattice, Betti, density
+and NBC computations run off the cover map it records while building the
+lattice, so realized and abstract inputs share every code path downstream
+of construction.  One atom check on the oracle refuses a hyperplane that
+is zero or at infinity and two that coincide, whatever the input kind.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import NumberField, _absmax, _exact_rational, _widen, pivot_columns, poincare_product
+from .exactla import NumberField, _absmax, _exact_rational, _widen, pivot_columns, poincare_product, rank_stack
 from .matroid import Matroid, _unmask, add_coloop, parallel_connection, vector_matroid
 
 __all__ = [
@@ -121,16 +122,6 @@ class Arrangement:
     def infinity(self) -> int:
         """Index of the hyperplane at infinity inside the cone matroid."""
         return self.n
-
-    def central_circuits(self) -> list[tuple]:
-        """Circuits of the cone matroid avoiding infinity, as sorted tuples."""
-        key = "central_circuits"
-        if key not in self._cache:
-            inf = self.infinity
-            self._cache[key] = sorted(
-                tuple(sorted(c)) for c in self.cone_matroid.circuits() if inf not in c
-            )
-        return self._cache[key]
 
     # -- lattice -------------------------------------------------------------
 
@@ -431,16 +422,19 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
     _check_atoms(cone, len(forms))
 
     # Infinity is a coloop of the cone, so the hyperplanes meet in a point
-    # and the arrangement is central, exactly when the constants lie in the
-    # column span of the normals: when the constant column is no pivot.
-    pivots = pivot_columns([list(a) + [c] for a, c in forms])
-    central = ell not in pivots
-    pivots = [j for j in pivots if j < ell]
-    if len(pivots) < ell:
+    # and the arrangement is central, exactly when the constants add nothing
+    # to the rank over Q of the normals in the forms' integer rows.
+    d = cone.degree
+    rows = cone.rows[:-1].reshape(len(forms) * d, -1)  # constants in the last d columns
+    normals = np.where(np.arange(rows.shape[1]) < ell * d, rows, 0)
+    full, rank = rank_stack(np.stack([rows, normals]), [min(rows.shape), ell * d]).tolist()
+    central = rank == full
+    if rank < ell * d:
         if not essentialize:
             raise NotEssentialError(
                 "normals span a proper subspace; pass --essentialize or reduce rank"
             )
+        pivots = pivot_columns([a for a, _ in forms])
         forms = [(tuple(a[j] for j in pivots), c) for a, c in forms]
         ell = len(pivots)
 
@@ -456,8 +450,8 @@ def arrangement_from_circuits(n, circuits, labels=None, rank=None) -> Arrangemen
     dependent sets: the matroid is completed by truncation, so every
     (rank+1)-subset containing no listed circuit becomes a circuit too.
     This is how point-line configurations are entered: list the collinear
-    triples and pass rank=3.  The validated circuit oracle of the completed
-    list is the matroid under the coloop, as for its written file.
+    triples and pass rank=3.  Infinity, a coloop, lies on no circuit: the
+    completed list is the cone's, for ``arrangement_from_cone_circuits``.
     """
     if rank is not None:
         gen = Matroid(n, circuits)
@@ -467,10 +461,7 @@ def arrangement_from_circuits(n, circuits, labels=None, rank=None) -> Arrangemen
                 "by the circuits"
             )
         circuits = gen.truncate(rank).circuits()
-    m = Matroid(n, circuits, validate=True)
-    cone = add_coloop(m)
-    _check_atoms(cone, n)
-    return Arrangement(n, m.full_rank, True, cone, labels=labels)
+    return arrangement_from_cone_circuits(n, circuits, labels)
 
 
 def arrangement_from_cone_circuits(n, cone_circuits, labels=None):
@@ -481,9 +472,9 @@ def arrangement_from_cone_circuits(n, cone_circuits, labels=None):
     arrangements are the special case where n is a coloop.
     """
     m = Matroid(n + 1, cone_circuits, validate=True)
+    _check_atoms(m, n)  # refuses every cone of rank below 2 that has a hyperplane
     if m.full_rank < 2:
         raise ValueError("cone matroid must have rank at least 2")
-    _check_atoms(m, n)
     central = n not in m.closure(range(n))
     return Arrangement(n, m.full_rank - 1, central, m, labels=labels)
 

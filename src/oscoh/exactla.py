@@ -18,7 +18,8 @@ Each arithmetic has one elimination:
   Callers scale rational rows to integers, which keeps ranks.
 * Fields given by their entries (Fraction or NFElement): Gaussian
   elimination with exact pivot division (``pivot_columns``), whose pivot
-  count is ``field_rank``.
+  count is ``field_rank``.  Its one package caller picks the coordinates
+  that an essentializing ``build_arrangement`` keeps.
 
 Fraction-free Bareiss elimination (``bareiss_rank``) and the integer Smith
 normal form (``smith_normal_form``) stay as reference oracles for these
@@ -143,9 +144,9 @@ def _factorize(n: int) -> dict[int, int]:
 
     A prime n is answered by ``is_prime`` alone.  Otherwise trial division
     by the primes below 1000, then Pollard's rho with Brent's cycle search
-    on what is left, split until every part passes ``is_prime``.  A part that rho does not split within ``_RHO_STEPS``
-    steps, such as the product of two primes above 2**100, raises
-    ValueError naming n rather than run on.
+    on what is left, split until every part passes ``is_prime``.  A part
+    rho does not split in ``_RHO_STEPS`` steps, such as the product of two
+    primes above 2**100, raises ValueError naming n rather than run on.
     """
     n = int(n)
     if n < 1:

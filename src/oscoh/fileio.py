@@ -62,7 +62,7 @@ def _parse_field(value):
         if not (
             isinstance(coeffs, list)
             and len(coeffs) >= 3
-            and all(isinstance(c, int) for c in coeffs)
+            and all(type(c) is int for c in coeffs)
         ):
             raise ArrangementFileError(
                 "field.min_poly must be a list of at least 3 integers "
@@ -106,7 +106,7 @@ def _parse_index_lists(raw, n, key):
     for pos, c in enumerate(raw):
         idxs = []
         for x in c:
-            if not isinstance(x, int) or not 1 <= x <= n:
+            if type(x) is not int or not 1 <= x <= n:
                 raise ArrangementFileError(
                     f"{key}[{pos}]: index {x!r} outside 1..{n}"
                 )
@@ -162,7 +162,7 @@ def arrangement_from_dict(doc: dict, essentialize: bool = False) -> Arrangement:
             raise ArrangementFileError(str(e))
 
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ArrangementFileError(
             f"matroid input requires a positive integer n, got {n!r}"
         )
@@ -172,7 +172,7 @@ def arrangement_from_dict(doc: dict, essentialize: bool = False) -> Arrangement:
         if "circuits" in keys:
             circuits = _parse_index_lists(doc["circuits"], n, "circuits")
             rank = doc.get("rank")
-            if rank is not None and (not isinstance(rank, int) or rank < 1):
+            if rank is not None and (type(rank) is not int or rank < 1):
                 raise ArrangementFileError("rank must be a positive integer")
             return arrangement_from_circuits(
                 n, circuits, labels=labels, rank=rank
@@ -216,16 +216,13 @@ def arrangement_to_dict(arr: Arrangement) -> dict:
         doc["hyperplanes"] = [
             [_dump_scalar(x) for x in list(a) + [c]] for a, c in arr.forms
         ]
-    elif arr.central:
+    else:  # a central cone's infinity is a coloop, on no circuit
+        circuits = [sorted(i + 1 for i in c) for c in arr.cone_matroid.circuits()]
         doc["n"] = arr.n
-        doc["circuits"] = [
-            [i + 1 for i in c] for c in arr.central_circuits()
-        ]
-    else:
-        doc["n"] = arr.n
-        doc["cone_circuits"] = [
-            sorted(i + 1 for i in c) for c in arr.cone_matroid.circuits()
-        ]
+        if arr.central:
+            doc["circuits"] = sorted(circuits)
+        else:
+            doc["cone_circuits"] = circuits
     doc["labels"] = list(arr.labels)
     return doc
 

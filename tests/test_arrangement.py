@@ -1,8 +1,11 @@
 """Arrangements: construction, intersection lattice, Whitney numbers."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oscoh import (
     NotEssentialError,
@@ -15,7 +18,7 @@ from oscoh import (
     generic_section,
     product_arrangement,
 )
-from oscoh import matroid
+from oscoh import arrangement, exactla, matroid
 from oscoh.arrangement import poincare_product
 from oscoh.cohom import os_cohomology_dims
 
@@ -101,6 +104,90 @@ def test_fraction_and_string_entries():
     omega = catalog.omega_field()
     arr = build_arrangement([[1, 0, "12"], [0, 1, "-1/2"], [1, 1, 0]], field=omega)
     assert [c for _, c in arr.forms] == [omega(12), omega(Fraction(-1, 2)), omega.zero]
+
+
+OMEGA = catalog.omega_field()
+
+
+@st.composite
+def form_rows(draw):
+    """Rows of random forms over Q or Q(w), entries in {0, +-1, +-2} or
+    {0, +-1, +-w}.  Some normals are combinations of earlier ones, and the
+    constants are either drawn (affine) or those of a central arrangement
+    moved to pass through a random point."""
+    field = draw(st.sampled_from(["Q", OMEGA]))
+    two = 2 if field == "Q" else OMEGA.gen
+    entry = st.sampled_from([0, 1, -1, two, -two])
+    coerce = Fraction if field == "Q" else OMEGA.coerce
+    ell = draw(st.integers(1, 3))
+    normals = []
+    for i in range(draw(st.integers(1, 6))):
+        if i and draw(st.booleans()):
+            a, b = (normals[draw(st.integers(0, i - 1))] for _ in range(2))
+            s, t = draw(entry), draw(entry)
+            normals.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            normals.append([coerce(draw(entry)) for _ in range(ell)])
+    if draw(st.booleans()):
+        point = [draw(entry) for _ in range(ell)]
+        consts = [-sum((x * t for x, t in zip(a, point)), coerce(0)) for a in normals]
+    else:
+        consts = [coerce(draw(entry)) for _ in normals]
+    return [a + [c] for a, c in zip(normals, consts)], field
+
+
+@contextmanager
+def no_pivot_columns():
+    """``pivot_columns`` raises, where exactla defines it and where the
+    arrangement module reads it."""
+
+    def refuse(*args):
+        raise AssertionError("pivot_columns on a build that keeps its coordinates")
+
+    with mock.patch.object(exactla, "pivot_columns", refuse):
+        with mock.patch.object(arrangement, "pivot_columns", refuse):
+            yield
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(form_rows())
+def test_build_reads_centrality_and_essentialness_as_pivot_columns_do(case):
+    # The pivot columns of [normals | constant] decide both: the forms meet
+    # in a point when the constant column is no pivot, and the normals'
+    # pivots are the coordinates an essentialized build keeps.  The build
+    # ranks the integer rows instead, and an essential one never calls
+    # pivot_columns.
+    rows, field = case
+    ell = len(rows[0]) - 1
+    pivots = exactla.pivot_columns(rows)
+    keep = [j for j in pivots if j < ell]
+    try:
+        with no_pivot_columns():
+            arr = build_arrangement(rows, field=field)
+    except NotEssentialError:
+        assert len(keep) < ell
+        arr = build_arrangement(rows, field=field, essentialize=True)
+        assert arr.forms == [(tuple(r[j] for j in keep), r[ell]) for r in rows]
+    except ZeroFormError:
+        assume(False)
+    except ValueError as e:
+        assert "coincide" in str(e)
+        assume(False)
+    else:
+        assert len(keep) == ell
+        assert arr.forms == [(tuple(r[:ell]), r[ell]) for r in rows]
+    assert arr.central == (ell not in pivots)
+    assert arr.rank == len(keep)
+
+
+def test_realized_catalog_entries_build_without_pivot_columns():
+    for name in CATALOG_NAMES:
+        arr = catalog.get(name)
+        if arr.forms is not None:
+            rows = [list(a) + [c] for a, c in arr.forms]
+            with no_pivot_columns():
+                again = build_arrangement(rows, field=arr.field, labels=arr.labels)
+            assert (again.rank, again.central, again.forms) == (arr.rank, arr.central, arr.forms)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +368,14 @@ def test_arrangement_from_circuits_with_rank_completion():
     arr = arrangement_from_circuits(8, triples, rank=3)
     assert arr.betti_numbers() == [1, 8, 20, 13]
     assert arr.central
-    # the completed list, once validated, is the circuit oracle under the
-    # coloop, as a file of those circuits gives when read back
+    # the completed list, once validated, is the circuit oracle of the cone
+    # on 9 elements, infinity a coloop on none of them, as a file of those
+    # circuits gives when read back
     assert tuple(triples) == catalog._MACLANE_TRIPLES
-    inner = arr.cone_matroid.inner
-    assert type(inner) is matroid.Matroid
+    cone = arr.cone_matroid
+    assert type(cone) is matroid.Matroid and cone.n == 9
     want = matroid.Matroid(8, triples).truncate(3).circuits()
-    assert len(inner.circuits()) == len(want) and set(inner.circuits()) == set(want)
+    assert len(cone.circuits()) == len(want) and set(cone.circuits()) == set(want)
 
 
 def test_arrangement_from_circuits_rank_too_large():
@@ -348,8 +436,8 @@ def test_dense_edges_require_central():
 
 
 def test_the_decone_of_an_abstract_arrangement_searches_for_no_circuits(monkeypatch):
-    # the decone's matroid is the one under the coloop, not a restriction
-    # rebuilt from circuits found by a search over subsets
+    # the decone's matroid is the restriction of the circuit oracle, read
+    # off its circuit list, not circuits found by a search over subsets
     k = [1, 2, 3, 4, 5, 6, 7, -28]
     want = os_cohomology_dims(catalog.get("maclane"), k).dims
     arr = catalog.maclane_matroid.__wrapped__()  # fresh: no decone cached
@@ -380,7 +468,7 @@ def test_decone_is_the_matroid_with_the_last_hyperplane_at_infinity():
         betti = d.betti_numbers()
         assert "lattice" not in d._cache
         assert poincare_product(betti, (1, 1)) == tuple(arr.betti_numbers())
-        fresh = arrangement_from_cone_circuits(arr.n - 1, arr.central_circuits())
+        fresh = arrangement_from_cone_circuits(arr.n - 1, arr.cone_matroid.circuits())
         levels = fresh.intersection_lattice().levels
         assert [sum(abs(f.moebius) for f in level) for level in levels] == betti
     # a decone at a coloop is central: boolean(4) deconed is boolean(3)

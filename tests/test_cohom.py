@@ -266,7 +266,10 @@ def test_exact_degrees_are_proved_by_one_prime_each(monkeypatch):
     # certificate answers these weights before it) takes one modular
     # elimination for each of the three boundaries.  boolean(8) at weights
     # whose sum is non-zero takes none: its complex is exact, so no matrix
-    # is ranked.
+    # is ranked.  Both are built before the count, as building ranks the
+    # forms.
+    decone = build_arrangement(braid_rows(4)).decone()
+    arr = build_arrangement([[int(i == j) for j in range(9)] for i in range(8)])
     calls = []
     real = exactla._rank_mod_p_numpy
 
@@ -275,13 +278,11 @@ def test_exact_degrees_are_proved_by_one_prime_each(monkeypatch):
         return real(m, p)
 
     monkeypatch.setattr(exactla, "_rank_mod_p_numpy", counted)
-    decone = build_arrangement(braid_rows(4)).decone()
     ranks = cohom._ranks(decone, exactla._exact_ints([(1, 2, 3, -1, 5, 4, -3, 7, 2)]), None)[0]
     dims = [b - ranks[q + 1] - ranks[q] for q, b in enumerate(decone.betti_numbers())]
     assert dims == [0, 0, 0, abs(decone.euler_characteristic())]
     assert len(calls) == 3
     calls.clear()
-    arr = build_arrangement([[int(i == j) for j in range(9)] for i in range(8)])
     rep = os_cohomology_dims(arr, [Fraction(x, 11) for x in (1, 2, 3, -1, 5, 4, -3, 7)])
     assert rep.dims == (0,) * 9
     assert len(calls) == 0

@@ -232,3 +232,19 @@ def test_loops_and_parallel_pairs_are_refused_for_every_input_kind(doc, message)
     # pair two hyperplanes that coincide; an empty circuit is refused first
     with pytest.raises(ArrangementFileError, match=message):
         arrangement_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 3, "circuits": [[True, 2, 3]]}, r"circuits\[0\]: index True outside 1..3"),
+        ({"n": True, "circuits": []}, "positive integer n, got True"),
+        ({"field": {"min_poly": [1, True, 1]}, "hyperplanes": [[1, 0]]}, "min_poly must be a list of at least 3"),
+        ({"n": 3, "circuits": [[1, 2, 3]], "rank": True}, "rank must be a positive integer"),
+    ],
+)
+def test_json_booleans_are_refused_where_integers_belong(doc, message):
+    # Python reads JSON true as the int 1; every integer key refuses it, as
+    # hyperplane entries do
+    with pytest.raises(ArrangementFileError, match=message):
+        arrangement_from_dict(doc)

@@ -224,7 +224,7 @@ def test_decone_of_a_realized_arrangement_needs_no_circuits(monkeypatch):
     b = d.betti_numbers()
     assert [aomoto_matrix(d, q).shape for q in range(d.rank)] == list(zip(b, b[1:]))
     monkeypatch.undo()
-    twin = arrangement_from_cone_circuits(arr.n - 1, arr.central_circuits())
+    twin = arrangement_from_cone_circuits(arr.n - 1, arr.cone_matroid.circuits())
     for q in range(d.rank + 1):
         assert nbc_basis(d, q) == nbc_basis(twin, q)
     for q in range(d.rank):

@@ -83,7 +83,7 @@ def test_circuit_boundary_relations_reduce_to_zero():
     for name in ("example-lstrict", "ceva3", "maclane"):
         arr = catalog.get(name)
         triples = [
-            tuple(sorted(c)) for c in arr.central_circuits() if len(c) == 3
+            tuple(sorted(c)) for c in arr.cone_matroid.circuits() if len(c) == 3
         ]
         assert triples, name
         for (a, b, c) in triples:
