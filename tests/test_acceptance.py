@@ -5,13 +5,14 @@ Each test is one headline requirement, exercised end to end at exact
 get one pass/fail line per requirement.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from oscoh import catalog
+from oscoh import build_arrangement, catalog
 from oscoh.cohom import (
     WeightVector,
     modN_cohomology_ranks,
@@ -21,7 +22,7 @@ from oscoh.exactla import poincare_product
 from oscoh.osalg import aomoto_matrix, nbc_basis
 from oscoh.resonance import betti_bounds, resonance_membership, yuzvinsky_vanishing
 
-from conftest import CATALOG_NAMES, next_prime
+from conftest import CATALOG_NAMES, braid_rows, next_prime
 from salvetti import local_betti
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
@@ -120,6 +121,27 @@ def test_lstrict_box_one_lower_bound_in_degree_one():
     for q, (low, h, up) in enumerate(zip(rep.lower, actual, rep.upper)):
         assert low <= h <= up, (q, rep.lower, actual, rep.upper)
     assert rep.lower[1] == actual[1] == 0, (rep.lower, actual)
+
+
+def test_the_salvetti_oracle_agrees_with_a_theorem_where_one_decides():
+    # every character t_H = +-1 with prod t_H = 1 of two real central plane
+    # arrangements: wherever betti_bounds names a theorem for its upper
+    # bound, the local-system cohomology of the Salvetti complex is that value;
+    # the counts of decided characters are those edge_weights gives
+    cases = [
+        (catalog.get("example-lstrict"), [form for _, form in LSTRICT_REAL_FORMS], 18),
+        (build_arrangement(braid_rows(3)), [row[:-1] for row in braid_rows(3)], 16),
+    ]
+    for arr, forms, count in cases:
+        decided = 0
+        for k in itertools.product((0, 1), repeat=arr.n):
+            if sum(k) % 2 or not any(k):
+                continue
+            rep = betti_bounds(arr, [Fraction(x, 2) for x in k], box=0)
+            if any("Cohen-Dimca-Orlik" in note for note in rep.convention_notes):
+                decided += 1
+                assert rep.upper == local_betti(forms, tuple((-1) ** x for x in k)), (k, rep.upper)
+        assert decided == count
 
 
 def test_all_ones_weights_vanish_except_top_degree_for_large_prime():

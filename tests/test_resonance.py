@@ -742,3 +742,124 @@ def test_a_wholly_certified_box_ranks_one_translate_and_nothing_over_Q(name, lam
     assert None not in fields  # the upper bound ranks mod N only
     assert rep.lower == tuple(max(d[q] for d in want) for q in range(arr.rank + 1))
     assert list(_lower_dims_options(arr, lam, 1).items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# theorems that decide the local system before any rank
+
+LOWER_NOTE = "lower bounds are the best found in the translate box, not a certified supremum"
+
+
+def theorem_value(arr, lam):
+    """(Betti numbers, label of the free hyperplane) of the local system at
+    lam where a theorem decides them, read off ``edge_weights`` alone, or
+    None.  Central with a weight sum off Z: all 0, and no label.  Else a
+    hyperplane of the closure (of the decone at the last hyperplane, when
+    central), H_inf included, on no dense edge of integral weight: |chi| in
+    the top degree and 0 below, times (1 + t) when central."""
+    if arr.central and sum(lam).denominator != 1:
+        return (0,) * (arr.rank + 1), None
+    cert, mu = (arr.decone(), lam[:-1]) if arr.central else (arr, lam)
+    closure = cert.projective_closure()[0]
+    integral = [e.hyperplanes for e in edge_weights(cert, mu) if e.weight.denominator == 1]
+    free = [h for h in range(closure.n) if not any(h in X for X in integral)]
+    if not free:
+        return None
+    value = (0,) * cert.rank + (abs(cert.euler_characteristic()),)
+    return (poincare_product(value, (1, 1)) if arr.central else value), closure.labels[free[0]]
+
+
+DECIDED_INPUTS = [n for n in CATALOG_NAMES if n != "product-example"] + [f"boolean({n})" for n in range(1, 7)] + ["lines"]
+
+
+@st.composite
+def decided_cases(draw):
+    """A non-product catalog entry, boolean(1-6) or random affine lines,
+    weights k/N with N in 2..15 and |k| <= N, and a box of 0 or 1.  Central
+    weights get an integral sum half the time, so that the decone is
+    tested."""
+    name = draw(st.sampled_from(DECIDED_INPUTS))
+    arr = draw(affine_lines()) if name == "lines" else catalog.get(name)
+    N = draw(st.integers(2, 15))
+    k = draw(st.lists(st.integers(-N, N), min_size=arr.n, max_size=arr.n))
+    if arr.central and draw(st.booleans()):
+        k[-1] += N * draw(st.integers(-1, 1)) - sum(k)
+    return arr, tuple(Fraction(x, N) for x in k), draw(st.integers(0, 1))
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much]
+)
+@given(decided_cases())
+# every hyperplane of the closure is on an integral edge, but only H_3 on
+# one of weight 0: the others are on edges weighing a non-zero multiple of N
+@example((build_arrangement([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, -1]]), (Fraction(-1, 2), -1, 0, Fraction(1, 2)), 1))
+# only H_inf is on no integral edge
+@example((catalog.get("maclane-section"), tuple(Fraction(x, 2) for x in (-1, -1, -2, 1, -2, 0, 0, 0)), 0))
+# central with an integral weight sum: only the decone has a free hyperplane
+@example((catalog.get("example-lstrict"), (Fraction(1, 3),) + (0,) * 5 + (Fraction(-1, 3),), 1))
+def test_a_theorem_decides_the_bounds_where_it_holds(case):
+    arr, lam, box = case
+    wv = WeightVector(lam)
+    assume(wv.N > 1)  # integral weights are answered before either theorem
+    rep = betti_bounds(arr, lam, box)
+    modN = modN_cohomology_ranks(arr, wv.k, wv.N)
+    decided = theorem_value(arr, lam)
+    if decided is None:  # the mod-N upper bound, its notes and the box's witnesses
+        options = _lower_dims_options(arr, lam, box)
+        lower = tuple(max(d[q] for d in options) for q in range(arr.rank + 1))
+        witness = tuple(
+            next(w for d, w in options.items() if d[q] == lower[q]) if lower[q] else None
+            for q in range(arr.rank + 1)
+        )
+        assert (rep.lower, rep.upper, rep.witness) == (lower, modN.dims, witness)
+        assert rep.convention_notes == [LOWER_NOTE] + modN.notes
+        return
+    value, label = decided
+    assert rep.upper == value
+    assert all(l <= v <= u for l, v, u in zip(rep.lower, value, modN.dims)), (rep.lower, value, modN.dims)
+    if not arr.central or abs(sum(lam)) <= arr.n * box:  # the box holds a translate
+        assert rep.lower == value
+    assert label is None or f"({label}) of the closure" in rep.convention_notes[-1]
+
+
+@pytest.mark.parametrize(
+    "name, lam",
+    [
+        ("boolean(6)", tuple(Fraction(x, 2) for x in (1, 1, -1, -1, 0, 0))),
+        ("boolean(6)", tuple(Fraction(x, 6) for x in (1, -1, 1, -1, 0, 0))),
+        ("example-lstrict", (Fraction(1, 3),) + (0,) * 5 + (Fraction(-1, 3),)),
+        ("lines", tuple(Fraction(x, 5) for x in (1, 2, 1))),
+    ],
+)
+def test_a_decided_call_does_no_mod_p_work(name, lam, monkeypatch):
+    # where a theorem holds, the upper bound is its value: nothing is
+    # reduced or ranked mod p.  boolean(n) is never ranked mod p (its
+    # decones are central down to rank 1), but it was reduced mod p.
+    from oscoh import cohom
+
+    arr = build_arrangement([[1, 0, 0], [0, 1, 0], [1, 1, -1]]) if name == "lines" else catalog.get(name)
+
+    def over_Q(real):
+        def guarded(a, K, p=None, *rest):
+            assert p is None, f"{real.__name__} mod {p}"
+            return real(a, K, p, *rest)
+
+        return guarded
+
+    monkeypatch.setattr(cohom, "_ranks", over_Q(cohom._ranks))
+    monkeypatch.setattr(cohom, "_reduced_dims", over_Q(cohom._reduced_dims))
+    rep = betti_bounds(arr, lam, box=1)
+    assert rep.lower == rep.upper == theorem_value(arr, lam)[0]
+
+
+def test_a_theorem_closes_an_open_composite_sandwich():
+    # the weights sum to 5/2, so the local system is acyclic; mod 3 the sum
+    # is 0 and the mod-6 upper bound read (0, 0, 4, 4)
+    lam = (0, Fraction(2, 3), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(1, 6), Fraction(2, 3))
+    arr = catalog.get("example-lstrict")
+    assert modN_cohomology_ranks(arr, WeightVector(lam).k, 6).dims == (0, 0, 4, 4)
+    rep = betti_bounds(arr, lam, box=1)
+    assert rep.lower == rep.upper == (0, 0, 0, 0)
+    assert rep.exact == (True,) * 4
+    assert rep.convention_notes[1].startswith("central, weight sum 5/2 not an integer")
