@@ -13,17 +13,19 @@ box of integer translates of the weights, which leave the local system
 unchanged) and an upper bound (cohomology ranks modulo N, the common
 denominator of the weights).  When the two meet, the Betti number is
 certified exactly.  Where a theorem decides the local system from the
-combinatorics, the upper bound is its value and no mod-N complex is
-built: on a central arrangement whose weight sum is not an integer the
-cohomology is 0 (M = C* x M(dA)), and where some hyperplane of the
-projective closure (of the decone, when central) lies on no dense edge of
-integral weight it is |chi| in the top degree and 0 below, times (1 + t)
-for a central input (Cohen-Dimca-Orlik, Ann. Inst. Fourier 53, 2003).
-Products keep the mod-N bound.  Each lower bound names its witness, the
-first translate reaching it.  A box is answered from its integral dense
-edges: a wholly non-resonant box from its first translate, without
-enumerating it, and any other by ranking only the translates the
-certificate cannot answer, in numpy chunks.  Witnesses keep their meaning.
+combinatorics, both bounds are its value, reached at the box's first
+translate, and nothing is enumerated or ranked: on a central arrangement
+whose weight sum is not an integer the cohomology is 0 (M = C* x M(dA)),
+and where some hyperplane of the projective closure (of the decone, when
+central) lies on no dense edge of integral weight it is |chi| in the top
+degree and 0 below, times (1 + t) for a central input (Cohen-Dimca-Orlik,
+Ann. Inst. Fourier 53, 2003).  The translate and cell budgets guard only
+the work of the other calls, and of products, which keep the mod-N bound.
+Each lower bound names its witness, the first translate reaching it.  An
+undecided box is answered from its integral dense edges: a wholly
+non-resonant box from its first translate, without enumerating it, and any
+other by ranking only the translates the certificate cannot answer, in
+numpy chunks.  Witnesses keep their meaning.
 """
 
 from __future__ import annotations
@@ -283,31 +285,33 @@ def _translate_count(arr, k: tuple, N: int, box: int) -> int:
     return (2 * box + 1) ** arr.n
 
 
-def _integral_edges(arr, k: tuple, N: int, box: int):
-    """The closure's integral dense edges at k/N, as (j, edges).  The
-    closure is the arrangement's, or its decone's when central, over the
-    free coordinates m'.  j is the first hyperplane of that closure on no
-    integral edge (weight divisible by N), or -1.  edges are the integral
-    edges that weigh 0 at some translate k + N*m in the box, as (forms,
-    targets, incidence), or None when a hyperplane of the closure is on
-    none of them (so whenever j >= 0).  Edge X weighs w_X + N*f_X(m'), f_X
-    summing m' over X less sum(m') if X is on H_inf: it vanishes only if
-    integral (w_X = 0 mod N), where f_X = -w_X / N."""
-    if arr.central and arr.rank < 2:
-        return -1, None  # one hyperplane and one translate
+def _closure_weights(arr, k: tuple, N: int):
+    """(cert, W): the arrangement, or its decone when central, and the
+    weights of its closure's dense edges at k (over the free coordinates),
+    wide enough to divide by N.  An edge is integral where N divides W."""
     cert, k = (arr.decone(), k[:-1]) if arr.central else (arr, k)
-    W = _widen(cert.closure_edge_weights(_exact_ints([k]))[0], N)
+    return cert, _widen(cert.closure_edge_weights(_exact_ints([k]))[0], N)
+
+
+def _integral_edges(arr, k: tuple, N: int, box: int):
+    """The integral dense edges of the closure at k/N (``_closure_weights``)
+    that weigh 0 at some translate k + N*m in the box, as (forms, targets,
+    incidence), or None when a hyperplane of the closure is on none of
+    them.  Edge X weighs w_X + N*f_X(m'), f_X summing the free coordinates
+    m' over X less sum(m') if X is on H_inf: it vanishes only if integral
+    (w_X = 0 mod N), where f_X = -w_X / N."""
+    if arr.central and arr.rank < 2:
+        return None  # one hyperplane and one translate
+    cert, W = _closure_weights(arr, k, N)
     E = cert.closure_incidence()
     forms, target = E[:, :-1] - E[:, -1:], -(W // N)
-    integral = W % N == 0
-    live = integral & (np.abs(target) <= np.count_nonzero(forms, axis=1) * box)
-    j, uncovered = cert.free_hyperplane(np.stack([integral, live])).tolist()
-    if uncovered >= 0:
-        return j, None
-    return j, (forms[live], target[live].astype(np.int64), E[live].astype(bool))
+    live = (W % N == 0) & (np.abs(target) <= np.count_nonzero(forms, axis=1) * box)
+    if cert.free_hyperplane(live[None])[0] >= 0:
+        return None
+    return forms[live], target[live].astype(np.int64), E[live].astype(bool)
 
 
-def _lower_dims_options(arr, lam, box: int, integral=None) -> dict:
+def _lower_dims_options(arr, lam, box: int) -> dict:
     """Distinct weighted-cohomology dimension vectors of the integer
     translates of lam (weights or a ``WeightVector``) inside the box, each
     mapped to the first translate giving it, in enumeration order.  The
@@ -316,8 +320,7 @@ def _lower_dims_options(arr, lam, box: int, integral=None) -> dict:
     edges: if a hyperplane of the closure is on none, its first translate
     stands for it, unenumerated; otherwise only translates with a zero edge
     through every hyperplane are ranked, with the first other one for the
-    rest, so witnesses keep their meaning.  ``integral`` is the
-    ``_integral_edges`` pair at lam and box when the caller has it."""
+    rest, so witnesses keep their meaning."""
     wv = lam if isinstance(lam, WeightVector) else WeightVector(lam)
     zero = tuple([0] * (arr.rank + 1))
     if arr.product_factors is not None:
@@ -340,7 +343,7 @@ def _lower_dims_options(arr, lam, box: int, integral=None) -> dict:
     # |k + N*m| <= max|k| + N*box, doubled for margin; N*m needs N itself
     bound = 2 * (max(map(abs, k)) + N * max(box, 1))
     k0 = _widen(_exact_ints(k), bound)
-    edges = (integral or _integral_edges(arr, k, N, box))[1]
+    edges = _integral_edges(arr, k, N, box)
     if edges is None:
         chunks = [np.array([_first_offset(n, box, shift)], dtype=np.int64)]
         target, inc = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=bool)
@@ -371,10 +374,10 @@ def _lower_dims_options(arr, lam, box: int, integral=None) -> dict:
     return out
 
 
-def _decided(arr, k: tuple, N: int, box: int) -> tuple:
+def _decided(arr, k: tuple, N: int):
     """The Betti numbers of the local system at k/N where a theorem decides
-    them from the combinatorics, with the notes naming it, or None; and
-    the ``_integral_edges`` pair it read, or None.
+    them from the combinatorics, with the notes naming it, or None.  The
+    test reads the weights alone, never a translate box.
 
     * Central, weight sum not an integer: M = C* x M(dA) and the local
       system has monodromy exp(2 pi i sum) != 1 on the C* factor, so its
@@ -391,12 +394,13 @@ def _decided(arr, k: tuple, N: int, box: int) -> tuple:
             "M = C* x M(dA) and the local system is non-trivial on C*, so "
             "its cohomology is 0 (Orlik-Terao)"
         )
-        return tuple([0] * (arr.rank + 1)), [note], None
-    integral = _integral_edges(arr, k, N, box)
-    j = integral[0]
+        return tuple([0] * (arr.rank + 1)), [note]
+    if arr.central and arr.rank < 2:
+        return None
+    cert, W = _closure_weights(arr, k, N)
+    j = int(cert.free_hyperplane((W % N == 0)[None])[0])
     if j < 0:
-        return None, [], integral
-    cert = arr.decone() if arr.central else arr
+        return None
     top = abs(cert.euler_characteristic())
     notes = [
         f"non-resonant: no dense edge in H_{j + 1} "
@@ -405,33 +409,40 @@ def _decided(arr, k: tuple, N: int, box: int) -> tuple:
         "and 0 below (Cohen-Dimca-Orlik)"
     ]
     if not arr.central:
-        return tuple([0] * arr.rank + [top]), notes, integral
+        return tuple([0] * arr.rank + [top]), notes
     notes = [
         f"central, weight sum an integer: decone at H_{arr.n} "
         f"({arr.labels[-1]}), the cohomology (1 + t) times the decone's"
     ] + [f"decone: {x}" for x in notes]
-    return tuple([0] * (arr.rank - 1) + [top, top]), notes, integral
+    return tuple([0] * (arr.rank - 1) + [top, top]), notes
 
 
 def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
     """Sandwich the Betti numbers of the rank-one local system at lam.
 
-    Lower bounds: the componentwise best weighted Orlik-Solomon dimensions
-    over all integer translates of lam in {-box..box}^n (translation does
-    not change the local system), each with the first translate reaching
-    it as its witness.  They are the best values found in the box, not a
-    certified supremum.  The box is answered from its integral dense edges
-    (``_lower_dims_options``), a wholly certified one without enumerating
-    it; witnesses keep their meaning.  Upper bounds: where a theorem
-    decides the local system from the combinatorics (``_decided``: a
-    central input whose weight sum is not an integer, or a hyperplane of
-    the closure on no integral dense edge), its Betti numbers, which the
-    box's first translate then reaches; otherwise, and always for a
-    product, cohomology ranks modulo N, the least common denominator of
-    the weights.  Degrees where the two meet are exact.  A box with more
+    Where a theorem decides the local system from the combinatorics
+    (``_decided``: a central input whose weight sum is not an integer, or
+    a hyperplane of the closure on no integral dense edge), both bounds
+    are its Betti numbers, and each non-zero degree's witness is the box's
+    first translate, which reaches them: every dense edge through the free
+    hyperplane weighs a non-integer there, so the weighted complex is
+    non-resonant (Yuzvinsky 1995).  Nothing is enumerated or ranked, and
+    the box may be of any size.  A central input whose box holds no
+    zero-sum translate has lower bounds 0.  A product is never decided
+    here.
+
+    Otherwise, lower bounds: the componentwise best weighted Orlik-Solomon
+    dimensions over all integer translates of lam in {-box..box}^n
+    (translation does not change the local system), each with the first
+    translate reaching it as its witness.  They are the best values found
+    in the box, not a certified supremum.  The box is answered from its
+    integral dense edges (``_lower_dims_options``), a wholly certified one
+    without enumerating it; witnesses keep their meaning.  Upper bounds:
+    cohomology ranks modulo N, the least common denominator of the
+    weights.  Degrees where the two meet are exact.  Such a call with more
     than TRANSLATE_BUDGET translates to enumerate, or a complex with a
     boundary matrix above the cell budget of ``osalg.check_complex_size``,
-    raises ValueError before any work, decided or not.
+    raises ValueError before any box or complex work.
     """
     wv, box = WeightVector(lam), _exact_int(box)
     if len(wv) != arr.n:
@@ -451,6 +462,15 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         origin = tuple(Fraction(0) for _ in range(arr.n))
         witness = tuple(origin if x else None for x in b)
         return BettiBoundsReport(wv.lam, 1, box, b, b, witness, notes)
+    decided = None if arr.product_factors is not None else _decided(arr, wv.k, wv.N)
+    if decided is not None:
+        upper, upper_notes = decided
+        shift = -sum(wv.k) // wv.N if arr.central else None
+        reached = shift is None or abs(shift) <= arr.n * box  # the box holds a translate
+        lower = upper if reached else tuple([0] * (arr.rank + 1))
+        first = tuple(l + x for l, x in zip(wv.lam, _first_offset(arr.n, box, shift)))
+        witness = tuple(first if x else None for x in lower)
+        return BettiBoundsReport(wv.lam, wv.N, box, lower, upper, witness, notes + upper_notes)
     count = _translate_count(arr, wv.k, wv.N, box)
     if count > TRANSLATE_BUDGET:
         raise ValueError(
@@ -458,17 +478,12 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
             f"the budget of {TRANSLATE_BUDGET}; use a smaller box"
         )
     check_complex_size(arr)
-    upper, upper_notes, integral = None, [], None
-    if arr.product_factors is None:  # products keep the mod-N bound
-        upper, upper_notes, integral = _decided(arr, wv.k, wv.N, box)
-    options = _lower_dims_options(arr, wv, box, integral)
+    options = _lower_dims_options(arr, wv, box)
     lower = tuple(max(d[q] for d in options) for q in range(arr.rank + 1))
     witness = tuple(
         next(w for d, w in options.items() if d[q] == lower[q]) if lower[q] else None
         for q in range(arr.rank + 1)
     )
-    if upper is None:
-        upper_rep = _modN_report(arr, wv.k, wv.N)[0]  # no invariant factors
-        upper, upper_notes = tuple(upper_rep.dims), upper_rep.notes
-    notes.extend(upper_notes)
-    return BettiBoundsReport(wv.lam, wv.N, box, lower, upper, witness, notes)
+    upper_rep = _modN_report(arr, wv.k, wv.N)[0]  # no invariant factors
+    notes.extend(upper_rep.notes)
+    return BettiBoundsReport(wv.lam, wv.N, box, lower, tuple(upper_rep.dims), witness, notes)

@@ -321,14 +321,25 @@ def test_wrong_weight_count(capsys, argv, message):
 
 
 def test_bounds_refuses_a_translate_box_over_budget(capsys):
-    # boolean(14) is central: 3**13 = 1594323 zero-sum candidates at box 1
-    code, out, err = run(
-        capsys, ["bounds", "boolean(14)", "--weights", ",".join(["1/2"] * 14)]
-    )
+    # ceva3 is central and resonant at CEVA_W, so no theorem decides it:
+    # 7**8 = 5764801 zero-sum candidates at box 3
+    code, out, err = run(capsys, ["bounds", "ceva3", "--weights", CEVA_W, "--box", "3"])
     assert code == 1
     assert out == ""
     assert err.startswith("oscoh: error:")
-    assert "1594323 candidate translates" in err and "box 1" in err
+    assert "5764801 candidate translates" in err and "box 3" in err
+
+
+def test_bounds_answers_a_decided_box_over_budget(capsys):
+    # boolean(14) at 1/2 has 3**13 = 1594323 zero-sum candidates at box 1,
+    # but every hyperplane is a dense edge of weight 1/2: the local system
+    # is acyclic, proved before any translate is counted
+    code, out, err = run(
+        capsys, ["bounds", "boolean(14)", "--weights", ",".join(["1/2"] * 14), "--format", "json"]
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert [(r["lower"], r["upper"], r["witness"]) for r in rows] == [(0, 0, None)] * 15
 
 
 def test_modn_answers_a_complex_over_the_cell_budget_at_squarefree_N(capsys):

@@ -715,10 +715,11 @@ def test_box_options_match_every_translate_ranked(case):
         ("example-lstrict", tuple(Fraction(x, 3) for x in (1, 1, 1, -1, -1, -1, 0))),
     ],
 )
-def test_a_wholly_certified_box_ranks_one_translate_and_nothing_over_Q(name, lam, monkeypatch):
+def test_a_decided_box_ranks_no_translate(name, lam, monkeypatch):
     # every hyperplane of the closure of boolean(6)'s decone lies on no
     # integral edge at these weights, and one such hyperplane does for
-    # example-lstrict: the first translate stands for the box
+    # example-lstrict: the theorem's value stands for the box, and no
+    # translate is ranked, over Q or mod N
     from oscoh import cohom
 
     arr = catalog.get(name)
@@ -738,8 +739,8 @@ def test_a_wholly_certified_box_ranks_one_translate_and_nothing_over_Q(name, lam
     monkeypatch.setattr(cohom, "_ranks", ranks)
     empty_rank_cache(arr)
     rep = betti_bounds(arr, lam, box=1)
-    assert stacks == [1]
-    assert None not in fields  # the upper bound ranks mod N only
+    assert stacks == []
+    assert None not in fields  # nothing is ranked over Q
     assert rep.lower == tuple(max(d[q] for d in want) for q in range(arr.rank + 1))
     assert list(_lower_dims_options(arr, lam, 1).items()) == list(want.items())
 
@@ -769,22 +770,26 @@ def theorem_value(arr, lam):
     return (poincare_product(value, (1, 1)) if arr.central else value), closure.labels[free[0]]
 
 
-DECIDED_INPUTS = [n for n in CATALOG_NAMES if n != "product-example"] + [f"boolean({n})" for n in range(1, 7)] + ["lines"]
+DECIDED_INPUTS = [n for n in CATALOG_NAMES if n != "product-example"] + [f"boolean({n})" for n in range(1, 7)] + ["lines", "product"]
+SMALL_PRODUCT = product_arrangement(build_arrangement([[1, 0, 0], [0, 1, 0], [1, 1, -1]]), catalog.get("boolean(2)"))
 
 
 @st.composite
 def decided_cases(draw):
-    """A non-product catalog entry, boolean(1-6) or random affine lines,
-    weights k/N with N in 2..15 and |k| <= N, and a box of 0 or 1.  Central
-    weights get an integral sum half the time, so that the decone is
-    tested."""
+    """A non-product catalog entry, boolean(1-6), random affine lines or a
+    small product, weights k/N with N in 2..15 and |k| <= N, and a box of
+    0 to 2.  Central weights get an integral sum half the time, so that
+    the decone is tested."""
     name = draw(st.sampled_from(DECIDED_INPUTS))
-    arr = draw(affine_lines()) if name == "lines" else catalog.get(name)
+    if name == "lines":
+        arr = draw(affine_lines())
+    else:
+        arr = SMALL_PRODUCT if name == "product" else catalog.get(name)
     N = draw(st.integers(2, 15))
     k = draw(st.lists(st.integers(-N, N), min_size=arr.n, max_size=arr.n))
     if arr.central and draw(st.booleans()):
         k[-1] += N * draw(st.integers(-1, 1)) - sum(k)
-    return arr, tuple(Fraction(x, N) for x in k), draw(st.integers(0, 1))
+    return arr, tuple(Fraction(x, N) for x in k), draw(st.integers(0, 2))
 
 
 @settings(
@@ -798,26 +803,35 @@ def decided_cases(draw):
 @example((catalog.get("maclane-section"), tuple(Fraction(x, 2) for x in (-1, -1, -2, 1, -2, 0, 0, 0)), 0))
 # central with an integral weight sum: only the decone has a free hyperplane
 @example((catalog.get("example-lstrict"), (Fraction(1, 3),) + (0,) * 5 + (Fraction(-1, 3),), 1))
+# the zero-sum slice starts at an offset other than -box everywhere
+@example((catalog.get("ceva3"), (Fraction(1, 7),) * 8 + (Fraction(6, 7),), 1))
+# a sum of -1 puts the zero-sum slice out of reach of box 0
+@example((catalog.get("ceva3"), (Fraction(1, 7),) * 8 + (Fraction(-15, 7),), 0))
+# a product keeps the box search and the mod-N bound where a theorem holds
+@example((SMALL_PRODUCT, tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1)), 1))
 def test_a_theorem_decides_the_bounds_where_it_holds(case):
+    # lower bounds and witnesses are the box search's, decided or not: a
+    # decided call reads them off the theorem without the search
     arr, lam, box = case
     wv = WeightVector(lam)
     assume(wv.N > 1)  # integral weights are answered before either theorem
     rep = betti_bounds(arr, lam, box)
     modN = modN_cohomology_ranks(arr, wv.k, wv.N)
-    decided = theorem_value(arr, lam)
-    if decided is None:  # the mod-N upper bound, its notes and the box's witnesses
-        options = _lower_dims_options(arr, lam, box)
-        lower = tuple(max(d[q] for d in options) for q in range(arr.rank + 1))
-        witness = tuple(
-            next(w for d, w in options.items() if d[q] == lower[q]) if lower[q] else None
-            for q in range(arr.rank + 1)
-        )
-        assert (rep.lower, rep.upper, rep.witness) == (lower, modN.dims, witness)
+    options = _lower_dims_options(arr, lam, box)
+    lower = tuple(max(d[q] for d in options) for q in range(arr.rank + 1))
+    witness = tuple(
+        next(w for d, w in options.items() if d[q] == lower[q]) if lower[q] else None
+        for q in range(arr.rank + 1)
+    )
+    assert (rep.lower, rep.witness) == (lower, witness)
+    decided = None if arr.product_factors is not None else theorem_value(arr, lam)
+    if decided is None:  # the mod-N upper bound and its notes
+        assert rep.upper == modN.dims
         assert rep.convention_notes == [LOWER_NOTE] + modN.notes
         return
     value, label = decided
     assert rep.upper == value
-    assert all(l <= v <= u for l, v, u in zip(rep.lower, value, modN.dims)), (rep.lower, value, modN.dims)
+    assert all(v <= u for v, u in zip(value, modN.dims)), (value, modN.dims)
     if not arr.central or abs(sum(lam)) <= arr.n * box:  # the box holds a translate
         assert rep.lower == value
     assert label is None or f"({label}) of the closure" in rep.convention_notes[-1]
@@ -851,6 +865,69 @@ def test_a_decided_call_does_no_mod_p_work(name, lam, monkeypatch):
     monkeypatch.setattr(cohom, "_reduced_dims", over_Q(cohom._reduced_dims))
     rep = betti_bounds(arr, lam, box=1)
     assert rep.lower == rep.upper == theorem_value(arr, lam)[0]
+
+
+def a7_decided_zero_sum():
+    """A_7 and a zero-sum weight k/41, k the seed-7 draw of
+    test_a7_zero_sum_weights_are_certified_before_the_cell_budget: some
+    hyperplane of its decone's closure is on no integral edge."""
+    a7 = build_arrangement(braid_rows(7))
+    rng = random.Random(7)
+    k = [rng.choice([-1, 1]) * rng.randint(1, 40) for _ in range(a7.n - 1)]
+    return a7, tuple(Fraction(x, 41) for x in k + [-sum(k)])
+
+
+@pytest.mark.parametrize(
+    "case, value",
+    [
+        (lambda: (build_arrangement(braid_rows(5)), (Fraction(1, 15),) * 15), (0, 0, 0, 0, 24, 24)),
+        (lambda: (catalog.get("boolean(14)"), (Fraction(1, 2),) * 14), (0,) * 15),
+        (a7_decided_zero_sum, (0,) * 6 + (720, 720)),
+    ],
+    ids=["A5-3^14-translates", "boolean(14)-3^13-translates", "A7-3^27-translates-and-cells"],
+)
+def test_a_decided_call_over_budget_is_answered(case, value):
+    # each box is over the translate budget (A_7's complex also over the
+    # cell budget), but a theorem decides the call before any translate
+    arr, lam = case()
+    wv = WeightVector(lam)
+    assert _translate_count(arr, wv.k, wv.N, 1) > resonance.TRANSLATE_BUDGET
+    rep = betti_bounds(arr, lam, box=1)
+    assert rep.lower == rep.upper == value
+    assert all(rep.exact)
+    assert not any(key[0] == "aomoto" for key in arr._cache if isinstance(key, tuple))
+
+
+def test_an_undecided_call_over_budget_is_refused():
+    # A_5's triple points are integral at 1/3, and A_7's is at a local
+    # weight there: no theorem decides either, so the budgets still refuse
+    a5 = build_arrangement(braid_rows(5))
+    with pytest.raises(ValueError, match="4782969 candidate translates"):
+        betti_bounds(a5, (Fraction(1, 3),) * 15, box=1)
+    a7 = build_arrangement(braid_rows(7))
+    local = [0] * a7.n
+    local[0], local[1], local[7] = Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)  # x_1, x_2, x_1 - x_2
+    with pytest.raises(ValueError, match="cell budget"):
+        betti_bounds(a7, local, box=0)
+
+
+@pytest.mark.parametrize("box", [2**63, 10**30])
+def test_a_decided_call_takes_a_box_past_int64(box):
+    # the theorem reads no box, and the first translate is built in Python
+    # integers: lam - box on an affine input, on the zero-sum slice of A_5
+    sec = catalog.get("ceva3-section")
+    lam = (Fraction(1, 7),) * sec.n
+    rep = betti_bounds(sec, lam, box)
+    assert rep.lower == rep.upper == (0, 0, 16)
+    assert rep.witness == (None, None, tuple(x - box for x in lam))
+    a5 = build_arrangement(braid_rows(5))
+    lam = (Fraction(1, 15),) * 15
+    rep = betti_bounds(a5, lam, box)
+    assert rep.lower == rep.upper == (0, 0, 0, 0, 24, 24)
+    first = tuple(x + m for x, m in zip(lam, [-box] * 7 + [-1] + [box] * 7))
+    assert rep.witness == (None,) * 4 + (first, first) and sum(first) == 0
+    with pytest.raises(ValueError, match="candidate translates"):
+        betti_bounds(a5, (Fraction(1, 3),) * 15, box)
 
 
 def test_a_theorem_closes_an_open_composite_sandwich():
