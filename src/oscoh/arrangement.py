@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactla import NumberField, _absmax, _exact_rational, _widen, pivot_columns, poincare_product, rank_stack
+from .exactla import NumberField, _absmax, _exact_rational, _widen, poincare_product, rank_stack
 from .matroid import Matroid, _unmask, add_coloop, parallel_connection, vector_matroid
 
 __all__ = [
@@ -421,20 +421,25 @@ def build_arrangement(rows, field="Q", labels=None, essentialize=False) -> Arran
     cone = _cone_of_forms(forms, nf)
     _check_atoms(cone, len(forms))
 
-    # Infinity is a coloop of the cone, so the hyperplanes meet in a point
+    # One rank over Q of the forms' integer rows, and of the normals cut to
+    # their first j + 1 coordinates for each j (d columns per coordinate):
+    # infinity is a coloop of the cone, so the hyperplanes meet in a point
     # and the arrangement is central, exactly when the constants add nothing
-    # to the rank over Q of the normals in the forms' integer rows.
+    # to the normals' rank; coordinate j is a pivot where the cut rank rises.
     d = cone.degree
     rows = cone.rows[:-1].reshape(len(forms) * d, -1)  # constants in the last d columns
-    normals = np.where(np.arange(rows.shape[1]) < ell * d, rows, 0)
-    full, rank = rank_stack(np.stack([rows, normals]), [min(rows.shape), ell * d]).tolist()
-    central = rank == full
-    if rank < ell * d:
+    cut = d * np.arange(1, ell + 1)
+    prefixes = np.where(np.arange(rows.shape[1]) < cut[:, None, None], rows, 0)
+    full, *ranks = rank_stack(
+        np.concatenate([rows[None], prefixes]), [min(rows.shape), *cut.tolist()]
+    ).tolist()
+    central = ranks[-1] == full
+    if ranks[-1] < ell * d:
         if not essentialize:
             raise NotEssentialError(
                 "normals span a proper subspace; pass --essentialize or reduce rank"
             )
-        pivots = pivot_columns([a for a, _ in forms])
+        pivots = [j for j in range(ell) if ranks[j] > (ranks[j - 1] if j else 0)]
         forms = [(tuple(a[j] for j in pivots), c) for a, c in forms]
         ell = len(pivots)
 

@@ -16,10 +16,10 @@ Each arithmetic has one elimination:
   ``rank_stack`` ranks a stack over Q or over one Z_p; ``rank_over_Q``
   and ``rank_mod_p`` rank one matrix as a stack of one, whatever its size.
   Callers scale rational rows to integers, which keeps ranks.
-* Fields given by their entries (Fraction or NFElement): Gaussian
-  elimination with exact pivot division (``pivot_columns``), whose pivot
-  count is ``field_rank``.  Its one package caller picks the coordinates
-  that an essentializing ``build_arrangement`` keeps.
+  Vectors over Q or a number field enter as integer rows
+  (``_integer_rows``): over a field of degree d, the d rows of the regular
+  representation, from the integer companion matrix (H. Cohen, GTM 138,
+  ch. 4).  ``field_rank`` is their rank over Q divided by d.
 
 Fraction-free Bareiss elimination (``bareiss_rank``) and the integer Smith
 normal form (``smith_normal_form``) stay as reference oracles for these
@@ -70,7 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,7 +82,6 @@ __all__ = [
     "NotPrimeError",
     "bareiss_rank",
     "field_rank",
-    "pivot_columns",
     "rank_mod_p",
     "rank_over_Q",
     "rank_stack",
@@ -551,46 +550,54 @@ def rank_stack(stack, upper: Sequence[int], p: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# field matrices
+# vectors over a field as integer rows
 
 
-def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
-    """Pivot columns of a matrix with Fraction/int or NFElement entries
-    (a float raises ValueError, as in ``_exact_rational``).
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b exactly: no entry exceeds max|a| max|b| times the inner size."""
+    bound = _absmax(a) * _absmax(b) * a.shape[-1]
+    return np.matmul(_widen(a, bound), _widen(b, bound))
 
-    The one field elimination: Gaussian elimination with exact pivot
-    division, over Q or over the number field of the NFElement entries.
-    The pivot columns index a maximal set of independent columns.
-    """
+
+def _integer_rows(vectors: Sequence[Sequence]) -> np.ndarray:
+    """Integer rows (n, d, D) spanning the same lines as exact vectors.
+
+    Each vector is scaled by the common denominator of its entries (a
+    float raises ValueError, as in ``_exact_rational``).  Over a number
+    field of degree d, coordinate x of a vector becomes its integer
+    coefficient vector c, and the vector's rows are C^j c for j < d, with C
+    the integer companion matrix of the monic minimal polynomial: the
+    coefficients of w^j x for the generator w, the d rows of the regular
+    representation, whose span over Q is the vector's line over the field."""
     field = next(
-        (x.field for row in rows for x in row if isinstance(x, NFElement)), None
+        (x.field for v in vectors for x in v if isinstance(x, NFElement)), None
     )
-    coerce = field.coerce if field else _exact_rational
-    a = [[coerce(x) for x in row] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    pivots: list[int] = []
-    for c in range(nc):
-        r = len(pivots)
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        pr = a[r] = [x * inv for x in a[r]]
-        for i in range(r + 1, nr):
-            f = a[i][c]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        pivots.append(c)
-        if len(pivots) == nr:
-            break
-    return pivots
+    d = 1 if field is None else field.degree
+    out = []
+    for v in vectors:
+        if field is None:
+            cs = [_exact_rational(x) for x in v]
+        else:
+            cs = [c for x in v for c in field.coerce(x).coeffs]
+        scale = lcm(*(c.denominator for c in cs))
+        out.append([c.numerator * (scale // c.denominator) for c in cs])
+    if not out:
+        return np.zeros((0, 1, 0), dtype=np.int64)
+    rows = [_exact_ints(out).reshape(len(out), -1, d)]  # a coefficient vector per coordinate
+    if field is not None:
+        mp = field.min_poly  # C: w^j to w^(j+1), and w^(d-1) to -(mp[0] + ... + mp[d-1] w^(d-1))
+        companion = _exact_ints([[(i == j + 1) - (j == d - 1) * mp[i] for j in range(d)] for i in range(d)])
+        for _ in range(d - 1):
+            rows.append(_matmul(rows[-1], companion.T))
+    return _exact_ints(np.stack(rows, axis=1).reshape(len(out), d, -1))
 
 
 def field_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix with Fraction/int or NFElement entries."""
-    return len(pivot_columns(rows))
+    """Rank of a matrix with Fraction/int or NFElement entries: the rank
+    over Q of its integer rows (``_integer_rows``), divided by the degree."""
+    m = _integer_rows(rows)
+    n, d, c = m.shape
+    return int(rank_stack(m.reshape(1, n * d, c), [min(n * d, c)])[0]) // d
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ the bottom (``_walk``).  Implementations:
 * ``LinearMatroid``, the linear oracle for realized input, on integer
   vectors (``vector_matroid`` clears denominators).  A vector over a
   number field of degree d enters as the d integer rows of its regular
-  representation, so ranks over the field are ranks over Q divided by d.
+  representation (``exactla._integer_rows``), so ranks over the field are
+  ranks over Q divided by d.
   Each flat F carries an integer basis K_F of the annihilator of its
   span; the elements outside F fall into the covers of F by the row
   spaces of their images V_e K_F, in reduced echelon form, for a whole
@@ -33,12 +34,11 @@ tests; no hot path needs it.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactla import STACK_CELLS, NFElement, _absmax, _exact_ints, _exact_rational, _primitive, _widen
+from .exactla import STACK_CELLS, _absmax, _exact_ints, _integer_rows, _matmul, _primitive, _widen
 
 __all__ = ["Matroid", "LinearMatroid", "vector_matroid", "parallel_connection", "add_coloop"]
 
@@ -215,35 +215,6 @@ class Matroid:
             self._expand([fm])
         return self._cover_cache[fm]
 
-    # -- connectivity ----------------------------------------------------------
-
-    def restriction_connected(self, s: Iterable[int]) -> bool:
-        """Is the restriction to s connected (single element counts as yes)?
-
-        Components are the transitive closure of "lies on a common circuit
-        inside s"; an element of s on no such circuit is its own component.
-        """
-        elems = sorted(set(s))
-        if len(elems) <= 1:
-            return True
-        sm = _mask(elems)
-        parent = {e: e for e in elems}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for cm in self._circuit_masks():
-            if cm & ~sm == 0:
-                it = iter(_bits(cm))
-                first = find(next(it))
-                for e in it:
-                    parent[find(e)] = first
-        roots = {find(e) for e in elems}
-        return len(roots) == 1
-
     # -- constructions ---------------------------------------------------------
 
     def truncate(self, r: int) -> "Matroid":
@@ -300,12 +271,6 @@ class _Oracle(Matroid):
 
 # ---------------------------------------------------------------------------
 # the linear oracle
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b exactly: no entry exceeds max|a| max|b| times the inner size."""
-    bound = _absmax(a) * _absmax(b) * a.shape[-1]
-    return np.matmul(_widen(a, bound), _widen(b, bound))
 
 
 def _echelon(blocks: np.ndarray):
@@ -418,64 +383,14 @@ class LinearMatroid(_Oracle):
         return LinearMatroid(self.rows[:k])
 
 
-def _integer_rows(vectors: Sequence[Sequence]) -> np.ndarray:
-    """Integer rows (n, d, D) spanning the same lines as exact vectors.
-
-    Each vector is scaled by a common denominator.  Over a number field of
-    degree d, coordinate x of a vector becomes the d coefficient blocks of
-    x, w x, ..., w^(d-1) x for the generator w (d rows of the regular
-    representation), whose span over Q is the vector's line over the
-    field."""
-    field = next(
-        (x.field for v in vectors for x in v if isinstance(x, NFElement)), None
-    )
-    out = []
-    for v in vectors:
-        if field is None:
-            v = [_exact_rational(x) for x in v]
-            scale = lcm(*(x.denominator for x in v))
-            out.append([[int(x * scale) for x in v]])
-            continue
-        xs = [field.coerce(x) for x in v]
-        scale = lcm(*(c.denominator for x in xs for c in x.coeffs))
-        xs = [x * scale for x in xs]
-        block = []
-        for _ in range(field.degree):
-            block.append([int(c) for x in xs for c in x.coeffs])
-            xs = [field.gen * x for x in xs]
-        out.append(block)
-    return _exact_ints(out)
-
-
-class _RankFunction(_Oracle):
-    """Vectors with ranks asked of a function, one subset at a time."""
-
-    def __init__(self, vectors, rank_fn):
-        super().__init__(len(vectors))
-        self._vectors = list(vectors)
-        self._rank_fn = rank_fn
-
-    def _rank_of(self, sm: int) -> int:
-        return self._rank_fn([self._vectors[i] for i in _bits(sm)]) if sm else 0
-
-    def _closure_mask(self, sm: int) -> int:
-        r = self._rank_mask(sm)
-        return _mask(e for e in range(self.n) if self._rank_mask(sm | 1 << e) == r)
-
-
-def vector_matroid(vectors: Sequence[Sequence], rank_fn=None) -> Matroid:
+def vector_matroid(vectors: Sequence[Sequence]) -> Matroid:
     """Matroid of a list of vectors over an exact field.
 
     Entries are ints, Fractions, or NFElements of one number field (a
     float raises ValueError rather than being read at its binary value).  The
-    result is the linear oracle on their integer rows.  With ``rank_fn``
-    (a map from a list of vectors to its rank, such as
-    ``exactla.field_rank``) ranks and closures are asked of that function
-    instead, one subset at a time: a slow oracle to test the linear one
-    against.
+    result is the linear oracle on their integer rows
+    (``exactla._integer_rows``).
     """
-    if rank_fn is not None:
-        return _RankFunction(vectors, rank_fn)
     return LinearMatroid(_integer_rows(vectors))
 
 

@@ -428,8 +428,10 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
     hyperplane weighs a non-integer there, so the weighted complex is
     non-resonant (Yuzvinsky 1995).  Nothing is enumerated or ranked, and
     the box may be of any size.  A central input whose box holds no
-    zero-sum translate has lower bounds 0.  A product is never decided
-    here.
+    zero-sum translate has lower bounds 0; where that is below the
+    theorem's value, and only there, a decided report keeps the note that
+    lower bounds are the best found in the box.  A product is never
+    decided here.
 
     Otherwise, lower bounds: the componentwise best weighted Orlik-Solomon
     dimensions over all integer translates of lam in {-box..box}^n
@@ -449,16 +451,16 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         raise ValueError(f"expected {arr.n} weights, got {len(wv)}")
     if box < 0:
         raise ValueError("box radius must be nonnegative")
-    notes = [
+    unproved = [
         "lower bounds are the best found in the translate box, "
         "not a certified supremum"
     ]
     if wv.N == 1:
         b = tuple(arr.betti_numbers())
-        notes.append(
+        notes = [
             "integral weights: the local system is trivial and the Betti "
             "numbers of the complement are exact"
-        )
+        ]
         origin = tuple(Fraction(0) for _ in range(arr.n))
         witness = tuple(origin if x else None for x in b)
         return BettiBoundsReport(wv.lam, 1, box, b, b, witness, notes)
@@ -470,7 +472,8 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         lower = upper if reached else tuple([0] * (arr.rank + 1))
         first = tuple(l + x for l, x in zip(wv.lam, _first_offset(arr.n, box, shift)))
         witness = tuple(first if x else None for x in lower)
-        return BettiBoundsReport(wv.lam, wv.N, box, lower, upper, witness, notes + upper_notes)
+        notes = upper_notes if lower == upper else unproved + upper_notes
+        return BettiBoundsReport(wv.lam, wv.N, box, lower, upper, witness, notes)
     count = _translate_count(arr, wv.k, wv.N, box)
     if count > TRANSLATE_BUDGET:
         raise ValueError(
@@ -485,5 +488,5 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         for q in range(arr.rank + 1)
     )
     upper_rep = _modN_report(arr, wv.k, wv.N)[0]  # no invariant factors
-    notes.extend(upper_rep.notes)
+    notes = unproved + upper_rep.notes
     return BettiBoundsReport(wv.lam, wv.N, box, lower, tuple(upper_rep.dims), witness, notes)

@@ -1,8 +1,6 @@
 """Arrangements: construction, intersection lattice, Whitney numbers."""
 
-from contextlib import contextmanager
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -18,11 +16,14 @@ from oscoh import (
     generic_section,
     product_arrangement,
 )
-from oscoh import arrangement, exactla, matroid
+from oscoh import matroid
 from oscoh.arrangement import poincare_product
 from oscoh.cohom import os_cohomology_dims
+from oscoh.exactla import NFElement, field_rank
+from oscoh.matroid import vector_matroid
 
 from conftest import CATALOG_NAMES
+from oracles import pivot_columns
 
 
 def three_generic_lines():
@@ -136,34 +137,19 @@ def form_rows(draw):
     return [a + [c] for a, c in zip(normals, consts)], field
 
 
-@contextmanager
-def no_pivot_columns():
-    """``pivot_columns`` raises, where exactla defines it and where the
-    arrangement module reads it."""
-
-    def refuse(*args):
-        raise AssertionError("pivot_columns on a build that keeps its coordinates")
-
-    with mock.patch.object(exactla, "pivot_columns", refuse):
-        with mock.patch.object(arrangement, "pivot_columns", refuse):
-            yield
-
-
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(form_rows())
 def test_build_reads_centrality_and_essentialness_as_pivot_columns_do(case):
     # The pivot columns of [normals | constant] decide both: the forms meet
     # in a point when the constant column is no pivot, and the normals'
     # pivots are the coordinates an essentialized build keeps.  The build
-    # ranks the integer rows instead, and an essential one never calls
-    # pivot_columns.
+    # ranks the integer rows instead.
     rows, field = case
     ell = len(rows[0]) - 1
-    pivots = exactla.pivot_columns(rows)
+    pivots = pivot_columns(rows)
     keep = [j for j in pivots if j < ell]
     try:
-        with no_pivot_columns():
-            arr = build_arrangement(rows, field=field)
+        arr = build_arrangement(rows, field=field)
     except NotEssentialError:
         assert len(keep) < ell
         arr = build_arrangement(rows, field=field, essentialize=True)
@@ -185,9 +171,35 @@ def test_realized_catalog_entries_build_without_pivot_columns():
         arr = catalog.get(name)
         if arr.forms is not None:
             rows = [list(a) + [c] for a, c in arr.forms]
-            with no_pivot_columns():
-                again = build_arrangement(rows, field=arr.field, labels=arr.labels)
+            again = build_arrangement(rows, field=arr.field, labels=arr.labels)
             assert (again.rank, again.central, again.forms) == (arr.rank, arr.central, arr.forms)
+
+
+def test_builds_and_ranks_do_no_number_field_arithmetic(monkeypatch):
+    # Forms over Q(w) enter as integer rows, each field element as its
+    # coefficients: the build, the linear oracle and field_rank never add,
+    # multiply or divide field elements, essentialized or not.
+    w = OMEGA.gen
+    thin = [[a, b, w * a + b, c] for a, b, c in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, w, 0))]
+    thin = [[OMEGA.coerce(x) for x in r] for r in thin]
+    arrs = [catalog.get(name) for name in ("ceva3", "maclane")]
+    rows = [[list(a) + [c] for a, c in arr.forms] for arr in arrs]
+
+    def refuse(*args):
+        raise AssertionError("number-field arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "inverse"):
+        monkeypatch.setattr(NFElement, name, refuse)
+    again = [build_arrangement(r, field=OMEGA) for r in rows]
+    ranks = [field_rank(r) for r in rows + [[r[:3] for r in thin]]]
+    cones = [vector_matroid(r).full_rank for r in rows]
+    quotient = build_arrangement(thin, field=OMEGA, essentialize=True)
+    monkeypatch.undo()
+    assert [(a.rank, a.central, a.forms) for a in again] == [(a.rank, a.central, a.forms) for a in arrs]
+    assert ranks == cones + [2] == [3, 3, 2]
+    assert quotient.forms == [(tuple(r[:2]), r[3]) for r in thin]
+    assert quotient.rank == 2 and not quotient.central
 
 
 # ---------------------------------------------------------------------------

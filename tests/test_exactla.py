@@ -22,8 +22,8 @@ from oscoh.exactla import (
     rank_stack,
     smith_normal_form,
 )
-from oscoh.matroid import vector_matroid
 
+import oracles
 from conftest import next_prime
 
 
@@ -673,6 +673,21 @@ def test_field_rank_over_omega_is_half_the_realified_rank(m):
     assert 2 * field_rank(m) == fraction_rank(realify(m))
 
 
+CUBE = NumberField([-2, 0, 0, 1], "c")  # c^3 = 2: read backwards, c^3 = -1/2
+cube_elements = st.builds(
+    lambda a, b, c, den: CUBE([Fraction(a, den), b, c]),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+)
+
+
+@settings(DIFF, max_examples=40)
+@given(int_matrices(cube_elements, size=4))
+def test_field_rank_over_a_cubic_field_matches_the_oracle(m):
+    # a minimal polynomial that is no palindrome, and coefficients whose
+    # denominators differ within a row
+    assert field_rank(m) == oracles.field_rank(m)
+
+
 @st.composite
 def non_essential_forms(draw, entry):
     """Forms whose normals span a proper subspace: (W B | c) with thin B."""
@@ -696,7 +711,7 @@ def cone_circuits_match(rows, field):
     vectors.append([zero] * (len(rows[0]) - 1) + [one])
     assert arr.rank < len(rows[0]) - 1
     assert sorted(map(sorted, arr.cone_matroid.circuits())) == sorted(
-        map(sorted, vector_matroid(vectors, field_rank).circuits())
+        map(sorted, oracles.RankOracle(vectors).circuits())
     )
 
 

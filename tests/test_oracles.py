@@ -14,9 +14,11 @@ from oscoh import (
     product_arrangement,
 )
 from oscoh.cohom import os_cohomology_dims
-from oscoh.exactla import NumberField, field_rank
-from oscoh.matroid import parallel_connection, vector_matroid
+from oscoh.exactla import NumberField
+from oscoh.matroid import parallel_connection
 from oscoh.osalg import aomoto_matrix, nbc_basis
+
+from oracles import RankOracle, restriction_connected
 
 OMEGA = catalog.omega_field()
 RANDOM = settings(
@@ -57,9 +59,10 @@ def cone_vectors(arr):
 
 
 def circuit_twin(arr):
-    """The same arrangement from its cone circuits, found with
-    ``field_rank`` on the exact vectors, on the circuit oracle."""
-    circuits = vector_matroid(cone_vectors(arr), field_rank).circuits()
+    """The same arrangement from its cone circuits, found with the
+    Fraction/NFElement ``field_rank`` of ``oracles`` on the exact vectors,
+    on the circuit oracle."""
+    circuits = RankOracle(cone_vectors(arr)).circuits()
     return arrangement_from_cone_circuits(arr.n, [sorted(c) for c in circuits])
 
 
@@ -100,7 +103,7 @@ def test_linear_oracle_matches_the_circuit_oracle(arr):
         f.hyperplanes
         for level in twin_closure.intersection_lattice().levels[1:]
         for f in level
-        if twin_closure.cone_matroid.restriction_connected(f.hyperplanes)
+        if restriction_connected(twin_closure.cone_matroid, f.hyperplanes)
     ]
     for q in range(arr.rank + 1):
         assert nbc_basis(arr, q) == nbc_basis(twin, q) == nbc_by_definition(twin, q)
@@ -188,8 +191,8 @@ def test_beta_marks_exactly_the_connected_localizations():
         for level in closure.intersection_lattice().levels[1:]:
             for f in level:
                 assert f.beta >= 0
-                assert bool(f.beta) == closure.cone_matroid.restriction_connected(
-                    f.hyperplanes
+                assert bool(f.beta) == restriction_connected(
+                    closure.cone_matroid, f.hyperplanes
                 ), (name, f)
 
 

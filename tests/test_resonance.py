@@ -807,6 +807,8 @@ def decided_cases(draw):
 @example((catalog.get("ceva3"), (Fraction(1, 7),) * 8 + (Fraction(6, 7),), 1))
 # a sum of -1 puts the zero-sum slice out of reach of box 0
 @example((catalog.get("ceva3"), (Fraction(1, 7),) * 8 + (Fraction(-15, 7),), 0))
+# a proved lower bound of 0, with no note that calls it the box's best
+@example((catalog.get("boolean(6)"), tuple(Fraction(x, 5) for x in (1, 2, -1, 3, -2, -3)), 1))
 # a product keeps the box search and the mod-N bound where a theorem holds
 @example((SMALL_PRODUCT, tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1)), 1))
 def test_a_theorem_decides_the_bounds_where_it_holds(case):
@@ -834,6 +836,8 @@ def test_a_theorem_decides_the_bounds_where_it_holds(case):
     assert all(v <= u for v, u in zip(value, modN.dims)), (value, modN.dims)
     if not arr.central or abs(sum(lam)) <= arr.n * box:  # the box holds a translate
         assert rep.lower == value
+    # a lower bound below the theorem's value is only the box's best
+    assert (LOWER_NOTE in rep.convention_notes) == (rep.lower != value)
     assert label is None or f"({label}) of the closure" in rep.convention_notes[-1]
 
 
@@ -939,4 +943,4 @@ def test_a_theorem_closes_an_open_composite_sandwich():
     rep = betti_bounds(arr, lam, box=1)
     assert rep.lower == rep.upper == (0, 0, 0, 0)
     assert rep.exact == (True,) * 4
-    assert rep.convention_notes[1].startswith("central, weight sum 5/2 not an integer")
+    assert rep.convention_notes[0].startswith("central, weight sum 5/2 not an integer")
