@@ -328,6 +328,21 @@ class Arrangement:
             self._cache["dense_incidence"] = inc
         return self._cache["dense_incidence"]
 
+    def closure_meets(self) -> np.ndarray:
+        """The (n + 1) x (n + 1) map from two hyperplanes of the closure to
+        the index in ``closure_dense_edges`` of the codim-2 edge where they
+        meet, or -1 where that flat holds only the two (it is not dense); a
+        hyperplane meets itself in its own edge."""
+        if "closure_meets" not in self._cache:
+            meets = np.full((self.n + 1, self.n + 1), -1, dtype=np.int64)
+            for codim in (2, 1):  # the diagonal last: each hyperplane's own edge
+                for e, f in enumerate(self.closure_dense_edges()):
+                    if f.codim == codim:
+                        h = f.sorted_hyperplanes
+                        meets[np.ix_(h, h)] = e
+            self._cache["closure_meets"] = meets
+        return self._cache["closure_meets"]
+
     def closure_edge_weights(self, K: np.ndarray) -> np.ndarray:
         """Weights of ``closure_dense_edges`` at every row k of the integer
         array K, as a (rows x edges) integer array: an edge weighs the sum

@@ -24,8 +24,15 @@ the work of the other calls, and of products, which keep the mod-N bound.
 Each lower bound names its witness, the first translate reaching it.  An
 undecided box is answered from its integral dense edges: a wholly
 non-resonant box from its first translate, without enumerating it, and any
-other by ranking only the translates the certificate cannot answer, in
-numpy chunks.  Witnesses keep their meaning.
+other by ranking only the translates the certificates cannot answer, in
+numpy chunks.  A translate is answered where a hyperplane of the closure is
+on no zero edge (Yuzvinsky), or, where the certified arrangement has rank
+2, by a degree-1 linking certificate read off the closure's points, where
+A^2 splits (Brieskorn; Libgober-Yuzvinsky, Compositio Math. 121, 2000): if
+every closure hyperplane meets one of non-zero weight at a double point or
+at a point of non-zero weight, and those of non-zero weight are connected
+through such points, then h^1 = 0 and the translate has the non-resonant
+dims (``_lower_dims_options`` proves it).  Witnesses keep their meaning.
 """
 
 from __future__ import annotations
@@ -288,39 +295,101 @@ def _translate_count(arr, k: tuple, N: int, box: int) -> int:
 def _closure_weights(arr, k: tuple, N: int):
     """(cert, W): the arrangement, or its decone when central, and the
     weights of its closure's dense edges at k (over the free coordinates),
-    wide enough to divide by N.  An edge is integral where N divides W."""
+    wide enough to divide by N.  An edge is integral where N divides W.
+    None on a central arrangement of rank < 2, which has no decone, or
+    whose weight sum is not an integer: no edge test is needed there."""
+    if arr.central and (arr.rank < 2 or sum(k) % N):
+        return None
     cert, k = (arr.decone(), k[:-1]) if arr.central else (arr, k)
     return cert, _widen(cert.closure_edge_weights(_exact_ints([k]))[0], N)
 
 
-def _integral_edges(arr, k: tuple, N: int, box: int):
+def _integral_edges(closure, N: int, box: int):
     """The integral dense edges of the closure at k/N (``_closure_weights``)
     that weigh 0 at some translate k + N*m in the box, as (forms, targets,
-    incidence), or None when a hyperplane of the closure is on none of
-    them.  Edge X weighs w_X + N*f_X(m'), f_X summing the free coordinates
-    m' over X less sum(m') if X is on H_inf: it vanishes only if integral
-    (w_X = 0 mod N), where f_X = -w_X / N."""
-    if arr.central and arr.rank < 2:
-        return None  # one hyperplane and one translate
-    cert, W = _closure_weights(arr, k, N)
+    incidence, meets), or None when there is no closure or a hyperplane of
+    the closure is on none of them.  Edge X weighs w_X + N*f_X(m'), f_X
+    summing the free coordinates m' over X less sum(m') if X is on H_inf:
+    it vanishes only if integral (w_X = 0 mod N), where f_X = -w_X / N.
+    ``meets`` is None unless the certified arrangement has rank 2; then it
+    is ``closure_meets`` with each edge's index among these rows, -1 for
+    an edge that weighs 0 nowhere in the box (``_linked``)."""
+    if closure is None:
+        return None
+    cert, W = closure
     E = cert.closure_incidence()
     forms, target = E[:, :-1] - E[:, -1:], -(W // N)
     live = (W % N == 0) & (np.abs(target) <= np.count_nonzero(forms, axis=1) * box)
     if cert.free_hyperplane(live[None])[0] >= 0:
         return None
-    return forms[live], target[live].astype(np.int64), E[live].astype(bool)
+    meets = None
+    if cert.rank == 2:
+        row, meet = np.where(live, np.cumsum(live) - 1, -1), cert.closure_meets()
+        meets = np.where(meet >= 0, row[meet], -1)
+    return forms[live], target[live].astype(np.int64), E[live].astype(bool), meets
 
 
-def _lower_dims_options(arr, lam, box: int) -> dict:
+def _linked(vanish: np.ndarray, meets: np.ndarray) -> np.ndarray:
+    """The degree-1 linking certificate of ``_lower_dims_options`` at each
+    column of ``vanish`` (dense edges of a rank-2 closure x translates: does
+    the edge weigh 0 there), as a boolean vector.  ``meets`` maps two
+    closure hyperplanes to the row of their dense meet, a hyperplane to
+    its own, and -1 to a meet that never weighs 0: a double point, or an
+    edge with no row.  Every hyperplane must meet one of non-zero weight at
+    a linking point, and those of non-zero weight must be connected so."""
+    v = np.concatenate([vanish, np.zeros((1, vanish.shape[1]), dtype=bool)])
+    nonzero = ~v[np.diagonal(meets)]  # hyperplane x translate
+    linked = ~v[meets] & nonzero  # [i, j]: i meets j, of non-zero weight, at a linking point
+    reach = np.arange(len(nonzero))[:, None] == nonzero.argmax(axis=0)
+    while True:
+        grown = reach | (linked & reach[:, None]).any(axis=0)
+        if (grown == reach).all():
+            break
+        reach = grown
+    return linked.any(axis=1).all(axis=0) & (reach == nonzero).all(axis=0)
+
+
+def _lower_dims_options(arr, lam, box: int, closure=None) -> dict:
     """Distinct weighted-cohomology dimension vectors of the integer
     translates of lam (weights or a ``WeightVector``) inside the box, each
     mapped to the first translate giving it, in enumeration order.  The
     zero vector is always an option (its witness None unless some
-    translate gives it).  The box is answered from its integral dense
-    edges: if a hyperplane of the closure is on none, its first translate
-    stands for it, unenumerated; otherwise only translates with a zero edge
-    through every hyperplane are ranked, with the first other one for the
-    rest, so witnesses keep their meaning."""
+    translate gives it).  ``closure`` is ``_closure_weights`` at lam, if
+    the caller has it.  The box is answered from its integral dense edges:
+    if a hyperplane of the closure is on none, its first translate stands
+    for it, unenumerated; otherwise a translate is ranked only if it has a
+    zero edge through every hyperplane and, where the certified
+    arrangement (the input, or its decone when central) has rank 2, it
+    fails the linking certificate below.  The first of the others is
+    ranked too and stands for the rest, so witnesses keep their meaning.
+
+    Linking certificate.  Let a be the translate on a rank-2 arrangement A
+    and a^ its weights on the closure's hyperplanes, H_inf weighing -sum a,
+    so that sum a^ = 0.  Call a codim-2 flat X of the closure linking if
+    it holds exactly two hyperplanes, or if a^_X = sum over H in X of a^_H
+    is not 0.  If every closure hyperplane lies on a linking point with a
+    hyperplane of non-zero weight, and the hyperplanes of non-zero weight
+    are connected through linking points, then the weighted cohomology of
+    A is 0 in degrees 0 and 1 and |chi| in degree 2, the value of a
+    non-resonant translate.  Proof: let a^ ^ x = 0 in A^2 of the closure.
+    By Brieskorn's decomposition A^2 is the sum over codim-2 flats X of
+    A^2(A_X), and the X part of a^ ^ x is a^|X ^ x|X, restricting to the
+    hyperplanes through X.  At a linking point with a^|X != 0 this forces
+    x|X = c_X a^|X: where a^_X != 0 the derivation d(e_H) = 1 of A(A_X)
+    gives d(a^|X ^ x|X) + a^|X ^ d(x|X) = a^_X x|X (as in
+    ``cohom._reduced_dims``), so the local complex is exact in degree 1;
+    at a double point A^2(A_X) is spanned by one product, and
+    a^_H x_H' = a^_H' x_H.  Two hyperplanes of non-zero weight on one
+    linking point share c = x_H / a^_H, so by connectivity x_H = c a^_H on
+    all of them, and a hyperplane of weight 0 on a linking point with one
+    of them has x_H = c * 0.  So x = c a^, and the closure's degree-1
+    cohomology is 0.  The closure's complex is A's tensored with a
+    differential-free degree-1 class (the same splitting, at H_inf), so
+    h^1(A) <= h^1(closure) = 0; h^0(A) = 0 since a != 0 (the hypotheses
+    need a hyperplane of non-zero weight); and h^2(A) is then the Euler
+    characteristic chi(A), which is |chi| at rank 2.  ``_linked`` runs the test on the rows the
+    filter already has, with ``Arrangement.closure_meets``: no closure
+    lattice and no further edge weights."""
     wv = lam if isinstance(lam, WeightVector) else WeightVector(lam)
     zero = tuple([0] * (arr.rank + 1))
     if arr.product_factors is not None:
@@ -343,12 +412,12 @@ def _lower_dims_options(arr, lam, box: int) -> dict:
     # |k + N*m| <= max|k| + N*box, doubled for margin; N*m needs N itself
     bound = 2 * (max(map(abs, k)) + N * max(box, 1))
     k0 = _widen(_exact_ints(k), bound)
-    edges = _integral_edges(arr, k, N, box)
+    edges = _integral_edges(closure or _closure_weights(arr, k, N), N, box)
     if edges is None:
         chunks = [np.array([_first_offset(n, box, shift)], dtype=np.int64)]
-        target, inc = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=bool)
+        target, inc, meets = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=bool), None
     else:
-        chunks, (_, target, inc) = _translate_chunks(n, box, shift, edges[0]), edges
+        chunks, (_, target, inc, meets) = _translate_chunks(n, box, shift, edges[0]), edges
     out: dict = {}
     first = True  # no certified translate ranked yet
     for chunk in chunks:
@@ -358,6 +427,8 @@ def _lower_dims_options(arr, lam, box: int) -> dict:
         for through in inc.T:
             hit &= vanish[through].any(axis=0)
         pick = suspect[hit]
+        if meets is not None and len(pick):
+            pick = pick[~_linked(vanish[:, hit], meets)]
         if first and len(pick) < len(chunk):
             c = np.count_nonzero(pick == np.arange(len(pick)))  # the first row not picked
             pick, first = np.insert(pick, c, c), False
@@ -374,10 +445,11 @@ def _lower_dims_options(arr, lam, box: int) -> dict:
     return out
 
 
-def _decided(arr, k: tuple, N: int):
+def _decided(arr, k: tuple, N: int, closure):
     """The Betti numbers of the local system at k/N where a theorem decides
     them from the combinatorics, with the notes naming it, or None.  The
-    test reads the weights alone, never a translate box.
+    test reads the weights alone (``closure``, ``_closure_weights`` at k),
+    never a translate box.
 
     * Central, weight sum not an integer: M = C* x M(dA) and the local
       system has monodromy exp(2 pi i sum) != 1 on the C* factor, so its
@@ -395,9 +467,9 @@ def _decided(arr, k: tuple, N: int):
             "its cohomology is 0 (Orlik-Terao)"
         )
         return tuple([0] * (arr.rank + 1)), [note]
-    if arr.central and arr.rank < 2:
+    if closure is None:
         return None
-    cert, W = _closure_weights(arr, k, N)
+    cert, W = closure
     j = int(cert.free_hyperplane((W % N == 0)[None])[0])
     if j < 0:
         return None
@@ -439,7 +511,17 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
     translate reaching it as its witness.  They are the best values found
     in the box, not a certified supremum.  The box is answered from its
     integral dense edges (``_lower_dims_options``), a wholly certified one
-    without enumerating it; witnesses keep their meaning.  Upper bounds:
+    without enumerating it.  Of the others, a translate is ranked only if
+    every hyperplane of the closure is on a zero edge and, on a rank-2
+    arrangement, decone or factor of a product, the degree-1 linking
+    certificate fails: where every hyperplane meets one of non-zero weight
+    at a double point or at a point of non-zero weight, and those of
+    non-zero weight are connected through such points, Brieskorn's
+    decomposition and the local exactness at a point of non-zero weight
+    give h^1 = 0, and the translate's dims are the non-resonant ones.  The
+    first translate answered is ranked to stand for the rest, so lower
+    bounds, witnesses and notes are those of ranking every translate.  The
+    closure's edge weights are built once per call.  Upper bounds:
     cohomology ranks modulo N, the least common denominator of the
     weights.  Degrees where the two meet are exact.  Such a call with more
     than TRANSLATE_BUDGET translates to enumerate, or a complex with a
@@ -464,7 +546,10 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         origin = tuple(Fraction(0) for _ in range(arr.n))
         witness = tuple(origin if x else None for x in b)
         return BettiBoundsReport(wv.lam, 1, box, b, b, witness, notes)
-    decided = None if arr.product_factors is not None else _decided(arr, wv.k, wv.N)
+    closure = decided = None
+    if arr.product_factors is None:
+        closure = _closure_weights(arr, wv.k, wv.N)
+        decided = _decided(arr, wv.k, wv.N, closure)
     if decided is not None:
         upper, upper_notes = decided
         shift = -sum(wv.k) // wv.N if arr.central else None
@@ -481,7 +566,7 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
             f"the budget of {TRANSLATE_BUDGET}; use a smaller box"
         )
     check_complex_size(arr)
-    options = _lower_dims_options(arr, wv, box)
+    options = _lower_dims_options(arr, wv, box, closure)
     lower = tuple(max(d[q] for d in options) for q in range(arr.rank + 1))
     witness = tuple(
         next(w for d, w in options.items() if d[q] == lower[q]) if lower[q] else None

@@ -41,6 +41,7 @@ from oscoh.resonance import (
 from conftest import CATALOG_NAMES, affine_lines, braid_rows, empty_rank_cache, random_weight_vector
 
 CEVA_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1, 1, -2, -2, -2))
+MACLANE_SECTION_WEIGHTS = tuple(Fraction(x, 3) for x in (1, 0, -1, 1, -1, -1, 1, 0))
 LSTRICT_WEIGHTS = tuple(Fraction(x, 2) for x in (1, 0, 0, 1, 1, 0, 1))
 
 
@@ -199,6 +200,21 @@ def test_closure_dense_edges_match_the_built_closure_lattice(name, tmp_path):
     # lattice a decone came from; compared as whole Flats, in order
     arr = CLOSURE_EDGE_INPUTS[name](tmp_path)
     assert arr.closure_dense_edges() == built_closure_edges(arr)
+
+
+@pytest.mark.parametrize("name", CLOSURE_EDGE_INPUTS)
+def test_closure_meets_name_the_dense_edge_of_each_pair(name, tmp_path):
+    # against the codim-2 flats of a closure lattice built in full: two
+    # hyperplanes meet at a proper dense edge only where a third is on
+    # their flat, and a hyperplane meets itself in its own edge
+    arr = CLOSURE_EDGE_INPUTS[name](tmp_path)
+    closure = Arrangement(arr.n + 1, arr.rank + 1, True, add_coloop(arr.cone_matroid))
+    index = {f.hyperplanes: e for e, f in enumerate(arr.closure_dense_edges())}
+    want = np.diag([index[frozenset({h})] for h in range(arr.n + 1)])
+    for f in closure.intersection_lattice().flats_of_codim(2):
+        for i, j in itertools.permutations(f.hyperplanes, 2):
+            want[i, j] = index.get(f.hyperplanes, -1)
+    assert arr.closure_meets().tolist() == want.tolist()
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -701,6 +717,11 @@ def box_cases(draw):
 @example((catalog.get("boolean(2)"), (Fraction(-1, 2), Fraction(-3, 2)), 1))
 # a common denominator past 2**63: integrality is tested in Python integers
 @example((catalog.get("example-lstrict"), (Fraction(1, 2**89 - 1),) + (0,) * 5 + (Fraction(-1, 2**89 - 1),), 0))
+# the README weights: the linking certificate answers all but a few
+# resonant translates of each rank-2 (decone of the) box
+@example((catalog.get("ceva3"), CEVA_WEIGHTS, 1))
+@example((catalog.get("ceva3-section"), CEVA_WEIGHTS, 1))
+@example((catalog.get("maclane-section"), MACLANE_SECTION_WEIGHTS, 1))
 def test_box_options_match_every_translate_ranked(case):
     # options, witnesses and their order: the order picks betti_bounds'
     # witness among options reaching the same lower bound
@@ -743,6 +764,96 @@ def test_a_decided_box_ranks_no_translate(name, lam, monkeypatch):
     assert None not in fields  # nothing is ranked over Q
     assert rep.lower == tuple(max(d[q] for d in want) for q in range(arr.rank + 1))
     assert list(_lower_dims_options(arr, lam, 1).items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# the degree-1 linking certificate on rank-2 boxes
+
+
+def rank2_input(name):
+    """An affine rank-2 arrangement: a section, or the decone of a central
+    rank-3 one."""
+    if name == "A3":
+        return build_arrangement(braid_rows(3)).decone()
+    arr = catalog.get(name)
+    return arr.decone() if arr.central else arr
+
+
+@st.composite
+def rank2_cases(draw):
+    """An affine rank-2 arrangement (the sections, the decones of ceva3,
+    maclane, example-lstrict and A_3, random affine lines) and weights k/N,
+    N in 2..12, half of them integral so that hyperplanes and points weigh
+    0 at some translates of the box."""
+    name = draw(st.sampled_from(["ceva3-section", "maclane-section", "ceva3", "maclane", "example-lstrict", "A3", "lines"]))
+    arr = draw(affine_lines()) if name == "lines" else rank2_input(name)
+    N = draw(st.integers(2, 12))
+    k = draw(st.lists(st.sampled_from([0, N, -N]) | st.integers(-N, N), min_size=arr.n, max_size=arr.n))
+    return arr, tuple(Fraction(x, N) for x in k)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(rank2_cases())
+@example((rank2_input("ceva3-section"), CEVA_WEIGHTS))
+@example((rank2_input("maclane-section"), MACLANE_SECTION_WEIGHTS))
+@example((rank2_input("ceva3"), CEVA_WEIGHTS[:-1]))
+def test_every_translate_the_linking_certificate_answers_is_non_resonant(case):
+    # the translates of the box that the one-hyperplane test leaves (a zero
+    # edge through every hyperplane of the closure) and that the box search
+    # does not rank are the certificate's: each ranks to (0, 0, |chi|)
+    arr, lam = case
+    wv = WeightVector(lam)
+    ranked = set()
+    real = resonance.os_cohomology_dims_stack
+
+    def stack(a, K):
+        ranked.update(map(tuple, K.tolist()))
+        return real(a, K)
+
+    with mock.patch.object(resonance, "os_cohomology_dims_stack", stack):
+        _lower_dims_options(arr, lam, 1)
+    K = np.array(wv.k) + wv.N * np.array(list(itertools.product(range(-1, 2), repeat=arr.n)))
+    left = arr.free_hyperplane(arr.closure_edge_weights(K) == 0) < 0
+    answered = np.array([row for row in K[left].tolist() if tuple(row) not in ranked], dtype=np.int64)
+    dims = os_cohomology_dims_stack(arr, answered.reshape(-1, arr.n))
+    assert (dims == [0, 0, abs(arr.euler_characteristic())]).all()
+
+
+@pytest.mark.parametrize(
+    "name, lam, most, lower",
+    [
+        ("ceva3", CEVA_WEIGHTS, 17, (0, 1, 11, 10)),
+        ("ceva3-section", CEVA_WEIGHTS, 17, (0, 1, 17)),
+        ("maclane-section", MACLANE_SECTION_WEIGHTS, 52, (0, 0, 13)),
+        ("product-example", CEVA_WEIGHTS + MACLANE_SECTION_WEIGHTS, 69, (0, 0, 0, 13, 221)),
+    ],
+)
+def test_the_linking_certificate_leaves_few_translates_to_rank(name, lam, most, lower, monkeypatch):
+    # at the README weights, box 1, only a few resonant translates reach
+    # the rank driver over Q, where 1,024 did (171 on maclane-section, 1,195
+    # on the product); the closure's edge weights are built once per call,
+    # per factor of a product
+    from oscoh import cohom
+
+    arr = catalog.get(name)
+    rows, weighed = [], []
+    real_ranks, real_weights = cohom._ranks, resonance._closure_weights
+
+    def ranks(a, K, p):
+        if p is None:
+            rows.append(len(K))
+        return real_ranks(a, K, p)
+
+    def closure_weights(a, k, N):
+        weighed.append(a)
+        return real_weights(a, k, N)
+
+    monkeypatch.setattr(cohom, "_ranks", ranks)
+    monkeypatch.setattr(resonance, "_closure_weights", closure_weights)
+    rep = betti_bounds(arr, lam, box=1)
+    assert rep.lower == lower
+    assert sum(rows) <= most
+    assert weighed == ([arr] if arr.product_factors is None else list(arr.product_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -811,12 +922,20 @@ def decided_cases(draw):
 @example((catalog.get("boolean(6)"), tuple(Fraction(x, 5) for x in (1, 2, -1, 3, -2, -3)), 1))
 # a product keeps the box search and the mod-N bound where a theorem holds
 @example((SMALL_PRODUCT, tuple(Fraction(x, 3) for x in (1, 1, 1, 1, 1)), 1))
+# undecided, and 5^9 translates at box 2: refused
+@example((catalog.get("ceva3-section"), (0,) * 7 + (Fraction(1, 2),) * 2, 2))
 def test_a_theorem_decides_the_bounds_where_it_holds(case):
     # lower bounds and witnesses are the box search's, decided or not: a
     # decided call reads them off the theorem without the search
     arr, lam, box = case
     wv = WeightVector(lam)
     assume(wv.N > 1)  # integral weights are answered before either theorem
+    decided = None if arr.product_factors is not None else theorem_value(arr, lam)
+    count = _translate_count(arr, wv.k, wv.N, box)
+    if decided is None and count > resonance.TRANSLATE_BUDGET:
+        with pytest.raises(ValueError, match=f"box {box} has {count} candidate translates, above the budget"):
+            betti_bounds(arr, lam, box)
+        return
     rep = betti_bounds(arr, lam, box)
     modN = modN_cohomology_ranks(arr, wv.k, wv.N)
     options = _lower_dims_options(arr, lam, box)
@@ -826,7 +945,6 @@ def test_a_theorem_decides_the_bounds_where_it_holds(case):
         for q in range(arr.rank + 1)
     )
     assert (rep.lower, rep.witness) == (lower, witness)
-    decided = None if arr.product_factors is not None else theorem_value(arr, lam)
     if decided is None:  # the mod-N upper bound and its notes
         assert rep.upper == modN.dims
         assert rep.convention_notes == [LOWER_NOTE] + modN.notes
