@@ -52,8 +52,6 @@ from .resonance import (
     VanishingReport,
     betti_bounds,
     edge_weights,
-    in_V,
-    in_W,
     resonance_membership,
     yuzvinsky_vanishing,
 )
@@ -100,8 +98,6 @@ __all__ = [
     "VanishingReport",
     "betti_bounds",
     "edge_weights",
-    "in_V",
-    "in_W",
     "resonance_membership",
     "yuzvinsky_vanishing",
     "__version__",

@@ -78,9 +78,6 @@ class IntersectionLattice:
     def __init__(self, levels: list[list[Flat]]):
         self.levels = levels
 
-    def flats_of_codim(self, q: int) -> list[Flat]:
-        return self.levels[q] if 0 <= q < len(self.levels) else []
-
     def __len__(self):
         return sum(len(level) for level in self.levels)
 

@@ -31,7 +31,6 @@ __all__ = [
     "ceva3_section",
     "maclane_section",
     "product_example",
-    "maclane_self_check",
     "omega_field",
     "get",
     "names",
@@ -41,7 +40,7 @@ __all__ = [
 @lru_cache(maxsize=None)
 def omega_field() -> NumberField:
     """Q(w) with w a primitive third root of unity: w^2 + w + 1 = 0."""
-    return NumberField([1, 1, 1], gen_name="w")
+    return NumberField([1, 1, 1])
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +125,7 @@ def maclane() -> Arrangement:
 
 
 # The eight concurrent triples of the MacLane configuration, 0-based.
-# Derived from the realization above; maclane_self_check verifies the two
+# Derived from the realization above; the tests check that the two
 # descriptions agree.
 _MACLANE_TRIPLES = (
     (0, 1, 2),
@@ -149,20 +148,6 @@ def maclane_matroid() -> Arrangement:
         rank=3,
         labels=[f"P{i+1}" for i in range(8)],
     )
-
-
-def maclane_self_check() -> bool:
-    """The realized and matroid descriptions of MacLane agree flat-by-flat."""
-    a, b = maclane(), maclane_matroid()
-    la, lb = a.intersection_lattice(), b.intersection_lattice()
-    if len(la.levels) != len(lb.levels):
-        return False
-    for qa, qb in zip(la.levels, lb.levels):
-        fa = {(f.hyperplanes, f.moebius) for f in qa}
-        fb = {(f.hyperplanes, f.moebius) for f in qb}
-        if fa != fb:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -345,6 +345,12 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-" as an option unless it is
+    # a plain negative number, so a list such as -1/2,1/2 joins its option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--weights", "--k") and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         arr = _load(args.input, args.essentialize)

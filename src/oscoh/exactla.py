@@ -76,7 +76,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Fraction",
     "NumberField",
     "NFElement",
     "NotPrimeError",
@@ -839,10 +838,11 @@ class NumberField:
     coefficients (a float raises ValueError).  A reducible p (the quotient
     has zero divisors) or a non-integer coefficient of p raises ValueError.
     Irreducibility is proved modulo a small prime where p stays irreducible
-    (Rabin's test), and otherwise by Kronecker's search over Z.
+    (Rabin's test), and otherwise by Kronecker's search over Z.  Elements
+    print in the generator w.
     """
 
-    def __init__(self, min_poly: Iterable[int], gen_name: str = "w"):
+    def __init__(self, min_poly: Iterable[int]):
         mp = [_exact_int(c) for c in min_poly]
         if len(mp) < 3:
             raise ValueError("minimal polynomial must have degree >= 2")
@@ -856,7 +856,6 @@ class NumberField:
             )
         self.min_poly = tuple(mp)
         self.degree = len(mp) - 1
-        self.gen_name = gen_name
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -982,7 +981,6 @@ class NFElement:
         return self.field.coerce(other) * self.inverse()
 
     def __repr__(self):
-        g = self.field.gen_name
         terms = []
         for i, c in enumerate(self.coeffs):
             if not c:
@@ -990,7 +988,7 @@ class NFElement:
             if i == 0:
                 terms.append(str(c))
             else:
-                pw = g if i == 1 else f"{g}^{i}"
+                pw = "w" if i == 1 else f"w^{i}"
                 terms.append(pw if c == 1 else f"-{pw}" if c == -1 else f"{c}*{pw}")
         if not terms:
             return "0"

@@ -12,27 +12,13 @@ between a lower bound (the best weighted Orlik-Solomon dimensions over a
 box of integer translates of the weights, which leave the local system
 unchanged) and an upper bound (cohomology ranks modulo N, the common
 denominator of the weights).  When the two meet, the Betti number is
-certified exactly.  Where a theorem decides the local system from the
-combinatorics, both bounds are its value, reached at the box's first
-translate, and nothing is enumerated or ranked: on a central arrangement
-whose weight sum is not an integer the cohomology is 0 (M = C* x M(dA)),
-and where some hyperplane of the projective closure (of the decone, when
-central) lies on no dense edge of integral weight it is |chi| in the top
-degree and 0 below, times (1 + t) for a central input (Cohen-Dimca-Orlik,
-Ann. Inst. Fourier 53, 2003).  The translate and cell budgets guard only
-the work of the other calls, and of products, which keep the mod-N bound.
-Each lower bound names its witness, the first translate reaching it.  An
-undecided box is answered from its integral dense edges: a wholly
-non-resonant box from its first translate, without enumerating it, and any
-other by ranking only the translates the certificates cannot answer, in
-numpy chunks.  A translate is answered where a hyperplane of the closure is
-on no zero edge (Yuzvinsky), or, where the certified arrangement has rank
-2, by a degree-1 linking certificate read off the closure's points, where
-A^2 splits (Brieskorn; Libgober-Yuzvinsky, Compositio Math. 121, 2000): if
-every closure hyperplane meets one of non-zero weight at a double point or
-at a point of non-zero weight, and those of non-zero weight are connected
-through such points, then h^1 = 0 and the translate has the non-resonant
-dims (``_lower_dims_options`` proves it).  Witnesses keep their meaning.
+certified exactly.  Each lower bound names its witness, the first translate
+reaching it.  Where a theorem decides the local system from the
+combinatorics (``_decided``), both bounds are its value and nothing is
+enumerated or ranked.  Any other box is answered from its integral dense
+edges (``_lower_dims_options``), ranking only the translates that neither
+the one-hyperplane test nor the linking certificate (``_linked``) answers;
+the reports are those of ranking every translate.
 """
 
 from __future__ import annotations
@@ -59,8 +45,6 @@ from .osalg import check_complex_size
 __all__ = [
     "EdgeWeight",
     "edge_weights",
-    "in_W",
-    "in_V",
     "in_W_and_V",
     "VanishingReport",
     "yuzvinsky_vanishing",
@@ -78,14 +62,6 @@ class EdgeWeight:
     codim: int
     weight: Fraction
     labels: tuple
-
-    @property
-    def is_nonnegative_integer(self) -> bool:
-        return self.weight.denominator == 1 and self.weight >= 0
-
-    @property
-    def is_positive_integer(self) -> bool:
-        return self.weight.denominator == 1 and self.weight > 0
 
     def __repr__(self):
         return f"EdgeWeight({{{', '.join(self.labels)}}}, weight={self.weight})"
@@ -112,26 +88,15 @@ def edge_weights(arr, lam) -> list[EdgeWeight]:
 
 
 def in_W_and_V(edges) -> tuple[bool, bool]:
-    """Membership in W and in V, read off one list of ``edge_weights``."""
-    return (
-        all(not e.is_nonnegative_integer for e in edges),
-        all(not e.is_positive_integer for e in edges),
-    )
+    """Membership in W and in V, read off one list of ``edge_weights``.
 
-
-def in_W(arr, lam) -> bool:
-    """No dense edge of the closure has weight in {0, 1, 2, ...}.
-
-    Weights in this set support the strongest vanishing statement: the
-    weighted cohomology is concentrated in the top degree and computes the
-    local-system Betti numbers there.
+    W: no dense edge of the closure has weight in {0, 1, 2, ...}.  Weights
+    in W support the strongest vanishing statement: the weighted cohomology
+    is concentrated in the top degree and computes the local-system Betti
+    numbers there.  V: no dense edge has weight in {1, 2, 3, ...}.
     """
-    return in_W_and_V(edge_weights(arr, lam))[0]
-
-
-def in_V(arr, lam) -> bool:
-    """No dense edge of the closure has weight in {1, 2, 3, ...}."""
-    return in_W_and_V(edge_weights(arr, lam))[1]
+    integral = [e.weight for e in edges if e.weight.denominator == 1]
+    return all(w < 0 for w in integral), all(w <= 0 for w in integral)
 
 
 @dataclass
@@ -248,7 +213,7 @@ def _translate_chunks(n: int, box: int, shift: int | None = None, forms=None):
     sum(m) == shift, the last coordinate fixed by the n - 1 free ones.  A
     chunk is a point of the leading axes plus the trailing axes' grid."""
     free = n if shift is None else n - 1
-    if shift is not None and abs(shift) > n * box:
+    if _first_offset(n, box, shift) is None:
         return
     L = np.concatenate([np.eye(free, dtype=np.int64)] + ([] if forms is None else [forms]))
     values = np.arange(-box, box + 1, dtype=np.int64)
@@ -267,11 +232,14 @@ def _translate_chunks(n: int, box: int, shift: int | None = None, forms=None):
             yield v.T
 
 
-def _first_offset(n: int, box: int, shift: int | None) -> list:
-    """The first offset ``_translate_chunks`` yields, if any: each free
-    coordinate as low as the ones after it can still make up."""
+def _first_offset(n: int, box: int, shift: int | None) -> list | None:
+    """The first offset ``_translate_chunks`` yields: each free coordinate
+    as low as the ones after it can still make up.  None when it yields
+    none, where the slice sum(m) == shift misses the box."""
     if shift is None:
         return [-box] * n
+    if abs(shift) > n * box:
+        return None
     m: list = []
     for i in range(n - 1):
         m.append(max(-box, shift - sum(m) - (n - 1 - i) * box))
@@ -330,13 +298,42 @@ def _integral_edges(closure, N: int, box: int):
 
 
 def _linked(vanish: np.ndarray, meets: np.ndarray) -> np.ndarray:
-    """The degree-1 linking certificate of ``_lower_dims_options`` at each
-    column of ``vanish`` (dense edges of a rank-2 closure x translates: does
-    the edge weigh 0 there), as a boolean vector.  ``meets`` maps two
-    closure hyperplanes to the row of their dense meet, a hyperplane to
-    its own, and -1 to a meet that never weighs 0: a double point, or an
-    edge with no row.  Every hyperplane must meet one of non-zero weight at
-    a linking point, and those of non-zero weight must be connected so."""
+    """The degree-1 linking certificate at each column of ``vanish`` (dense
+    edges of a rank-2 closure x translates: does the edge weigh 0 there),
+    as a boolean vector.  ``meets`` is ``Arrangement.closure_meets`` on the
+    rows of ``_integral_edges``: it maps two closure hyperplanes to the row
+    of their dense meet, a hyperplane to its own, and -1 to a meet that
+    never weighs 0, a double point or an edge with no row.  So the test
+    reads the rows the box filter already has: no closure lattice and no
+    further edge weights.
+
+    Let a be the translate on a rank-2 arrangement A and a^ its weights on
+    the closure's hyperplanes, H_inf weighing -sum a, so that sum a^ = 0.
+    Call a codim-2 flat X of the closure linking if it holds exactly two
+    hyperplanes, or if a^_X = sum over H in X of a^_H is not 0.  If every
+    closure hyperplane lies on a linking point with a hyperplane of
+    non-zero weight, and the hyperplanes of non-zero weight are connected
+    through linking points, then the weighted cohomology of A is 0 in
+    degrees 0 and 1 and |chi| in degree 2, the value of a non-resonant
+    translate (Brieskorn; Libgober-Yuzvinsky, Compositio Math. 121, 2000).
+    Proof: let a^ ^ x = 0 in A^2 of the closure.  By Brieskorn's
+    decomposition A^2 is the sum over codim-2 flats X of A^2(A_X), and the
+    X part of a^ ^ x is a^|X ^ x|X, restricting to the hyperplanes through
+    X.  At a linking point with a^|X != 0 this forces
+    x|X = c_X a^|X: where a^_X != 0 the derivation d(e_H) = 1 of A(A_X)
+    gives d(a^|X ^ x|X) + a^|X ^ d(x|X) = a^_X x|X (as in
+    ``cohom._reduced_dims``), so the local complex is exact in degree 1;
+    at a double point A^2(A_X) is spanned by one product, and
+    a^_H x_H' = a^_H' x_H.  Two hyperplanes of non-zero weight on one
+    linking point share c = x_H / a^_H, so by connectivity x_H = c a^_H on
+    all of them, and a hyperplane of weight 0 on a linking point with one
+    of them has x_H = c * 0.  So x = c a^, and the closure's degree-1
+    cohomology is 0.  The closure's complex is A's tensored with a
+    differential-free degree-1 class (the same splitting, at H_inf), so
+    h^1(A) <= h^1(closure) = 0; h^0(A) = 0 since a != 0 (the hypotheses
+    need a hyperplane of non-zero weight); and h^2(A) is then the Euler
+    characteristic chi(A), which is |chi| at rank 2.
+    """
     v = np.concatenate([vanish, np.zeros((1, vanish.shape[1]), dtype=bool)])
     nonzero = ~v[np.diagonal(meets)]  # hyperplane x translate
     linked = ~v[meets] & nonzero  # [i, j]: i meets j, of non-zero weight, at a linking point
@@ -360,36 +357,9 @@ def _lower_dims_options(arr, lam, box: int, closure=None) -> dict:
     for it, unenumerated; otherwise a translate is ranked only if it has a
     zero edge through every hyperplane and, where the certified
     arrangement (the input, or its decone when central) has rank 2, it
-    fails the linking certificate below.  The first of the others is
-    ranked too and stands for the rest, so witnesses keep their meaning.
-
-    Linking certificate.  Let a be the translate on a rank-2 arrangement A
-    and a^ its weights on the closure's hyperplanes, H_inf weighing -sum a,
-    so that sum a^ = 0.  Call a codim-2 flat X of the closure linking if
-    it holds exactly two hyperplanes, or if a^_X = sum over H in X of a^_H
-    is not 0.  If every closure hyperplane lies on a linking point with a
-    hyperplane of non-zero weight, and the hyperplanes of non-zero weight
-    are connected through linking points, then the weighted cohomology of
-    A is 0 in degrees 0 and 1 and |chi| in degree 2, the value of a
-    non-resonant translate.  Proof: let a^ ^ x = 0 in A^2 of the closure.
-    By Brieskorn's decomposition A^2 is the sum over codim-2 flats X of
-    A^2(A_X), and the X part of a^ ^ x is a^|X ^ x|X, restricting to the
-    hyperplanes through X.  At a linking point with a^|X != 0 this forces
-    x|X = c_X a^|X: where a^_X != 0 the derivation d(e_H) = 1 of A(A_X)
-    gives d(a^|X ^ x|X) + a^|X ^ d(x|X) = a^_X x|X (as in
-    ``cohom._reduced_dims``), so the local complex is exact in degree 1;
-    at a double point A^2(A_X) is spanned by one product, and
-    a^_H x_H' = a^_H' x_H.  Two hyperplanes of non-zero weight on one
-    linking point share c = x_H / a^_H, so by connectivity x_H = c a^_H on
-    all of them, and a hyperplane of weight 0 on a linking point with one
-    of them has x_H = c * 0.  So x = c a^, and the closure's degree-1
-    cohomology is 0.  The closure's complex is A's tensored with a
-    differential-free degree-1 class (the same splitting, at H_inf), so
-    h^1(A) <= h^1(closure) = 0; h^0(A) = 0 since a != 0 (the hypotheses
-    need a hyperplane of non-zero weight); and h^2(A) is then the Euler
-    characteristic chi(A), which is |chi| at rank 2.  ``_linked`` runs the test on the rows the
-    filter already has, with ``Arrangement.closure_meets``: no closure
-    lattice and no further edge weights."""
+    fails the linking certificate (``_linked``).  The first of the others
+    is ranked too and stands for the rest, so witnesses keep their meaning.
+    """
     wv = lam if isinstance(lam, WeightVector) else WeightVector(lam)
     zero = tuple([0] * (arr.rank + 1))
     if arr.product_factors is not None:
@@ -407,14 +377,15 @@ def _lower_dims_options(arr, lam, box: int, closure=None) -> dict:
     # Nonzero weights on a central arrangement give exact complexes unless
     # they sum to zero; only the zero-sum slice can contribute.
     shift = -sum(k) // N if arr.central else None
-    if arr.central and (sum(k) % N or abs(shift) > n * box):
+    start = _first_offset(n, box, shift)
+    if start is None or arr.central and sum(k) % N:
         return {zero: None}
     # |k + N*m| <= max|k| + N*box, doubled for margin; N*m needs N itself
     bound = 2 * (max(map(abs, k)) + N * max(box, 1))
     k0 = _widen(_exact_ints(k), bound)
     edges = _integral_edges(closure or _closure_weights(arr, k, N), N, box)
     if edges is None:
-        chunks = [np.array([_first_offset(n, box, shift)], dtype=np.int64)]
+        chunks = [np.array([start], dtype=np.int64)]
         target, inc, meets = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=bool), None
     else:
         chunks, (_, target, inc, meets) = _translate_chunks(n, box, shift, edges[0]), edges
@@ -436,11 +407,9 @@ def _lower_dims_options(arr, lam, box: int, closure=None) -> dict:
             continue
         m = chunk[pick, :n]
         dims = os_cohomology_dims_stack(arr, k0 + N * _widen(m, bound))
-        order = np.lexsort(dims.T)  # stable: a dims vector's first row leads its run
-        new = np.r_[True, (np.diff(dims[order], axis=0) != 0).any(axis=1)]
-        for i in np.sort(order[new]).tolist():
-            witness = tuple(l + x for l, x in zip(wv.lam, m[i].tolist()))
-            out.setdefault(tuple(dims[i].tolist()), witness)
+        for d, row in zip(map(tuple, dims.tolist()), m.tolist()):
+            if d not in out:
+                out[d] = tuple(l + x for l, x in zip(wv.lam, row))
     out.setdefault(zero, None)
     return out
 
@@ -449,7 +418,11 @@ def _decided(arr, k: tuple, N: int, closure):
     """The Betti numbers of the local system at k/N where a theorem decides
     them from the combinatorics, with the notes naming it, or None.  The
     test reads the weights alone (``closure``, ``_closure_weights`` at k),
-    never a translate box.
+    never a translate box.  Edge integrality is the same at every integer
+    translate, so where a theorem holds, the weighted complex at each
+    translate of the box has the decided Betti numbers as its dims (for the
+    second theorem by Yuzvinsky's non-resonance, Comm. Algebra 23, 1995),
+    and the box's first translate witnesses them.
 
     * Central, weight sum not an integer: M = C* x M(dA) and the local
       system has monodromy exp(2 pi i sum) != 1 on the C* factor, so its
@@ -493,40 +466,27 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
     """Sandwich the Betti numbers of the rank-one local system at lam.
 
     Where a theorem decides the local system from the combinatorics
-    (``_decided``: a central input whose weight sum is not an integer, or
-    a hyperplane of the closure on no integral dense edge), both bounds
-    are its Betti numbers, and each non-zero degree's witness is the box's
-    first translate, which reaches them: every dense edge through the free
-    hyperplane weighs a non-integer there, so the weighted complex is
-    non-resonant (Yuzvinsky 1995).  Nothing is enumerated or ranked, and
-    the box may be of any size.  A central input whose box holds no
-    zero-sum translate has lower bounds 0; where that is below the
-    theorem's value, and only there, a decided report keeps the note that
-    lower bounds are the best found in the box.  A product is never
+    (``_decided``), both bounds are its Betti numbers, and each non-zero
+    degree's witness is the box's first translate.  Nothing is enumerated
+    or ranked, and the box may be of any size.  A central input whose box
+    holds no zero-sum translate has lower bounds 0; where that is below
+    the theorem's value, and only there, a decided report keeps the note
+    that lower bounds are the best found in the box.  A product is never
     decided here.
 
     Otherwise, lower bounds: the componentwise best weighted Orlik-Solomon
     dimensions over all integer translates of lam in {-box..box}^n
     (translation does not change the local system), each with the first
     translate reaching it as its witness.  They are the best values found
-    in the box, not a certified supremum.  The box is answered from its
-    integral dense edges (``_lower_dims_options``), a wholly certified one
-    without enumerating it.  Of the others, a translate is ranked only if
-    every hyperplane of the closure is on a zero edge and, on a rank-2
-    arrangement, decone or factor of a product, the degree-1 linking
-    certificate fails: where every hyperplane meets one of non-zero weight
-    at a double point or at a point of non-zero weight, and those of
-    non-zero weight are connected through such points, Brieskorn's
-    decomposition and the local exactness at a point of non-zero weight
-    give h^1 = 0, and the translate's dims are the non-resonant ones.  The
-    first translate answered is ranked to stand for the rest, so lower
-    bounds, witnesses and notes are those of ranking every translate.  The
-    closure's edge weights are built once per call.  Upper bounds:
-    cohomology ranks modulo N, the least common denominator of the
-    weights.  Degrees where the two meet are exact.  Such a call with more
-    than TRANSLATE_BUDGET translates to enumerate, or a complex with a
-    boundary matrix above the cell budget of ``osalg.check_complex_size``,
-    raises ValueError before any box or complex work.
+    in the box, not a certified supremum.  ``_lower_dims_options`` answers
+    the box from its integral dense edges, so lower bounds, witnesses and
+    notes are those of ranking every translate.  The closure's edge
+    weights are built once per call.  Upper bounds: cohomology ranks
+    modulo N, the least common denominator of the weights.  Degrees where
+    the two meet are exact.  Such a call with more than TRANSLATE_BUDGET
+    translates to enumerate, or a complex with a boundary matrix above the
+    cell budget of ``osalg.check_complex_size``, raises ValueError before
+    any box or complex work.
     """
     wv, box = WeightVector(lam), _exact_int(box)
     if len(wv) != arr.n:
@@ -552,10 +512,9 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         decided = _decided(arr, wv.k, wv.N, closure)
     if decided is not None:
         upper, upper_notes = decided
-        shift = -sum(wv.k) // wv.N if arr.central else None
-        reached = shift is None or abs(shift) <= arr.n * box  # the box holds a translate
-        lower = upper if reached else tuple([0] * (arr.rank + 1))
-        first = tuple(l + x for l, x in zip(wv.lam, _first_offset(arr.n, box, shift)))
+        m = _first_offset(arr.n, box, -sum(wv.k) // wv.N if arr.central else None)
+        lower = upper if m is not None else tuple([0] * (arr.rank + 1))
+        first = m and tuple(l + x for l, x in zip(wv.lam, m))  # None: no translate
         witness = tuple(first if x else None for x in lower)
         notes = upper_notes if lower == upper else unproved + upper_notes
         return BettiBoundsReport(wv.lam, wv.N, box, lower, upper, witness, notes)

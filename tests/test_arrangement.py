@@ -210,16 +210,16 @@ def test_lattice_of_generic_lines():
     lat = three_generic_lines().intersection_lattice()
     assert len(lat.levels) == 3
     assert [len(level) for level in lat.levels] == [1, 3, 3]
-    assert all(f.moebius == -1 for f in lat.flats_of_codim(1))
-    assert all(f.moebius == 1 for f in lat.flats_of_codim(2))
-    crossings = sorted(f.hyperplanes for f in lat.flats_of_codim(2))
+    assert all(f.moebius == -1 for f in lat.levels[1])
+    assert all(f.moebius == 1 for f in lat.levels[2])
+    crossings = sorted(f.hyperplanes for f in lat.levels[2])
     assert crossings == [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
 
 
 def test_lattice_of_concurrent_lines():
     lat = three_concurrent_lines().intersection_lattice()
     assert [len(level) for level in lat.levels] == [1, 3, 1]
-    center = lat.flats_of_codim(2)[0]
+    center = lat.levels[2][0]
     assert center.hyperplanes == frozenset({0, 1, 2})
     assert center.moebius == 2
 
@@ -235,7 +235,7 @@ def test_moebius_alternates_in_sign():
 
 def test_flat_sorted_hyperplanes():
     lat = three_concurrent_lines().intersection_lattice()
-    assert lat.flats_of_codim(2)[0].sorted_hyperplanes == (0, 1, 2)
+    assert lat.levels[2][0].sorted_hyperplanes == (0, 1, 2)
 
 
 def test_betti_numbers_catalog_frozen():
@@ -271,7 +271,7 @@ def test_lstrict_triple_points():
     arr = catalog.get("example-lstrict")
     lat = arr.intersection_lattice()
     triples = sorted(
-        f.sorted_hyperplanes for f in lat.flats_of_codim(2) if len(f.hyperplanes) == 3
+        f.sorted_hyperplanes for f in lat.levels[2] if len(f.hyperplanes) == 3
     )
     assert triples == [
         (0, 1, 4),
@@ -282,21 +282,26 @@ def test_lstrict_triple_points():
         (4, 5, 6),
     ]
     doubles = sorted(
-        f.sorted_hyperplanes for f in lat.flats_of_codim(2) if len(f.hyperplanes) == 2
+        f.sorted_hyperplanes for f in lat.levels[2] if len(f.hyperplanes) == 2
     )
     assert doubles == [(0, 3), (0, 6), (3, 6)]
 
 
 def test_ceva_pencil_structure():
     lat = catalog.get("ceva3").intersection_lattice()
-    triples = [f for f in lat.flats_of_codim(2) if len(f.hyperplanes) == 3]
-    doubles = [f for f in lat.flats_of_codim(2) if len(f.hyperplanes) == 2]
+    triples = [f for f in lat.levels[2] if len(f.hyperplanes) == 3]
+    doubles = [f for f in lat.levels[2] if len(f.hyperplanes) == 2]
     assert len(triples) == 12
     assert len(doubles) == 0
 
 
 def test_maclane_realization_matches_abstract_matroid():
-    assert catalog.maclane_self_check()
+    # the realized and matroid descriptions agree flat by flat
+    la = catalog.maclane().intersection_lattice()
+    lb = catalog.maclane_matroid().intersection_lattice()
+    assert len(la.levels) == len(lb.levels)
+    for qa, qb in zip(la.levels, lb.levels):
+        assert {(f.hyperplanes, f.moebius) for f in qa} == {(f.hyperplanes, f.moebius) for f in qb}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +322,7 @@ def test_projective_closure_of_central_adds_coloop_free_plane():
     assert closure.n == 4 and closure.rank == 3
     # near-pencil: the three concurrent lines keep their common point
     lat = closure.intersection_lattice()
-    sizes = sorted(len(f.hyperplanes) for f in lat.flats_of_codim(2))
+    sizes = sorted(len(f.hyperplanes) for f in lat.levels[2])
     assert sizes == [2, 2, 2, 3]
 
 
@@ -329,8 +334,8 @@ def test_generic_section_drops_top_of_lattice():
     assert sec.betti_numbers() == [1, 9, 24]
     lat_full = arr.intersection_lattice()
     lat_sec = sec.intersection_lattice()
-    assert [f.hyperplanes for f in lat_sec.flats_of_codim(1)] == [
-        f.hyperplanes for f in lat_full.flats_of_codim(1)
+    assert [f.hyperplanes for f in lat_sec.levels[1]] == [
+        f.hyperplanes for f in lat_full.levels[1]
     ]
 
 

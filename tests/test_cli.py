@@ -309,8 +309,10 @@ def test_resonance_non_member(capsys):
         (["resonance", "ceva3", "--weights", "1/3,1/3", "--q", "1"], "expected 9 weights, got 2"),
         (["modn", "ceva3", "--k", "1,1", "--N", "3"], "expected 9 weights, got 2"),
         (["bounds", "ceva3", "--weights", CEVA_W, "--box", "-1"], "box radius must be nonnegative"),
+        (["bounds", "ceva3", "--weights", "-x"], "bad weight entry '-x': expected p or p/q"),
+        (["modn", "ceva3", "--k", "-x", "--N", "3"], "bad k entry '-x': expected an integer"),
     ],
-    ids=["oscohom", "bounds", "nonres", "resonance", "modn", "bounds-box"],
+    ids=["oscohom", "bounds", "nonres", "resonance", "modn", "bounds-box", "bounds-dash", "modn-dash"],
 )
 def test_wrong_weight_count(capsys, argv, message):
     # the library checks its input; the CLI prints its ValueError
@@ -318,6 +320,22 @@ def test_wrong_weight_count(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"oscoh: error: {message}\n"
+
+
+def test_a_list_with_a_negative_first_entry_is_the_option_value(capsys):
+    # README's bounds witness, pasted back as --weights: argparse alone reads
+    # any token starting with "-" that is no plain number as an option
+    code, out, err = run(capsys, ["oscohom", "example-lstrict", "--weights", "-1/2,-1,-1,-1/2,1/2,1,3/2"])
+    assert (code, err) == (0, "")
+    assert "dims by degree: [0, 0, 4, 4]" in out
+    code, out, err = run(capsys, ["modn", "boolean(2)", "--k", "-1,1", "--N", "3"])
+    assert (code, err) == (0, "")
+    assert out == run(capsys, ["modn", "boolean(2)", "--k=-1,1", "--N", "3"])[1]
+    # an option name after --weights is still a missing value
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "boolean(2)", "--weights", "--box", "1"])
+    assert exc.value.code == 1
+    assert "argument --weights: expected one argument" in capsys.readouterr().err
 
 
 def test_bounds_refuses_a_translate_box_over_budget(capsys):

@@ -21,7 +21,7 @@ from oscoh.cohom import (
 from oscoh.exactla import NumberField, bareiss_rank, field_rank, rank_mod_p, rank_over_Q, rank_stack, smith_normal_form
 from oscoh.matroid import vector_matroid
 from oscoh.osalg import aomoto_matrix
-from oscoh.resonance import betti_bounds, edge_weights, in_V, in_W, resonance_membership, yuzvinsky_vanishing
+from oscoh.resonance import betti_bounds, edge_weights, in_W_and_V, resonance_membership, yuzvinsky_vanishing
 
 from conftest import CATALOG_NAMES, affine_lines, braid_rows, empty_rank_cache, random_weight_vector
 
@@ -601,8 +601,10 @@ NON_RATIONAL_CALLS = {
     "os_cohomology_dims": lambda sec, bad: os_cohomology_dims(sec, _lam(bad)),
     "betti_bounds": lambda sec, bad: betti_bounds(sec, _lam(bad)),
     "edge_weights": lambda sec, bad: edge_weights(sec, _lam(bad)),
-    "in_W": lambda sec, bad: in_W(sec, _lam(bad)),
-    "in_V": lambda sec, bad: in_V(sec, _lam(bad)),
+    # the W and the V half of in_W_and_V, each read as README's replacement
+    # for the removed in_W and in_V
+    "in_W": lambda sec, bad: in_W_and_V(edge_weights(sec, _lam(bad)))[0],
+    "in_V": lambda sec, bad: in_W_and_V(edge_weights(sec, _lam(bad)))[1],
     "resonance_membership": lambda sec, bad: resonance_membership(sec, _lam(bad), 1),
     "scaling weights": lambda sec, bad: os_cohomology_dims(sec, [2 * x for x in _lam(bad)]),
     "scaling factor": lambda sec, bad: os_cohomology_dims(sec, [bad * x for x in CEVA_WEIGHTS]),

@@ -297,7 +297,7 @@ def test_field_rank_matches_integer_rank_after_clearing_denominators():
 
 
 def test_field_rank_number_field_entries():
-    nf = NumberField([1, 1, 1], "w")
+    nf = NumberField([1, 1, 1])
     w = nf.gen
     rows = [
         [nf(1), -nf(1), nf(0)],
@@ -419,7 +419,7 @@ def test_local_smith_past_int64():
 
 
 def test_omega_relations():
-    nf = NumberField([1, 1, 1], "w")
+    nf = NumberField([1, 1, 1])
     w = nf.gen
     one = nf.one
     assert w * w + w + one == nf.zero
@@ -428,7 +428,7 @@ def test_omega_relations():
 
 
 def test_number_field_division():
-    nf = NumberField([1, 1, 1], "w")
+    nf = NumberField([1, 1, 1])
     w = nf.gen
     assert nf.one / w == w * w
     x = 2 * w - 3
@@ -449,7 +449,7 @@ def poly_mul(a, b):
 def test_number_field_rejects_reducible_min_poly():
     # x^2 - 1 = (x - 1)(x + 1) would make x - 1 a zero divisor
     with pytest.raises(ValueError, match="reducible"):
-        NumberField([-1, 0, 1], "x")
+        NumberField([-1, 0, 1])
     with pytest.raises(ValueError, match="reducible"):
         NumberField(poly_mul([1, 0, 1], [1, 1, 1]))  # (x^2 + 1)(x^2 + x + 1)
     with pytest.raises(ValueError, match="reducible"):
@@ -475,7 +475,7 @@ def test_number_field_accepts_irreducible_min_poly():
     # x^4 - 10x^2 + 1, the minimal polynomial of sqrt(2) + sqrt(3), is
     # irreducible over Q though it factors modulo every prime
     for f in ([1, 1, 1], [1, 0, -1, 0, 1], [1, 0, -10, 0, 1]):
-        nf = NumberField(f, "x")
+        nf = NumberField(f)
         x = nf.gen
         assert (x + 2) * (x + 2).inverse() == nf.one
 
@@ -510,7 +510,7 @@ def test_number_field_irreducible_modulo_a_small_prime_is_accepted():
 
 
 def test_number_field_coercion_and_equality():
-    nf = NumberField([1, 1, 1], "w")
+    nf = NumberField([1, 1, 1])
     assert nf(2) == nf.coerce(2)
     assert nf(Fraction(1, 2)) + nf(Fraction(1, 2)) == nf.one
     assert nf([0, 1]) == nf.gen
@@ -520,7 +520,7 @@ def test_number_field_coercion_and_equality():
 
 
 def test_number_field_random_ring_axioms():
-    nf = NumberField([1, 1, 1], "w")
+    nf = NumberField([1, 1, 1])
     rng = random.Random(17)
 
     def rand_elt():
@@ -648,7 +648,7 @@ def test_field_rank_matches_bareiss_after_clearing_denominators(m):
     assert field_rank(m) == bareiss_rank(cleared) == fraction_rank(m)
 
 
-OMEGA = NumberField([1, 1, 1], "w")  # w^2 = -1 - w
+OMEGA = NumberField([1, 1, 1])  # w^2 = -1 - w
 omega_elements = st.builds(
     lambda a, b: OMEGA([a, b]), st.integers(-4, 4), st.integers(-4, 4)
 )
@@ -673,7 +673,7 @@ def test_field_rank_over_omega_is_half_the_realified_rank(m):
     assert 2 * field_rank(m) == fraction_rank(realify(m))
 
 
-CUBE = NumberField([-2, 0, 0, 1], "c")  # c^3 = 2: read backwards, c^3 = -1/2
+CUBE = NumberField([-2, 0, 0, 1])  # c^3 = 2: read backwards, c^3 = -1/2
 cube_elements = st.builds(
     lambda a, b, c, den: CUBE([Fraction(a, den), b, c]),
     st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),

@@ -26,13 +26,12 @@ from oscoh.fileio import read_arrangement, write_arrangement
 from oscoh.matroid import add_coloop
 from oscoh.osalg import CELL_BUDGET, aomoto_matrix
 from oscoh.resonance import (
+    _first_offset,
     _lower_dims_options,
     _translate_chunks,
     _translate_count,
     betti_bounds,
     edge_weights,
-    in_V,
-    in_W,
     in_W_and_V,
     resonance_membership,
     yuzvinsky_vanishing,
@@ -211,7 +210,7 @@ def test_closure_meets_name_the_dense_edge_of_each_pair(name, tmp_path):
     closure = Arrangement(arr.n + 1, arr.rank + 1, True, add_coloop(arr.cone_matroid))
     index = {f.hyperplanes: e for e, f in enumerate(arr.closure_dense_edges())}
     want = np.diag([index[frozenset({h})] for h in range(arr.n + 1)])
-    for f in closure.intersection_lattice().flats_of_codim(2):
+    for f in closure.intersection_lattice().levels[2]:
         for i, j in itertools.permutations(f.hyperplanes, 2):
             want[i, j] = index.get(f.hyperplanes, -1)
     assert arr.closure_meets().tolist() == want.tolist()
@@ -224,27 +223,27 @@ def test_closure_dense_edges_of_random_affine_lines(arr):
 
 
 def test_edge_weight_integer_predicates():
+    # an edge of weight 0 is a nonnegative integer (out of W) and not a
+    # positive one (not out of V); one of weight 1 is both
     arr = three_concurrent_lines()
     edges = edge_weights(arr, (1, 1, -2))
     center = next(e for e in edges if len(e.hyperplanes) == 3)
-    assert center.weight == 0
-    assert center.is_nonnegative_integer
-    assert not center.is_positive_integer
+    one = next(e for e in edges if e.hyperplanes == {0})
+    assert center.weight == 0 and one.weight == 1
+    assert in_W_and_V([center]) == (False, True)
+    assert in_W_and_V([one]) == (False, False)
+    assert in_W_and_V([]) == (True, True)
 
 
 def test_in_W_and_in_V_on_pencil():
     arr = three_concurrent_lines()
     generic = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
-    assert in_W(arr, generic) and in_V(arr, generic)
+    assert in_W_and_V(edge_weights(arr, generic)) == (True, True)
     # zero edge weight at the center: excluded from W but not from V
     balanced = (Fraction(1, 2), Fraction(1, 2), Fraction(-1))
-    assert not in_W(arr, balanced)
-    assert in_V(arr, balanced)
+    assert in_W_and_V(edge_weights(arr, balanced)) == (False, True)
     # positive integer weight on a hyperplane: excluded from both
-    assert not in_W(arr, (1, 1, -2))
-    assert not in_V(arr, (1, 1, -2))
-    for lam in (generic, balanced, (1, 1, -2)):
-        assert in_W_and_V(edge_weights(arr, lam)) == (in_W(arr, lam), in_V(arr, lam))
+    assert in_W_and_V(edge_weights(arr, (1, 1, -2))) == (False, False)
 
 
 def test_W_is_contained_in_V():
@@ -253,8 +252,9 @@ def test_W_is_contained_in_V():
         arr = catalog.get(name)
         for _ in range(10):
             lam = random_weight_vector(rng, arr.n)
-            if in_W(arr, lam):
-                assert in_V(arr, lam), (name, lam)
+            w, v = in_W_and_V(edge_weights(arr, lam))
+            if w:
+                assert v, (name, lam)
 
 
 def test_edge_weights_require_no_field():
@@ -367,6 +367,22 @@ def test_translate_chunks_are_capped():
         for c in _translate_chunks(5 if shift else 4, 2, shift, forms):
             assert (c[:, -2:] == c[:, :4] @ forms.T).all()
             assert shift is None or (c[:, :5].sum(axis=1) == shift).all()
+
+
+def test_first_offset_is_none_exactly_where_the_slice_misses_the_box():
+    # |shift| = n * box itself leaves one offset, all coordinates at one end
+    for n, box in itertools.product((1, 2, 4), (0, 1, 2, 2**63, 10**30)):
+        for shift in (None, 0, 1, -1, n * box - 1, n * box, n * box + 1, -n * box, -n * box - 1):
+            m = _first_offset(n, box, shift)
+            if shift is not None and abs(shift) > n * box:
+                assert m is None, (n, box, shift)
+                continue
+            assert len(m) == n and all(abs(x) <= box for x in m), (n, box, shift)
+            assert shift is None or sum(m) == shift
+            if abs(shift or 0) == n * box:
+                assert m == [-box if shift is None or shift < 0 else box] * n
+            if box <= 2:
+                assert m == next(_translate_chunks(n, box, shift))[0].tolist()
 
 
 # ---------------------------------------------------------------------------
