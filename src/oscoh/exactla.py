@@ -98,11 +98,18 @@ class NotPrimeError(ValueError):
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least composite that passes Miller-Rabin to all of _MR_BASES:
+# 399165290221 * 798330580441 (Sorenson-Webster, Math. Comp. 86, 2017).
+_PSI_12 = 318665857834031151167461
 
 
 @lru_cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs; cached."""
+    """Primality of n; cached.  Miller-Rabin to the twelve bases of
+    _MR_BASES, which is proved exact below _PSI_12.  At and above it n must
+    pass a strong Lucas probable-prime test too (``_strong_lucas``): that
+    is Baillie-PSW (Baillie-Wagstaff, Math. Comp. 35, 1980), for which no
+    composite that passes is known, but which is not proved."""
     n = int(n)
     if n < 2:
         return False
@@ -124,7 +131,46 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_12 or _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 1 with Selfridge's
+    parameters: a perfect square is refused; D is the first of 5, -7, 9,
+    -11, ... with Jacobi symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  With
+    n + 1 = d 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0 mod n for
+    some 0 <= r < s (Baillie-Wagstaff 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return abs(D) == n
+        D = -D - 2 if D > 0 else 2 - D
+    Q, half = (1 - D) // 4, (n + 1) // 2  # half is the inverse of 2 mod n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q^1, then up the bits of d
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    for _ in range(s):  # V_d, V_2d, ..., V_(d 2^(s-1))
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return U == 0
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, out = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            out = -out if n % 8 in (3, 5) else out
+        out = -out if a % 4 == n % 4 == 3 else out
+        a, n = n % a, a
+    return out if n == 1 else 0
 
 
 # Rho steps allowed for one split.  Brent's search finds a prime factor p

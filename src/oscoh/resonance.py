@@ -40,7 +40,6 @@ from .cohom import (
 )
 from .exactla import STACK_CELLS, NotPrimeError, _exact_int, _exact_ints, _widen, is_prime
 from .exactla import poincare_product
-from .osalg import check_complex_size
 
 __all__ = [
     "EdgeWeight",
@@ -246,18 +245,31 @@ def _first_offset(n: int, box: int, shift: int | None) -> list | None:
     return m + [shift - sum(m)]
 
 
+def _slice(arr, k: tuple, N: int, box: int) -> tuple:
+    """(shift, first): the offsets of the box the search walks at k/N.  On
+    an affine input that is all of {-box..box}^n, with shift None.  On a
+    central one a translate whose weights do not sum to zero has an exact
+    complex, so only the zero-sum slice sum(m) == shift = -sum(k)/N can
+    contribute.  ``first`` is the walk's first offset (``_first_offset``),
+    or None where it is empty: the weight sum is not an integer, or the
+    slice misses the box."""
+    if arr.central and sum(k) % N:
+        return None, None
+    shift = -sum(k) // N if arr.central else None
+    return shift, _first_offset(arr.n, box, shift)
+
+
 # Most translates betti_bounds enumerates before it refuses the box.
 TRANSLATE_BUDGET = 10**6
 
 
 def _translate_count(arr, k: tuple, N: int, box: int) -> int:
-    """Translates _lower_dims_options enumerates: per factor for products."""
+    """Offsets the box's walk (``_slice``) visits, over its free
+    coordinates; summed over the factors of a product."""
     if arr.product_factors is not None:
         a1, a2 = arr.product_factors
         return _translate_count(a1, k[: a1.n], N, box) + _translate_count(a2, k[a1.n :], N, box)
-    if arr.central:
-        return (2 * box + 1) ** (arr.n - 1) if sum(k) % N == 0 else 0
-    return (2 * box + 1) ** arr.n
+    return 0 if _slice(arr, k, N, box)[1] is None else (2 * box + 1) ** (arr.n - arr.central)
 
 
 def _closure_weights(arr, k: tuple, N: int):
@@ -374,11 +386,8 @@ def _lower_dims_options(arr, lam, box: int, closure=None) -> dict:
         out.setdefault(zero, None)
         return out
     n, k, N = arr.n, wv.k, wv.N
-    # Nonzero weights on a central arrangement give exact complexes unless
-    # they sum to zero; only the zero-sum slice can contribute.
-    shift = -sum(k) // N if arr.central else None
-    start = _first_offset(n, box, shift)
-    if start is None or arr.central and sum(k) % N:
+    shift, start = _slice(arr, k, N, box)
+    if start is None:
         return {zero: None}
     # |k + N*m| <= max|k| + N*box, doubled for margin; N*m needs N itself
     bound = 2 * (max(map(abs, k)) + N * max(box, 1))
@@ -483,10 +492,13 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
     notes are those of ranking every translate.  The closure's edge
     weights are built once per call.  Upper bounds: cohomology ranks
     modulo N, the least common denominator of the weights.  Degrees where
-    the two meet are exact.  Such a call with more than TRANSLATE_BUDGET
-    translates to enumerate, or a complex with a boundary matrix above the
-    cell budget of ``osalg.check_complex_size``, raises ValueError before
-    any box or complex work.
+    the two meet are exact.  Such a call raises ValueError where the box's
+    walk has more than TRANSLATE_BUDGET translates (``_translate_count``),
+    before any is enumerated, and where a complex it ranks (the input's
+    when affine, its decone's when central, each factor's for a product)
+    has a boundary matrix above the cell budget of
+    ``osalg.check_complex_size``, before any matrix of that complex is
+    built, which may be after the first chunk of the box.
     """
     wv, box = WeightVector(lam), _exact_int(box)
     if len(wv) != arr.n:
@@ -512,7 +524,7 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
         decided = _decided(arr, wv.k, wv.N, closure)
     if decided is not None:
         upper, upper_notes = decided
-        m = _first_offset(arr.n, box, -sum(wv.k) // wv.N if arr.central else None)
+        m = _slice(arr, wv.k, wv.N, box)[1]
         lower = upper if m is not None else tuple([0] * (arr.rank + 1))
         first = m and tuple(l + x for l, x in zip(wv.lam, m))  # None: no translate
         witness = tuple(first if x else None for x in lower)
@@ -524,7 +536,6 @@ def betti_bounds(arr, lam, box: int = 1) -> BettiBoundsReport:
             f"translate box {box} has {count} candidate translates, above "
             f"the budget of {TRANSLATE_BUDGET}; use a smaller box"
         )
-    check_complex_size(arr)
     options = _lower_dims_options(arr, wv, box, closure)
     lower = tuple(max(d[q] for d in options) for q in range(arr.rank + 1))
     witness = tuple(

@@ -84,11 +84,11 @@ class RankOracle:
         return found
 
 
-def restriction_connected(m, s) -> bool:
-    """Is the restriction of the matroid m to s connected (a single
-    element counts as yes)?  Its components are the classes of "lies on a
-    common circuit inside s"; an element of s on no such circuit is its
-    own component."""
+def restriction_connected(circuits, s) -> bool:
+    """Is the restriction to s of the matroid with these circuits (a list
+    of sets, listed once by the caller) connected (a single element counts
+    as yes)?  Its components are the classes of "lies on a common circuit
+    inside s"; an element of s on no such circuit is its own component."""
     elems = set(s)
     parent = {e: e for e in elems}
 
@@ -97,7 +97,7 @@ def restriction_connected(m, s) -> bool:
             x = parent[x]
         return x
 
-    for c in m.circuits():
+    for c in circuits:
         if c <= elems:
             first, *rest = c
             for e in rest:

@@ -173,6 +173,18 @@ def test_modn_refuses_a_modulus_it_cannot_factor(capsys, monkeypatch):
     assert f"cannot factor the modulus {p * q}" in err
 
 
+def test_modn_at_a_composite_that_passes_every_miller_rabin_base(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441: the units
+    # convention, as --k 3,0 --N 15 gives it at small scale
+    argv = ["modn", "boolean(2)", "--k", "399165290221,0", "--N", "318665857834031151167461"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "dims by degree: [1, 2, 1]\n" in out and "boundary ranks: [0, 0, 0]\n" in out
+    assert "note: composite modulus" in out
+    for q, factors in enumerate(("[399165290221]", "[399165290221]", "[]")):
+        assert f"invariant factors of boundary {q}: {factors}\n" in out
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -526,7 +538,10 @@ def test_no_command_builds_the_closure_lattice(capsys, monkeypatch, tmp_path):
 def golden_argvs(tmp_path):
     """{key: argv} of `lattice` and `nonres`, in text and JSON, on every
     fixed catalog entry and on the plain circuit file and both sections
-    read back from their JSON."""
+    read back from their JSON; of README's `oscohom`, `modn`, `bounds` and
+    `resonance` examples; and of two `bounds` calls that read the box's
+    zero-sum slice: one it misses, and one whose weight sum is off the
+    integers."""
     inputs = {name: name for name in catalog.names() if name != "boolean(n)"}
     for name in ("maclane-matroid", "ceva3-section", "maclane-section"):
         path = tmp_path / f"{name}.json"
@@ -538,13 +553,20 @@ def golden_argvs(tmp_path):
         for fmt in ("text", "json"):
             argvs[f"lattice {key} {fmt}"] = ["lattice", source, "--format", fmt]
             argvs[f"nonres {key} {fmt}"] = ["nonres", source, "--weights", weights, "--format", fmt]
+    slices = [
+        ["bounds", "ceva3", "--weights", "301/3,1/3,1/3,1/3,1/3,1/3,-2/3,-2/3,-2/3", "--box", "3"],
+        ["bounds", "example-lstrict", "--weights", "0,2/3,1/6,1/3,1/2,1/6,2/3"],
+    ]
+    for argv in [a for a, _ in README_EXAMPLES if a[0] not in ("lattice", "nonres")] + slices:
+        for fmt in ("text", "json"):
+            argvs[f"{argv[0]} {argv[1]} {argv[-1]} {fmt}"] = argv + ["--format", fmt]
     return argvs
 
 
-# sha256 of the stdout of each of golden_argvs, recorded before the
-# closure's dense edges stopped coming from a lattice of the closure (the
-# maclane-matroid read-back ones before the circuit oracle's closure
-# became a walk through covers)
+# sha256 of the stdout of each of golden_argvs.  The lattice and nonres
+# ones were recorded before the closure's dense edges stopped coming from
+# a lattice of the closure (the maclane-matroid read-back ones before the
+# circuit oracle's closure became a walk through covers).
 GOLDEN_DIGESTS = {
     "lattice ceva3 text": "fd6362320c16cc94dc19d07bcb9fc684beda0753acceae835c410b5cdb060032",
     "nonres ceva3 text": "a6303081f0513acb9c1af06590b635ce28c516ba70d304a12395bcfce2b987f9",
@@ -586,10 +608,22 @@ GOLDEN_DIGESTS = {
     "nonres maclane-section read back text": "7b88df325fbe31471df48a2d29bce95b3617302f7cdc5c5da4f5840332062774",
     "lattice maclane-section read back json": "df77240ecaa21053f1f32209b28d509a7252d6ceca6d96319e65dbe1c3b96b70",
     "nonres maclane-section read back json": "c451e2f73e3f1a62d79dfcbf5fad33c241869c9f94e308c1188f4a8abc60caf0",
+    "oscohom ceva3-section 1/3,1/3,1/3,1/3,1/3,1/3,-2/3,-2/3,-2/3 text": "9a35449eef50482ee1449efa665f1d92ce8f4dde185df5661779dd79fd52a457",
+    "oscohom ceva3-section 1/3,1/3,1/3,1/3,1/3,1/3,-2/3,-2/3,-2/3 json": "326673b8e9b27346dcf064ebe8cef0ca2a94e7adfe31b8bbcba1a2abdd419f42",
+    "modn maclane-section 3 text": "8bf90f48acd557d0847548f63bb3a48ff709d66c90766ca4dbd97d1f3840f34d",
+    "modn maclane-section 3 json": "25ef6364d534c051d6f4d6ba5198795c337bd9e7e5962af5010e0beedc8961e1",
+    "bounds example-lstrict 1/2,0,0,1/2,1/2,0,1/2 text": "22ad461b9c80f3af6e2e1a4f861412b9078ed3b824c017612029bf5d17b55faf",
+    "bounds example-lstrict 1/2,0,0,1/2,1/2,0,1/2 json": "6a38885d6ab80394e1ff85a4ab5b1b78092e8b4634c9bdc7efbde5a937322c1b",
+    "resonance ceva3 1 text": "a3b27ee2241ed18b32cfd632c9645d65cf2a84674ce41d9a4bd819e1cf577402",
+    "resonance ceva3 1 json": "8949f82e178152902480d6840aaa7dd57879b52f5a3316a825529f7b43c8c505",
+    "bounds ceva3 3 text": "88b2930c2024cf0eb1eb96a5eb397424cff32d5d42123b028fd5c23965714c57",
+    "bounds ceva3 3 json": "c39952fe876cf08e35e9312fcf5bba66b44fa5a4afe6673eb29e5a846058b6f0",
+    "bounds example-lstrict 0,2/3,1/6,1/3,1/2,1/6,2/3 text": "f46f63f44f9ee51e125d2c775b44b2e9c56f82936db92042fe23c5aada1ad0b8",
+    "bounds example-lstrict 0,2/3,1/6,1/3,1/2,1/6,2/3 json": "8a8be84d21ce3b0bdf8b13c50082c58d4725b1f6c6e9611631fb17f199ce2c3c",
 }
 
 
-def test_lattice_and_nonres_outputs_match_their_recorded_digests(capsys, tmp_path):
+def test_every_command_output_matches_its_recorded_digest(capsys, tmp_path):
     got = {}
     for key, argv in golden_argvs(tmp_path).items():
         _, out, _ = run(capsys, argv)

@@ -90,10 +90,33 @@ def test_is_prime_small_values():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+# psi_12 and psi_13, the least strong pseudoprimes to the first 12 and 13
+# prime bases (Sorenson-Webster 2017), as their two prime factors
+PSI_12 = (399165290221, 798330580441)
+PSI_13 = (1287836182261, 2575672364521)
+
+
 def test_is_prime_large_values():
     assert is_prime(2**31 - 1)  # Mersenne prime
     assert not is_prime(2**31)
     assert not is_prime(1_000_003 * 1_000_033)
+    for e in (89, 107, 127):
+        assert is_prime(2**e - 1)
+    # the primes past 2**100 that the modulus tests pick
+    assert [n - 2**100 for n in range(2**100, 2**100 + 400) if is_prime(n)] == [277, 331]
+    # each passes Miller-Rabin to every base of is_prime: the strong Lucas
+    # test refuses it
+    assert PSI_12[0] * PSI_12[1] == exactla._PSI_12
+    for a, b in (PSI_12, PSI_13):
+        assert not is_prime(a * b)
+
+
+def test_the_strong_lucas_test_passes_every_prime_and_its_known_pseudoprimes():
+    # the composites below 2 * 10**4 that pass are the first five strong
+    # Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)
+    passed = [n for n in range(3, 2 * 10**4, 2) if exactla._strong_lucas(n)]
+    assert [n for n in passed if not is_prime(n)] == [5459, 5777, 10877, 16109, 18971]
+    assert [n for n in passed if is_prime(n)] == [n for n in range(3, 2 * 10**4, 2) if is_prime(n)]
 
 
 def test_not_prime_error_is_value_error():
@@ -114,6 +137,8 @@ def test_factorize_splits_moduli_below_2_64_and_past_them():
     for _ in range(4):
         a, b = sorted(next_prime(rng.randrange(2**31, 2**32)) for _ in range(2))
         assert exactla._factorize(a * b) == ({a: 2} if a == b else {a: 1, b: 1})
+    for a, b in (PSI_12, PSI_13):
+        assert exactla._factorize(a * b) == {a: 1, b: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -237,12 +237,12 @@ def test_truncation_preserves_low_rank_structure():
 
 
 def test_restriction_connected():
-    m = Matroid(5, [(0, 1, 2), (2, 3, 4), (0, 1, 3, 4)], validate=True)
-    assert restriction_connected(m, [0, 1, 2])
-    assert restriction_connected(m, [0, 1, 2, 3, 4])
-    assert not restriction_connected(m, [0, 3])  # no circuit inside
-    assert restriction_connected(m, [2])  # single element is trivially connected
-    assert not restriction_connected(m, [0, 1, 2, 3])  # {3} dangles off the triple
+    c = Matroid(5, [(0, 1, 2), (2, 3, 4), (0, 1, 3, 4)], validate=True).circuits()
+    assert restriction_connected(c, [0, 1, 2])
+    assert restriction_connected(c, [0, 1, 2, 3, 4])
+    assert not restriction_connected(c, [0, 3])  # no circuit inside
+    assert restriction_connected(c, [2])  # single element is trivially connected
+    assert not restriction_connected(c, [0, 1, 2, 3])  # {3} dangles off the triple
 
 
 def test_vector_matroid_finds_dependencies():

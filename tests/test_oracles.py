@@ -99,11 +99,12 @@ def test_linear_oracle_matches_the_circuit_oracle(arr):
     closure, twin_closure = arr.projective_closure()[0], twin.projective_closure()[0]
     dense = [f.hyperplanes for f in closure.dense_edges()]
     assert dense == [f.hyperplanes for f in twin_closure.dense_edges()]
+    circuits = twin_closure.cone_matroid.circuits()
     assert dense == [
         f.hyperplanes
         for level in twin_closure.intersection_lattice().levels[1:]
         for f in level
-        if restriction_connected(twin_closure.cone_matroid, f.hyperplanes)
+        if restriction_connected(circuits, f.hyperplanes)
     ]
     for q in range(arr.rank + 1):
         assert nbc_basis(arr, q) == nbc_basis(twin, q) == nbc_by_definition(twin, q)
@@ -188,12 +189,11 @@ def test_beta_marks_exactly_the_connected_localizations():
     for name in ("boolean(4)", "ceva3", "example-lstrict", "maclane", "maclane-matroid",
                  "ceva3-section", "maclane-section", "product-example"):
         closure = catalog.get(name).projective_closure()[0]
+        circuits = closure.cone_matroid.circuits()
         for level in closure.intersection_lattice().levels[1:]:
             for f in level:
                 assert f.beta >= 0
-                assert bool(f.beta) == restriction_connected(
-                    closure.cone_matroid, f.hyperplanes
-                ), (name, f)
+                assert bool(f.beta) == restriction_connected(circuits, f.hyperplanes), (name, f)
 
 
 def test_braid_arrangement_A6_betti_numbers_and_nbc_counts():

@@ -522,19 +522,63 @@ def test_bounds_skip_a_zero_sum_slice_out_of_reach():
     assert rep.lower == (0,) * 5 and rep.witness == (None,) * 5
     assert rep.upper == modN_cohomology_ranks(arr, (2**71 + 1, 1, 0, 0), 2).dims
     assert list(_translate_chunks(4, 1, -(2**70 + 1))) == []
+    # undecided: ceva3's weights sum to 100, which a box of radius 3 moves
+    # by at most 27, so that box is answered as box 2 is, not refused for
+    # its 7**8 offsets
+    arr = catalog.get("ceva3")
+    lam = (CEVA_WEIGHTS[0] + 100,) + CEVA_WEIGHTS[1:]
+    for box in (2, 3):
+        rep = betti_bounds(arr, lam, box)
+        assert rep.lower == (0, 0, 0, 0) and rep.witness == (None,) * 4
+        assert rep.upper == (0, 2, 13, 11)
 
 
-def test_bounds_refuse_a_complex_over_the_cell_budget():
+def test_bounds_size_only_the_complexes_they_rank():
     b13 = catalog.get("boolean(13)")
     prod = product_arrangement(b13, catalog.get("boolean(13)"))
-    # each factor's weights sum to 13/2: no translate, so the cell budget
-    # is what stops the 2**26-flat lattice and the NBC enumeration
+    # the product's own complex is over the cell budget (its degree-3
+    # matrix is 2600 x 14950 cells), but it is never built: each factor's
+    # weights sum to 13/2, so each factor's local system is acyclic, no
+    # translate is walked and nothing is ranked
     start = time.process_time()
-    with pytest.raises(ValueError, match=r"= 38870000 cells, above the cell budget"):
-        betti_bounds(prod, [Fraction(1, 2)] * 26)
+    rep = betti_bounds(prod, [Fraction(1, 2)] * 26)
+    assert rep.lower == rep.upper == (0,) * 27
     assert time.process_time() - start < 10
     assert "lattice" not in prod._cache and ("nbc", 1) not in prod._cache
     assert CELL_BUDGET > 1624 * 1764  # the largest Aomoto matrix of A_6
+
+
+SLICE_INPUTS = [f"boolean({n})" for n in range(1, 7)] + ["A_3", "example-lstrict"]
+
+
+@st.composite
+def central_weights(draw):
+    """A central input of at most 7 hyperplanes, integer weights k over N
+    in 2..15, and a box of 0 to 2.  Half the draws move the last weight so
+    that the weight sum is an integer within two of the box's reach."""
+    name = draw(st.sampled_from(SLICE_INPUTS))
+    arr = build_arrangement(braid_rows(3)) if name == "A_3" else catalog.get(name)
+    N, box = draw(st.integers(2, 15)), draw(st.integers(0, 2))
+    k = draw(st.lists(st.integers(-N, N), min_size=arr.n, max_size=arr.n))
+    if draw(st.booleans()):
+        k[-1] += N * draw(st.integers(-arr.n * box - 2, arr.n * box + 2)) - sum(k)
+    return arr, tuple(k), N, box
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(central_weights())
+# past any scan: weight sums no translate in a box of radius 2**63 cancels,
+# one off the integers and one beyond 4 * 2**63
+@example((catalog.get("boolean(4)"), (1, 0, 0, 0), 2, 2**63))
+@example((catalog.get("boolean(4)"), (2**71, 0, 0, 0), 2, 2**63))
+def test_the_translate_count_walks_the_box_exactly_where_a_scan_finds_a_zero_sum(case):
+    # the scan reads every offset m of the box: is some sum(k/N + m) zero?
+    arr, k, N, box = case
+    found = False
+    if box <= 2:
+        sums = np.indices((2 * box + 1,) * arr.n).reshape(arr.n, -1).sum(axis=0) - arr.n * box
+        found = bool((sum(k) + N * sums == 0).any())
+    assert _translate_count(arr, k, N, box) == ((2 * box + 1) ** (arr.n - 1) if found else 0)
 
 
 def test_a_bounded_rank_cache_keeps_the_box_answers(monkeypatch):
@@ -1042,11 +1086,16 @@ def test_an_undecided_call_over_budget_is_refused():
     a5 = build_arrangement(braid_rows(5))
     with pytest.raises(ValueError, match="4782969 candidate translates"):
         betti_bounds(a5, (Fraction(1, 3),) * 15, box=1)
+    # A_7's complex is 1960 x 6769 cells in degree 3, but the zero-sum
+    # slice ranks its decone's, and so does a product with A_7 as a factor
     a7 = build_arrangement(braid_rows(7))
     local = [0] * a7.n
     local[0], local[1], local[7] = Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)  # x_1, x_2, x_1 - x_2
-    with pytest.raises(ValueError, match="cell budget"):
+    decone = r"degree-3 Aomoto matrix is 1665 x 5104 = 8498160 cells, above the cell budget"
+    with pytest.raises(ValueError, match=decone):
         betti_bounds(a7, local, box=0)
+    with pytest.raises(ValueError, match=decone):
+        betti_bounds(product_arrangement(a7, catalog.get("boolean(1)")), local + [0], box=0)
 
 
 @pytest.mark.parametrize("box", [2**63, 10**30])
