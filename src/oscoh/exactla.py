@@ -27,13 +27,13 @@ eliminations; their entries grow, and no computation in the package calls
 them.  Moduli are factored by trial division and Pollard-Brent rho
 (``_factorize``).
 
-Integers.  Two functions make every choice between int64 and Python
-integers (object arrays), apart from the eliminations' residues.
-``_exact_ints`` takes integers from a caller: int64 when all fit, Python
-integers otherwise, and ValueError for a float or a non-integral Fraction,
-never truncated.  ``_widen`` takes an array the package built and a bound
-on every value the caller computes from it, and widens it to Python
-integers when that bound reaches 2**63.
+Integers.  Three functions make every choice of integer width, apart from
+the eliminations' residues.  ``_exact_ints`` takes integers from a caller:
+int64 when all fit, Python integers (object arrays) otherwise, and
+ValueError for a float or a non-integral Fraction, never truncated.
+``_widen`` takes an array the package built and a bound on every value the
+caller computes from it, and widens it to Python integers when that bound
+reaches 2**63; ``_narrow`` names the narrowest dtype within such a bound.
 
 Matrices are plain nested sequences (list of rows).  Every rank mod p is a
 lower bound on the rank over Q.  When the caller proves an upper bound (in
@@ -298,6 +298,12 @@ def _widen(a: np.ndarray, bound: int) -> np.ndarray:
     """The package's own array a, as Python integers when ``bound``, on
     every value the caller computes from a, reaches 2**63."""
     return a.astype(object) if bound >= 2**63 and a.dtype != object else a
+
+
+def _narrow(bound: int) -> np.dtype:
+    """The narrowest signed dtype holding every value of absolute value at
+    most ``bound``: int8 to 127, then int16, int32, int64, and object."""
+    return np.min_scalar_type(-bound - 1)
 
 
 def _absmax(a: np.ndarray) -> int:

@@ -168,6 +168,8 @@ def arrangement_from_dict(doc: dict, essentialize: bool = False) -> Arrangement:
         )
     if doc.get("field") not in (None, "Q"):
         raise ArrangementFileError("matroid input does not take a field")
+    if labels and len(labels) != n:  # before a matroid on n elements is built
+        raise ArrangementFileError("label count does not match hyperplane count")
     try:
         if "circuits" in keys:
             circuits = _parse_index_lists(doc["circuits"], n, "circuits")

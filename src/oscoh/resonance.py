@@ -38,7 +38,7 @@ from .cohom import (
     os_cohomology_dims,
     os_cohomology_dims_stack,
 )
-from .exactla import STACK_CELLS, NotPrimeError, _exact_int, _exact_ints, _widen, is_prime
+from .exactla import STACK_CELLS, NotPrimeError, _exact_int, _exact_ints, _narrow, _widen, is_prime
 from .exactla import poincare_product
 
 __all__ = [
@@ -205,28 +205,27 @@ class BettiBoundsReport:
         }
 
 
-def _translate_chunks(n: int, box: int, shift: int | None = None, forms=None):
+def _translate_chunks(n: int, box: int, shift: int | None = None):
     """Offsets m in {-box..box}^n in itertools.product order, in chunks of
-    at most max(STACK_CELLS // n, 2*box + 1) rows: m, then each row of
-    ``forms`` at its free coordinates.  With ``shift``, only those with
-    sum(m) == shift, the last coordinate fixed by the n - 1 free ones.  A
-    chunk is a point of the leading axes plus the trailing axes' grid."""
+    at most max(STACK_CELLS // n, 2*box + 1) rows, in the narrowest integer
+    width holding the box (``exactla._narrow``).  With ``shift``, only those
+    with sum(m) == shift, the last coordinate fixed by the n - 1 free ones.
+    A chunk is a point of the leading axes plus the trailing axes' grid."""
     free = n if shift is None else n - 1
     if _first_offset(n, box, shift) is None:
         return
-    L = np.concatenate([np.eye(free, dtype=np.int64)] + ([] if forms is None else [forms]))
-    values = np.arange(-box, box + 1, dtype=np.int64)
+    dt = _narrow(box)
     cap = STACK_CELLS // n
-    lead = next((a for a in range(free) if len(values) ** (free - a) <= cap), max(free - 1, 0))
-    tail = np.zeros((len(L), 1), dtype=np.int64)
-    for col in L[:, lead:].T[::-1]:  # from the last axis: each step runs along the points built
-        tail = (col[:, None, None] * values[:, None] + tail[:, None]).reshape(len(L), -1)
-    for head in itertools.product(values, repeat=lead):
-        v = tail + (L[:, :lead] @ np.array(head, dtype=np.int64))[:, None]
+    lead = next((a for a in range(free) if (2 * box + 1) ** (free - a) <= cap), max(free - 1, 0))
+    k = free - lead  # the trailing axes' grid, in product order
+    tail = np.indices([2 * box + 1] * k, dtype=_narrow(2 * box)).reshape(k, (2 * box + 1) ** k) - box
+    for head in itertools.product(range(-box, box + 1), repeat=lead):
+        v = np.empty((n, tail.shape[1]), dtype=dt)
+        v[:lead], v[lead:free] = np.array(head, dtype=dt)[:, None], tail
         if shift is not None:
-            last = shift - v[:free].sum(axis=0)
-            keep = np.abs(last) <= box
-            v = np.concatenate([v[:free, keep], last[None, keep], v[free:, keep]])
+            last = shift - np.add.reduce(v[:free], axis=0, dtype=_narrow(2 * n * box))
+            v[free] = last  # wraps where |last| > box, and those go
+            v = v.compress(np.abs(last) <= box, axis=1)
         if v.shape[1]:
             yield v.T
 
@@ -286,7 +285,7 @@ def _closure_weights(arr, k: tuple, N: int):
 
 def _integral_edges(closure, N: int, box: int):
     """The integral dense edges of the closure at k/N (``_closure_weights``)
-    that weigh 0 at some translate k + N*m in the box, as (forms, targets,
+    that weigh 0 at some translate k + N*m in the box, as (targets,
     incidence, meets), or None when there is no closure or a hyperplane of
     the closure is on none of them.  Edge X weighs w_X + N*f_X(m'), f_X
     summing the free coordinates m' over X less sum(m') if X is on H_inf:
@@ -306,7 +305,24 @@ def _integral_edges(closure, N: int, box: int):
     if cert.rank == 2:
         row, meet = np.where(live, np.cumsum(live) - 1, -1), cert.closure_meets()
         meets = np.where(meet >= 0, row[meet], -1)
-    return forms[live], target[live].astype(np.int64), E[live].astype(bool), meets
+    return target[live].astype(np.int64), E[live].astype(bool), meets
+
+
+def _sieve(chunks, inc, target, box: int):
+    """(chunk, rows, vanish) for each chunk of ``_translate_chunks``: the
+    rows with a zero edge through every closure hyperplane, and which live
+    edges (``_integral_edges``) weigh 0 at them.  f_X is the sum over X of
+    the closure coordinates, m' and -sum(m') at H_inf; each live edge is
+    summed once a chunk, in a width (``exactla._narrow``) for
+    (free + 1) * box, above every |f_X| and target."""
+    free, dt = inc.shape[1] - 1, _narrow(inc.shape[1] * box)
+    edges = [(row.nonzero()[0], t) for row, t in zip(inc, target.tolist())]
+    for chunk in chunks:
+        m = chunk.T[:free]
+        m = np.concatenate([m, -np.add.reduce(m, axis=0, dtype=dt)[None]])
+        vanish = np.array([np.add.reduce(m[h], axis=0, dtype=dt) == t for h, t in edges])
+        keep = np.all([vanish[through].any(axis=0) for through in inc.T], axis=0)
+        yield chunk, keep.nonzero()[0], vanish[:, keep]
 
 
 def _linked(vanish: np.ndarray, meets: np.ndarray) -> np.ndarray:
@@ -367,10 +383,11 @@ def _lower_dims_options(arr, lam, box: int, closure=None) -> dict:
     the caller has it.  The box is answered from its integral dense edges:
     if a hyperplane of the closure is on none, its first translate stands
     for it, unenumerated; otherwise a translate is ranked only if it has a
-    zero edge through every hyperplane and, where the certified
-    arrangement (the input, or its decone when central) has rank 2, it
-    fails the linking certificate (``_linked``).  The first of the others
-    is ranked too and stands for the rest, so witnesses keep their meaning.
+    zero edge through every hyperplane (``_sieve``, on narrow offsets) and,
+    where the certified arrangement (the input, or its decone when
+    central) has rank 2, it fails the linking certificate (``_linked``).
+    The first of the others is ranked too and stands for the rest, so
+    witnesses keep their meaning.  Only ranked translates are widened.
     """
     wv = lam if isinstance(lam, WeightVector) else WeightVector(lam)
     zero = tuple([0] * (arr.rank + 1))
@@ -394,27 +411,21 @@ def _lower_dims_options(arr, lam, box: int, closure=None) -> dict:
     k0 = _widen(_exact_ints(k), bound)
     edges = _integral_edges(closure or _closure_weights(arr, k, N), N, box)
     if edges is None:
-        chunks = [np.array([start], dtype=np.int64)]
-        target, inc, meets = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=bool), None
+        sieved, meets = [(np.array([start]), np.zeros(0, dtype=np.int64), None)], None
     else:
-        chunks, (_, target, inc, meets) = _translate_chunks(n, box, shift, edges[0]), edges
+        target, inc, meets = edges
+        sieved = _sieve(_translate_chunks(n, box, shift), inc, target, box)
     out: dict = {}
     first = True  # no certified translate ranked yet
-    for chunk in chunks:
-        vanish = chunk.T[n:] == target[:, None]
-        suspect = np.flatnonzero(vanish.any(axis=0))
-        vanish, hit = vanish[:, suspect], np.ones(len(suspect), dtype=bool)
-        for through in inc.T:
-            hit &= vanish[through].any(axis=0)
-        pick = suspect[hit]
+    for chunk, pick, vanish in sieved:
         if meets is not None and len(pick):
-            pick = pick[~_linked(vanish[:, hit], meets)]
+            pick = pick[~_linked(vanish, meets)]
         if first and len(pick) < len(chunk):
             c = np.count_nonzero(pick == np.arange(len(pick)))  # the first row not picked
             pick, first = np.insert(pick, c, c), False
         if not len(pick):
             continue
-        m = chunk[pick, :n]
+        m = chunk[pick].astype(np.int64)
         dims = os_cohomology_dims_stack(arr, k0 + N * _widen(m, bound))
         for d, row in zip(map(tuple, dims.tolist()), m.tolist()):
             if d not in out:

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +77,18 @@ def test_reducible_min_poly_file_is_refused(capsys, tmp_path):
     code, _, err = run(capsys, ["lattice", str(path)])
     assert code == 1
     assert "reducible" in err
+
+
+def test_a_label_count_off_a_huge_n_is_refused_before_any_matroid(capsys, tmp_path):
+    # the labels are checked against n first: a matroid on 2**70 elements
+    # would be validated one element at a time
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2**70, "circuits": [], "labels": [f"H{i}" for i in range(8)]}))
+    start = time.process_time()
+    code, _, err = run(capsys, ["lattice", str(path)])
+    assert time.process_time() - start < 1
+    assert code == 1
+    assert "label count does not match hyperplane count" in err
 
 
 def test_lattice_essentialize_flag(capsys, tmp_path):

@@ -489,8 +489,8 @@ def test_translate_keys_hash_apart_at_the_mersenne_prime_2_61():
     lam = [Fraction(x, N) for x in (1, 2, 3, 4, 5, 6, 7, 8, -9)]
     k = np.array(WeightVector(lam).k, dtype=np.int64)
     empty_rank_cache(sec)
-    for m in _translate_chunks(len(lam), 1):
-        cohom._ranks(sec, k + N * m, None)
+    for m in _translate_chunks(len(lam), 1):  # offsets in the narrowest width
+        cohom._ranks(sec, k + N * m.astype(np.int64), None)
     modN_cohomology_ranks(sec, k, N)
     keys = sec._cache["ranks"]
     assert len(keys) > 3**9 and len(set(map(hash, keys))) == len(keys)

@@ -28,6 +28,7 @@ from oscoh.osalg import CELL_BUDGET, aomoto_matrix
 from oscoh.resonance import (
     _first_offset,
     _lower_dims_options,
+    _sieve,
     _translate_chunks,
     _translate_count,
     betti_bounds,
@@ -361,12 +362,28 @@ def test_translate_chunks_are_capped():
     assert len(chunks) > 1
     assert all(c.size <= STACK_CELLS for c in chunks)
     assert sum(len(c) for c in chunks) == 3**9
-    # forms over the free coordinates are evaluated at every offset kept
-    forms = np.array([[1, -1, 0, 2], [0, 0, 1, 1]])
-    for shift in (None, 2):
-        for c in _translate_chunks(5 if shift else 4, 2, shift, forms):
-            assert (c[:, -2:] == c[:, :4] @ forms.T).all()
-            assert shift is None or (c[:, :5].sum(axis=1) == shift).all()
+    # the sieve keeps exactly the rows with a zero edge through every
+    # closure hyperplane, and says which edges are zero there, an edge
+    # weighing the sum of the closure coordinates (m', -sum(m')) over its
+    # hyperplanes, found here in int64; the last four boxes need int16 and
+    # int32 sums, and their first chunks reach sums past int8 and int16
+    rng = np.random.default_rng(5)
+    for n, box, shift in [(4, 2, None), (5, 2, 3), (4, 64, None), (5, 40, -7), (4, 20000, None), (5, 10000, -40000)]:
+        free = n - (shift is not None)
+        for chunk in itertools.islice(_translate_chunks(n, box, shift), 3):
+            assert shift is None or (chunk.sum(axis=1, dtype=np.int64) == shift).all()
+            m = chunk[:, :free].astype(np.int64)
+            closure = np.concatenate([m, -m.sum(axis=1)[:, None]], axis=1)
+            for _ in range(4):
+                inc = rng.random((6, free + 1)) < 0.4
+                inc[rng.integers(0, 6, free + 1), np.arange(free + 1)] = True
+                values = closure @ inc.T.astype(np.int64)
+                target = values[rng.choice(rng.integers(0, len(chunk), 2), 6), np.arange(6)]
+                vanish = values == target
+                want = np.flatnonzero(np.all([vanish[:, through].any(axis=1) for through in inc.T], axis=0))
+                (got_chunk, got, got_vanish), = _sieve([chunk], inc, target.astype(np.int64), box)
+                assert got_chunk is chunk and got.tolist() == want.tolist(), (n, box, shift)
+                assert (got_vanish == vanish[want].T).all()
 
 
 def test_first_offset_is_none_exactly_where_the_slice_misses_the_box():
@@ -782,6 +799,11 @@ def box_cases(draw):
 @example((catalog.get("ceva3"), CEVA_WEIGHTS, 1))
 @example((catalog.get("ceva3-section"), CEVA_WEIGHTS, 1))
 @example((catalog.get("maclane-section"), MACLANE_SECTION_WEIGHTS, 1))
+# (n + 1) * box = 128, past int8: two parallel lines and a third, sieved
+# in int16 over 65**3 translates
+@example((build_arrangement([[1, 0, 0], [1, 0, -1], [0, 1, 0]]), (Fraction(1, 2), Fraction(1, 3), 0), 32))
+# (n + 1) * box = 32768, past int16: boolean(1)'s zero-sum slice, one offset
+@example((catalog.get("boolean(1)"), (3,), 2**14))
 def test_box_options_match_every_translate_ranked(case):
     # options, witnesses and their order: the order picks betti_bounds'
     # witness among options reaching the same lower bound
